@@ -65,9 +65,20 @@ def _grid(matrix: LowerTriMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _UnwritableOutputError(Exception):
+    """An --out or --fixtures path could not be written; a usage error."""
+
+
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _UnwritableOutputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _emit(cfg: CliConfig, text: str) -> None:
     if cfg.out is not None:
-        cfg.out.write_text(text)
+        _write(cfg.out, text)
     else:
         sys.stdout.write(text)
 
@@ -209,10 +220,12 @@ def _matrix_suite(m: int) -> dict[str, LowerTriMatrix]:
 def cmd_matrices(cfg: CliConfig) -> int:
     suite = _matrix_suite(cfg.m)
     if cfg.fixtures_dir is not None:
-        cfg.fixtures_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.fixtures_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _UnwritableOutputError(f"cannot create {cfg.fixtures_dir}: {exc.strerror}") from exc
         for name, matrix in suite.items():
-            path = cfg.fixtures_dir / f"{name}.json"
-            path.write_text(_json_text(matrix.to_json_dict()))
+            _write(cfg.fixtures_dir / f"{name}.json", _json_text(matrix.to_json_dict()))
         print(f"wrote {len(suite)} fixture files to {cfg.fixtures_dir}", file=sys.stderr)
         return EXIT_OK
     if cfg.fmt == "json":
@@ -347,7 +360,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = _config_from_args(parser, args)
-    return _COMMANDS[cfg.command](cfg)
+    try:
+        return _COMMANDS[cfg.command](cfg)
+    except _UnwritableOutputError as exc:
+        print(f"zetacomb: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -64,22 +64,28 @@ def bernoulli_poly(n: int, z) -> Fraction:
     return acc
 
 
-@lru_cache(maxsize=None)
+# kind -> {n: row n}, seeded with row 0; rows are added as they are asked for
+_STIRLING_ROWS: dict[str, dict[int, tuple[int, ...]]] = {"first": {0: (1,)}, "second": {0: (1,)}}
+
+
 def _stirling_row(kind: str, n: int) -> tuple[int, ...]:
     # kind "first": s(n,k) = s(n-1,k-1) - (n-1) s(n-1,k)
     # kind "second": S(n,k) = S(n-1,k-1) + k S(n-1,k)
-    if n == 0:
-        return (1,)
-    prev = _stirling_row(kind, n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k else 0
-        right = prev[k] if k < n else 0
+    # Iterates up from the highest stored row below n and stores only row n,
+    # so a single large n needs neither deep recursion nor every lower row.
+    rows = _STIRLING_ROWS[kind]
+    if n in rows:
+        return rows[n]
+    start = max(r for r in rows if r < n)
+    row = rows[start]
+    for r in range(start + 1, n + 1):
+        prev = row + (0,)
         if kind == "first":
-            row.append(left - (n - 1) * right)
+            row = (0,) + tuple(prev[k - 1] - (r - 1) * prev[k] for k in range(1, r + 1))
         else:
-            row.append(left + k * right)
-    return tuple(row)
+            row = (0,) + tuple(prev[k - 1] + k * prev[k] for k in range(1, r + 1))
+    rows[n] = row
+    return row
 
 
 def stirling1(n: int, k: int) -> int:

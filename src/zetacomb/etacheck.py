@@ -68,7 +68,10 @@ def eta_via_coeff_row(m: int) -> Fraction:
     """Weighted row sum: eta(-m) = sum_j a_{m,j} j!."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    row = combination_matrix(m).matrix.row(m)
+    return _weighted_row_sum(combination_matrix(m).matrix.row(m))
+
+
+def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
     return sum((a * factorial(j) for j, a in enumerate(row)), Fraction(0))
 
 
@@ -102,15 +105,20 @@ def eta_one_minus_n(n: int) -> Fraction:
 
 
 def eta_cross_check(max_m: int) -> list[EtaTriple]:
-    """Triples for 0 <= m <= max_m; raises on any route disagreement."""
+    """Triples for 0 <= m <= max_m; raises on any route disagreement.
+
+    The coefficient-row route reads row m of the one matrix of size
+    max_m: row m of the combination matrix does not depend on its size.
+    """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
+    matrix = combination_matrix(max_m).matrix
     triples = []
     for m in range(max_m + 1):
         triple = EtaTriple(
             m=m,
             via_zeta=eta_via_zeta(m),
-            via_coeff_rows=eta_via_coeff_row(m),
+            via_coeff_rows=_weighted_row_sum(matrix.row(m)),
             via_stirling2=eta_via_stirling2(m),
         )
         if not triple.routes_agree:

@@ -6,11 +6,23 @@ Two independent inverses are provided: forward substitution, and the
 finite Neumann-style series built on the split M = D + L with L strictly
 lower (L is nilpotent, so the alternating series of powers of D^{-1}L
 terminates after at most dim-1 terms).
+
+The product and the substitution inverse run on integers, not on
+``Fraction``s. Each operand is scaled to an integer matrix by the lcm of
+its denominators, so ``mat_mul`` sums plain integer products and builds
+one ``Fraction`` per output entry. ``invert_substitution`` solves the
+scaled system fraction-free (Bareiss 1968): for column j the unknowns
+are multiplied by the product of the diagonal entries j..dim-1, which
+makes them the integer entries of that trailing block's adjugate, so
+every division in the recurrence is exact. The remainder is checked and
+a nonzero one raises. Only one column of integers is held at a time.
 """
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -161,16 +173,28 @@ class DiagPlusStrictSplit:
         return d + self.strict
 
 
+def _scaled_rows(m: LowerTriMatrix) -> tuple[list[list[int]], int]:
+    """Integer rows of d*M and the scale d, the lcm of M's denominators."""
+    scale = lcm(*(e.denominator for e in m.entries))
+    rows = [[e.numerator * (scale // e.denominator) for e in m.row(i)] for i in range(m.dim)]
+    return rows, scale
+
+
 def mat_mul(a: LowerTriMatrix, b: LowerTriMatrix) -> LowerTriMatrix:
     """Exact product; lower-triangular times lower-triangular stays lower."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim}")
     n = a.dim
-
-    def entry(i: int, j: int) -> Fraction:
-        return sum((a.get(i, k) * b.get(k, j) for k in range(j, i + 1)), Fraction(0))
-
-    return LowerTriMatrix.from_func(n, entry)
+    a_rows, a_scale = _scaled_rows(a)
+    b_rows, b_scale = _scaled_rows(b)
+    scale = a_scale * b_scale
+    # b_cols[j][k - j] = b[k][j] for k >= j
+    b_cols = [[b_rows[k][j] for k in range(j, n)] for j in range(n)]
+    packed = []
+    for i, a_row in enumerate(a_rows):
+        for j in range(i + 1):
+            packed.append(Fraction(sum(map(mul, a_row[j:], b_cols[j])), scale))
+    return LowerTriMatrix(n, tuple(packed))
 
 
 def _require_invertible(m: LowerTriMatrix) -> None:
@@ -179,19 +203,39 @@ def _require_invertible(m: LowerTriMatrix) -> None:
             raise SingularDiagonalError(i)
 
 
+def _adjugate_column(rows: Sequence[Sequence[int]], j: int, det: int) -> list[int]:
+    """Column j (rows j..dim-1) of det * L^{-1} for the integer matrix L.
+
+    ``det`` must be a multiple of the product of L's diagonal entries
+    j..dim-1; then every unknown is an integer and every division below
+    is exact. A remainder means that precondition failed, and raises.
+    """
+    col: list[int] = []
+    for i in range(j, len(rows)):
+        row = rows[i]
+        rhs = det if i == j else -sum(map(mul, row[j:i], col))
+        quotient, remainder = divmod(rhs, row[i])
+        if remainder:
+            raise ArithmeticError(f"inexact division in row {i} of column {j}")
+        col.append(quotient)
+    return col
+
+
 def invert_substitution(m: LowerTriMatrix) -> LowerTriMatrix:
-    """Inverse by forward substitution, solving M X = I column by column."""
+    """Inverse by forward substitution, solving M X = I column by column.
+
+    Runs fraction-free on the integer matrix d*M (see the module
+    docstring); M^{-1} = d (d*M)^{-1}.
+    """
     _require_invertible(m)
     n = m.dim
-    out = [[Fraction(0)] * (i + 1) for i in range(n)]
+    rows, scale = _scaled_rows(m)
+    out: list[list[Fraction]] = [[] for _ in range(n)]
     for j in range(n):
-        out[j][j] = 1 / m.get(j, j)
-        for i in range(j + 1, n):
-            acc = Fraction(0)
-            for k in range(j, i):
-                acc += m.get(i, k) * out[k][j]
-            out[i][j] = -acc / m.get(i, i)
-    return LowerTriMatrix.from_rows([tuple(r) for r in out])
+        det = prod(rows[k][k] for k in range(j, n))
+        for i, value in enumerate(_adjugate_column(rows, j, det), start=j):
+            out[i].append(Fraction(value * scale, det))
+    return LowerTriMatrix.from_rows(out)
 
 
 def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:

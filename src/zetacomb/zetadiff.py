@@ -94,49 +94,34 @@ def hyper_poly(m: int, x) -> Fraction:
     return factorial(m) * acc
 
 
+def _euler_at_zero_halves(m: int) -> list[Fraction]:
+    """E_n(0)/2 for 0 <= n <= m, from E_n(0) = -2(2^{n+1}-1)B_{n+1}/(n+1)."""
+    return [-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)]
+
+
 @lru_cache(maxsize=None)
 def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     """Row i = coefficients of F(i, x) in the requested basis; dim m+1.
 
-    Monomial basis:
-        entry(i, j) = (2^i/(i+1)) sum_{k=j}^{i} C(i+1,k+1) C(k+1,j)
-                      (2^{k-j+1}-1)/2^{k+1} B_{i-k}
-    Shifted basis (powers of x+1):
-        entry(i, j) = sum_{k=0}^{i-j} C(i,k) 2^{k-1} B_k/(i-k+1) C(i-k+1,j)
+    F is an Euler polynomial: E_n(x) = 2^{n+1}/(n+1) [B_{n+1}((x+1)/2) -
+    B_{n+1}(x/2)] (DLMF 24.4), so F(i, x) = E_i(x+1)/2. The Euler
+    polynomials are an Appell sequence (DLMF 24.2, generating function
+    2e^{xt}/(e^t+1)), so E_i(x+h) = sum_j C(i,j) E_{i-j}(h) x^j. In powers
+    of x (h = 1) and in powers of x+1 (h = 0):
 
-    The diagonal is 1/2 in both bases.
+        monomial: entry(i, j) = C(i,j) E_{i-j}(1)/2
+        shifted:  entry(i, j) = C(i,j) E_{i-j}(0)/2
+
+    with E_n(0) = -2(2^{n+1}-1) B_{n+1}/(n+1) and E_n(1) = (-1)^n E_n(0)
+    (DLMF 24.4; B_1 = -1/2 makes the first formula hold at n = 0 too).
+    Each entry is one product; the diagonal is 1/2 in both bases.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-
+    halves = _euler_at_zero_halves(m)
     if basis is Basis.MONOMIAL:
-
-        def entry(i: int, j: int) -> Fraction:
-            acc = Fraction(0)
-            for k in range(j, i + 1):
-                acc += (
-                    binomial(i + 1, k + 1)
-                    * binomial(k + 1, j)
-                    * Fraction(2 ** (k - j + 1) - 1, 2 ** (k + 1))
-                    * bernoulli_number(i - k)
-                )
-            return Fraction(2**i, i + 1) * acc
-
-    else:
-
-        def entry(i: int, j: int) -> Fraction:
-            acc = Fraction(0)
-            for k in range(i - j + 1):
-                acc += (
-                    binomial(i, k)
-                    * Fraction(2) ** (k - 1)
-                    * bernoulli_number(k)
-                    / (i - k + 1)
-                    * binomial(i - k + 1, j)
-                )
-            return acc
-
-    return LowerTriMatrix.from_func(m + 1, entry)
+        halves = [-h if n % 2 else h for n, h in enumerate(halves)]
+    return LowerTriMatrix.from_func(m + 1, lambda i, j: binomial(i, j) * halves[i - j])
 
 
 @lru_cache(maxsize=None)
@@ -153,15 +138,15 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-
-    def entry(i: int, j: int) -> Fraction:
-        acc = 0
-        for k in range(j, i + 1):
-            s = stirling1(k, j) if basis is Basis.MONOMIAL else stirling1(k + 1, j + 1)
-            acc += 2**k * factorial(i - k) * binomial(i, k) ** 2 * s
-        return Fraction(acc)
-
-    return LowerTriMatrix.from_func(m + 1, entry)
+    shift = 0 if basis is Basis.MONOMIAL else 1
+    # stirling[k][j] = s(k + shift, j + shift)
+    stirling = [[stirling1(k + shift, j + shift) for j in range(k + 1)] for k in range(m + 1)]
+    packed: list[int] = []
+    for i in range(m + 1):
+        weights = [2**k * factorial(i - k) * binomial(i, k) ** 2 for k in range(i + 1)]
+        for j in range(i + 1):
+            packed.append(sum(weights[k] * stirling[k][j] for k in range(j, i + 1)))
+    return LowerTriMatrix(m + 1, tuple(packed))
 
 
 class Route(enum.Enum):

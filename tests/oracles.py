@@ -9,7 +9,7 @@ instead of math.comb.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 
 def bernoulli_series(n: int) -> Fraction:
@@ -69,3 +69,85 @@ def count_partitions(n: int, k: int) -> int:
         for b in range(mx + 2):
             stack.append((i + 1, max(mx, b)))
     return total
+
+
+def mat_mul_fraction(a, b):
+    """Lower-triangular product with one Fraction operation per term.
+
+    Works on anything with ``dim`` and ``get(i, j)``; returns packed rows.
+    """
+    return [
+        tuple(
+            sum((a.get(i, k) * b.get(k, j) for k in range(j, i + 1)), Fraction(0))
+            for j in range(i + 1)
+        )
+        for i in range(a.dim)
+    ]
+
+
+def invert_substitution_fraction(m):
+    """Inverse of a lower-triangular matrix by Fraction forward substitution,
+    solving M X = I column by column; returns packed rows.
+    """
+    n = m.dim
+    out = [[Fraction(0)] * (i + 1) for i in range(n)]
+    for j in range(n):
+        out[j][j] = 1 / m.get(j, j)
+        for i in range(j + 1, n):
+            acc = sum((m.get(i, k) * out[k][j] for k in range(j, i)), Fraction(0))
+            out[i][j] = -acc / m.get(i, i)
+    return [tuple(row) for row in out]
+
+
+def _bernoulli_list(n: int) -> list[Fraction]:
+    return [bernoulli_series(k) for k in range(n + 1)]
+
+
+def zeta_diff_coeffs_monomial_sums(m: int) -> list[tuple[Fraction, ...]]:
+    """Rows of F(i, x) in powers of x, by the Bernoulli double sum
+
+        (2^i/(i+1)) sum_{k=j}^{i} C(i+1,k+1) C(k+1,j) (2^{k-j+1}-1)/2^{k+1} B_{i-k}.
+    """
+    bern = _bernoulli_list(m)
+    return [
+        tuple(
+            Fraction(2**i, i + 1)
+            * sum(
+                (
+                    comb(i + 1, k + 1)
+                    * comb(k + 1, j)
+                    * Fraction(2 ** (k - j + 1) - 1, 2 ** (k + 1))
+                    * bern[i - k]
+                    for k in range(j, i + 1)
+                ),
+                Fraction(0),
+            )
+            for j in range(i + 1)
+        )
+        for i in range(m + 1)
+    ]
+
+
+def zeta_diff_coeffs_shifted_sums(m: int) -> list[tuple[Fraction, ...]]:
+    """Rows of F(i, x) in powers of x+1, by the Bernoulli sum
+
+        sum_{k=0}^{i-j} C(i,k) 2^{k-1} B_k/(i-k+1) C(i-k+1,j).
+    """
+    bern = _bernoulli_list(m)
+    return [
+        tuple(
+            sum(
+                (
+                    comb(i, k)
+                    * Fraction(2) ** (k - 1)
+                    * bern[k]
+                    / (i - k + 1)
+                    * comb(i - k + 1, j)
+                    for k in range(i - j + 1)
+                ),
+                Fraction(0),
+            )
+            for j in range(i + 1)
+        )
+        for i in range(m + 1)
+    ]

@@ -159,6 +159,13 @@ def test_stirling_second(capsys):
     assert out == "S(4, 2) = 7\n"
 
 
+def test_stirling_large_n_does_not_recurse(capsys):
+    # S(n, 3) = (3^n - 3 * 2^n + 3) / 6; n is beyond the default recursion limit
+    code, out, _ = run(["stirling", "--kind", "second", "--n", "1500", "--k", "3"], capsys)
+    assert code == 0
+    assert out == f"S(1500, 3) = {(3**1500 - 3 * 2**1500 + 3) // 6}\n"
+
+
 # --- matrices ----------------------------------------------------------------------
 
 
@@ -229,6 +236,20 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == streamed
+
+
+@pytest.mark.parametrize("flag", ["--out", "--fixtures"])
+def test_unwritable_output_exits_2(flag, tmp_path, capsys):
+    command = "coeffs" if flag == "--out" else "matrices"
+    target = tmp_path / "missing" / "x"
+    if flag == "--fixtures":
+        (tmp_path / "missing").write_text("a file, not a directory")
+    code, out, err = run([command, "--m", "3", flag, str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("zetacomb: error: cannot ")
+    assert str(tmp_path / "missing") in err
 
 
 def test_module_entry_point():

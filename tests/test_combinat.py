@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -129,6 +130,12 @@ def test_stirling2_counts_partitions():
     for n in range(10):
         for k in range(n + 1):
             assert stirling2(n, k) == oracles.count_partitions(n, k)
+
+
+def test_stirling1_large_n():
+    # s(n, 1) = (-1)^(n-1) (n-1)!; n is beyond the default recursion limit
+    assert stirling1(1500, 1) == -factorial(1499)
+    assert stirling1(1500, 1500) == 1
 
 
 def test_stirling_orthogonality():

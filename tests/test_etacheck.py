@@ -15,7 +15,7 @@ from zetacomb.etacheck import (
     eta_via_zeta,
     to_json_rows,
 )
-from zetacomb.zetadiff import zeta_diff
+from zetacomb.zetadiff import combination_matrix, zeta_diff
 
 
 def test_eta_via_zeta_values():
@@ -59,6 +59,19 @@ def test_cross_check_matches_fixture():
         assert triple.via_coeff_rows == expected
         assert triple.via_stirling2 == expected
         assert triple.routes_agree
+
+
+def test_cross_check_builds_one_matrix(monkeypatch):
+    sizes = []
+
+    def counting(m):
+        sizes.append(m)
+        return combination_matrix(m)
+
+    monkeypatch.setattr(etacheck, "combination_matrix", counting)
+    triples = eta_cross_check(12)
+    assert sizes == [12]
+    assert [t.via_coeff_rows for t in triples] == [eta_via_coeff_row(m) for m in range(13)]
 
 
 def test_even_positive_m_vanishes_odd_does_not():

@@ -4,10 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _tables_m9 as tables
+import oracles
+from zetacomb import trimat
 from zetacomb.trimat import (
     DimensionMismatchError,
     LowerTriMatrix,
@@ -37,6 +39,13 @@ def tri_matrices(dims=st.integers(1, 10), diag=nonzero):
 
 def strict_parts(dims=st.integers(1, 10)):
     return tri_matrices(dims=dims, diag=st.just(Fraction(0)))
+
+
+@st.composite
+def tri_pairs(draw, dims=st.integers(1, 8)):
+    n = draw(dims)
+    fixed = st.just(n)
+    return draw(tri_matrices(dims=fixed, diag=entries)), draw(tri_matrices(dims=fixed, diag=entries))
 
 
 # --- construction & access ---------------------------------------------------
@@ -118,6 +127,14 @@ def test_diagonal_times_diagonal():
     assert d1 @ d2 == LowerTriMatrix.identity(2)
 
 
+@settings(max_examples=60)
+@given(tri_pairs())
+@example((LowerTriMatrix.from_rows([[Fraction(-2, 3)]]), LowerTriMatrix.from_rows([[Fraction(5, 7)]])))
+def test_mat_mul_matches_fraction_oracle(pair):
+    a, b = pair
+    assert mat_mul(a, b).rows() == oracles.mat_mul_fraction(a, b)
+
+
 @settings(max_examples=40)
 @given(strict_parts())
 def test_strict_lower_is_nilpotent(strict):
@@ -184,6 +201,22 @@ def test_methods_agree_on_fixture():
 @given(tri_matrices(dims=st.integers(1, 8)))
 def test_methods_agree(m):
     assert invert_substitution(m) == invert_series(m)
+
+
+@settings(max_examples=60)
+@given(tri_matrices(dims=st.integers(1, 8)))
+@example(LowerTriMatrix.from_rows([[Fraction(-5, 9)]]))
+def test_substitution_matches_fraction_oracle(m):
+    assert invert_substitution(m).rows() == oracles.invert_substitution_fraction(m)
+
+
+def test_substitution_kernel_raises_on_inexact_division():
+    rows = [[2], [3, 5]]
+    assert trimat._adjugate_column(rows, 0, 10) == [5, -3]
+    with pytest.raises(ArithmeticError, match="row 0 of column 0"):
+        trimat._adjugate_column(rows, 0, 5)  # 5 / 2
+    with pytest.raises(ArithmeticError, match="row 1 of column 0"):
+        trimat._adjugate_column(rows, 0, 2)  # -3 / 5
 
 
 @settings(max_examples=40)

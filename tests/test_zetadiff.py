@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import _tables_m9 as tables
+import oracles
 from zetacomb.numcore import Basis
 from zetacomb.trimat import LowerTriMatrix
 from zetacomb.zetadiff import (
@@ -106,6 +107,19 @@ def test_builders_expand_their_functions():
         for x in SAMPLES:
             assert sum(a.get(i, j) * x**j for j in range(i + 1)) == zeta_diff(i, x)
             assert sum(b.get(i, j) * x**j for j in range(i + 1)) == hyper_poly(i, x)
+
+
+@pytest.mark.parametrize(
+    ("basis", "oracle"),
+    [
+        (Basis.MONOMIAL, oracles.zeta_diff_coeffs_monomial_sums),
+        (Basis.SHIFTED, oracles.zeta_diff_coeffs_shifted_sums),
+    ],
+)
+def test_euler_form_matches_bernoulli_sums(basis, oracle):
+    expected = oracle(30)
+    for m in range(31):
+        assert zeta_diff_coeffs(m, basis).rows() == expected[: m + 1]
 
 
 # --- the combination matrix ------------------------------------------------------
@@ -269,3 +283,4 @@ def test_compare_stirling2_first_difference():
 def test_compare_stirling2_always_differs_for_positive_m():
     for m in range(1, 13):
         assert compare_stirling2_matrix(m) is not None
+
