@@ -281,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the combination identity at sample points")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", default="0,1/2,1,2,7/3", help="comma-separated rationals")
+    p.add_argument(
+        "--samples",
+        default="0,1/2,1,2,7/3",
+        help="comma-separated rationals; a list that starts with '-' must be "
+        "joined to the flag with '=', as in --samples=-1/2,7/3",
+    )
     _add_output_flags(p)
     _add_cap_flag(p)
 

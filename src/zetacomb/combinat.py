@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 __all__ = [
     "binomial",
@@ -54,14 +54,28 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 def bernoulli_poly(n: int, z) -> Fraction:
-    """B_n(z) = sum_k C(n,k) B_k z^{n-k}, evaluated exactly at rational z."""
+    """B_n(z) = sum_k C(n,k) B_k z^{n-k}, evaluated exactly at rational z.
+
+    Runs on integers: with z = p/q and d the lcm of the denominators of
+    B_0..B_n, the terms c_k = d C(n,k) B_k are integers and
+
+        d q^n B_n(z) = sum_k c_k p^{n-k} q^k,
+
+    which a homogeneous Horner pass over k sums with two integer products
+    per step. One ``Fraction`` is built at the end.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     zq = Fraction(z)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += comb(n, k) * bernoulli_number(k) * zq ** (n - k)
-    return acc
+    p, q = zq.numerator, zq.denominator
+    bern = [bernoulli_number(k) for k in range(n + 1)]
+    scale = lcm(*(b.denominator for b in bern))
+    acc = 0
+    q_power = 1
+    for k, b in enumerate(bern):
+        acc = acc * p + comb(n, k) * b.numerator * (scale // b.denominator) * q_power
+        q_power *= q
+    return Fraction(acc, scale * q**n)
 
 
 # kind -> {n: row n}, seeded with row 0; rows are added as they are asked for

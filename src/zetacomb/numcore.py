@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "Basis",
@@ -111,8 +113,23 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    @functools.cached_property
+    def _scaled(self) -> tuple[tuple[int, ...], int]:
+        # integer coefficients of d*p and the scale d, the lcm of the
+        # coefficient denominators; computed once per polynomial
+        scale = lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (scale // c.denominator) for c in self.coeffs), scale
+
     def eval(self, x) -> Fraction:
         """Exact value at x, honouring the basis tag.
+
+        Runs on integers: with the basis variable t = p/q (t = x, or x + 1
+        in the shifted basis) and d*p having integer coefficients c_j,
+
+            d q^n p(t) = sum_j c_j p^j q^{n-j},
+
+        summed by a homogeneous Horner pass from the leading coefficient.
+        One ``Fraction`` is built per call.
 
         >>> Poly((1, 2)).eval(3)
         Fraction(7, 1)
@@ -122,10 +139,16 @@ class Poly:
         t = _as_fraction(x)
         if self.basis is Basis.SHIFTED:
             t = t + 1
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        coeffs, scale = self._scaled
+        p, q = t.numerator, t.denominator
+        acc = 0
+        q_power = 1
+        for c in reversed(coeffs):
+            acc = acc * p + c * q_power
+            q_power *= q
+        return Fraction(acc, scale * q ** self.degree)
 
     def rebase(self, target: Basis) -> Poly:
         """Same function, expressed in the other basis.

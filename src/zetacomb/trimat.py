@@ -2,10 +2,15 @@
 
 Matrices are stored packed row-major (row i holds columns 0..i), so the
 zero upper triangle is unrepresentable rather than merely asserted.
-Two independent inverses are provided: forward substitution, and the
-finite Neumann-style series built on the split M = D + L with L strictly
-lower (L is nilpotent, so the alternating series of powers of D^{-1}L
-terminates after at most dim-1 terms).
+Two independent inverses are provided: forward substitution, and a
+finite series built on the split M = D + L with L strictly lower. There
+N = D^{-1}L is nilpotent (N^dim = 0), so (I + N)^{-1} is the finite sum
+of (-N)^k for k < dim, which the doubling product
+
+    (I + N)^{-1} = (I - N)(I + N^2)(I + N^4) ... (I + N^{2^{r-1}}),  2^r >= dim,
+
+collects with about 2 log2(dim) products instead of dim. The series
+inverse never uses substitution, so the two check each other.
 
 The product and the substitution inverse run on integers, not on
 ``Fraction``s. Each operand is scaled to an integer matrix by the lcm of
@@ -109,6 +114,8 @@ class LowerTriMatrix:
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         """Packed row i (the first i+1 columns)."""
+        if not 0 <= i < self.dim:
+            raise IndexError(f"index {i} out of range for dim {self.dim}")
         start = i * (i + 1) // 2
         return self.entries[start : start + i + 1]
 
@@ -239,23 +246,27 @@ def invert_substitution(m: LowerTriMatrix) -> LowerTriMatrix:
 
 
 def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
-    """Inverse via the finite alternating series on the D + L split.
+    """Inverse via the finite series on the D + L split, by doubling.
 
     With N = D^{-1} L strictly lower (hence N^dim = 0),
-    M^{-1} = [I + sum_{k>=1} (-1)^k N^k] D^{-1}.
+    M^{-1} = (I + N)^{-1} D^{-1} and (I + N)^{-1} = sum_{k<dim} (-N)^k.
+    After r factors, (I - N)(I + N^2)...(I + N^{2^{r-1}}) equals the sum
+    over k < 2^r, so the loop squares the power and multiplies in one
+    factor until 2^r >= dim, or stops early when the power is zero.
     """
     _require_invertible(m)
     n = m.dim
     split = split_diag_strict(m)
     d_inv = LowerTriMatrix.diagonal([1 / d for d in split.diag])
-    nmat = mat_mul(d_inv, split.strict)
-    total = LowerTriMatrix.identity(n)
-    power = LowerTriMatrix.identity(n)
-    for k in range(1, n):
-        power = mat_mul(power, nmat)
+    power = mat_mul(d_inv, split.strict)
+    total = LowerTriMatrix.identity(n) - power
+    terms = 2
+    while terms < n:
+        power = mat_mul(power, power)
         if power.is_zero():
             break
-        total = total - power if k % 2 else total + power
+        total = total + mat_mul(total, power)
+        terms *= 2
     return mat_mul(total, d_inv)
 
 

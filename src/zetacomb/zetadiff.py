@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .combinat import bernoulli_number, bernoulli_poly, binomial, rising_factorial, stirling1, stirling2
+from .combinat import bernoulli_number, bernoulli_poly, binomial, stirling1, stirling2
 from .numcore import Basis, Poly
 from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 
@@ -57,6 +57,12 @@ DEFAULT_SAMPLES: tuple[Fraction, ...] = (
 )
 
 
+def _require_dim(m: int, matrix: LowerTriMatrix) -> None:
+    # an injected table must be the (m+1)-square one the report describes
+    if matrix.dim != m + 1:
+        raise ValueError(f"matrix has dim {matrix.dim}, expected m + 1 = {m + 1}")
+
+
 def hurwitz_zeta_neg(m: int, a) -> Fraction:
     """zeta(-m, a) for integer m >= 0, via zeta(-m, a) = -B_{m+1}(a)/(m+1)."""
     if m < 0:
@@ -80,18 +86,29 @@ def zeta_diff(m: int, x) -> Fraction:
 
 
 def hyper_poly(m: int, x) -> Fraction:
-    """G(m, x) = m! * sum_{k<=m} (-m)_k (-x)_k 2^k / (k!)^2, exactly."""
+    """G(m, x) = m! * sum_{k<=m} (-m)_k (-x)_k 2^k / (k!)^2, exactly.
+
+    A direct sum, independent of the Stirling-based coefficient tables.
+    The terms t_k have the ratio t_{k+1}/t_k = 2(k-m)(k-x)/(k+1)^2, so
+    with x = p/q the sum nests Horner-style as
+
+        1 + r_0 (1 + r_1 (1 + ... (1 + r_{m-1}))),  r_k = a_k / b_k,
+        a_k = 2(k-m)(kq-p),  b_k = q(k+1)^2,
+
+    and is accumulated as one integer numerator over the integer product
+    of the b_k. A nonnegative integer x < m makes a_x = 0, which cuts the
+    sum off there. One ``Fraction`` is built at the end.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
     xq = Fraction(x)
-    acc = Fraction(0)
-    for k in range(m + 1):
-        acc += (
-            rising_factorial(-m, k)
-            * rising_factorial(-xq, k)
-            * Fraction(2**k, factorial(k) ** 2)
-        )
-    return factorial(m) * acc
+    p, q = xq.numerator, xq.denominator
+    num = den = 1
+    for k in range(m - 1, -1, -1):
+        b = q * (k + 1) ** 2
+        num = num * 2 * (k - m) * (k * q - p) + den * b
+        den *= b
+    return Fraction(factorial(m) * num, den)
 
 
 def _euler_at_zero_halves(m: int) -> list[Fraction]:
@@ -244,12 +261,14 @@ def verify_combination(
     F and G are evaluated directly (Bernoulli closed form, terminating
     hypergeometric sum), independently of how the matrix was built. Pass
     means every residual is exactly zero. A matrix may be injected to
-    check external tables; by default the monomial route is used.
+    check external tables; by default the monomial route is used. An
+    injected matrix must have dim m+1, or ``ValueError`` is raised.
     """
     if not samples:
         raise ValueError("samples must be nonempty")
     samples = tuple(Fraction(s) for s in samples)
     mat = matrix if matrix is not None else combination_matrix(m).matrix
+    _require_dim(m, mat)
     g_at = {
         (j, x): hyper_poly(j, x) for j in range(mat.dim) for x in samples
     }
@@ -274,7 +293,8 @@ def verify_polynomial_forms(
     Checks, at 2m+3 distinct rational points: rows of the monomial-basis
     matrices evaluate to F resp. G; same for the shifted-basis matrices;
     and rebasing a shifted row reproduces the monomial row exactly.
-    ``matrices`` may inject (F_mono, G_mono, F_shift, G_shift) tables.
+    ``matrices`` may inject (F_mono, G_mono, F_shift, G_shift) tables,
+    each of dim m+1 (otherwise ``ValueError``).
     """
     if matrices is None:
         matrices = (
@@ -283,6 +303,8 @@ def verify_polynomial_forms(
             zeta_diff_coeffs(m, Basis.SHIFTED),
             hyper_poly_coeffs(m, Basis.SHIFTED),
         )
+    for matrix in matrices:
+        _require_dim(m, matrix)
     f_mono, g_mono, f_shift, g_shift = matrices
     points = [Fraction(t - m - 1, 3) for t in range(2 * m + 3)]
     for i in range(m + 1):
@@ -349,10 +371,14 @@ def _expected_sign(i: int, j: int) -> ExpectedSign:
 def scan_sign_pattern(
     max_m: int, matrix: LowerTriMatrix | None = None
 ) -> SignPatternFinding:
-    """Classify every strictly below-diagonal entry against the sign pattern."""
+    """Classify every strictly below-diagonal entry against the sign pattern.
+
+    An injected ``matrix`` must have dim max_m+1, or ``ValueError`` is raised.
+    """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
     mat = matrix if matrix is not None else combination_matrix(max_m).matrix
+    _require_dim(max_m, mat)
     checked = 0
     violations = []
     for i in range(mat.dim):

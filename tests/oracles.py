@@ -4,7 +4,10 @@ Each one reaches its value by a route genuinely different from the
 library implementation: series division instead of the binomial
 recurrence, polynomial expansion instead of the Stirling recurrence,
 explicit partition enumeration instead of the triangle, Pascal's rule
-instead of math.comb.
+instead of math.comb. The ``Fraction`` evaluators at the end (rising
+factorials for G, powers for B_n(z), Horner for a polynomial and the
+power-by-power Neumann sum for an inverse) are the plain forms the
+integer kernels replaced.
 """
 from __future__ import annotations
 
@@ -151,3 +154,57 @@ def zeta_diff_coeffs_shifted_sums(m: int) -> list[tuple[Fraction, ...]]:
         )
         for i in range(m + 1)
     ]
+
+
+def hyper_poly_rising(m: int, x) -> Fraction:
+    """G(m, x) = m! sum_k (-m)_k (-x)_k 2^k/(k!)^2, each term from two
+    ``Fraction`` rising factorials.
+    """
+
+    def rising(z, n):
+        acc = Fraction(1)
+        for k in range(n):
+            acc *= z + k
+        return acc
+
+    xq = Fraction(x)
+    return factorial(m) * sum(
+        (rising(-m, k) * rising(-xq, k) * Fraction(2**k, factorial(k) ** 2) for k in range(m + 1)),
+        Fraction(0),
+    )
+
+
+def bernoulli_poly_power_sum(n: int, z) -> Fraction:
+    """B_n(z) = sum_k C(n,k) B_k z^{n-k}, one ``Fraction`` power per term,
+    with B_k from the series oracle.
+    """
+    zq = Fraction(z)
+    return sum((comb(n, k) * bernoulli_series(k) * zq ** (n - k) for k in range(n + 1)), Fraction(0))
+
+
+def poly_eval_fraction(coeffs, x) -> Fraction:
+    """sum_j coeffs[j] x^j by ``Fraction`` Horner steps."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def invert_series_neumann(m):
+    """Inverse of a lower-triangular matrix with nonzero diagonal as the
+    (dim-1)-term Neumann sum [sum_k (-N)^k] D^{-1}, N = D^{-1}(M - D), one
+    power at a time in ``Fraction`` arithmetic; returns packed rows.
+    """
+    n = m.dim
+    d = [m.get(i, i) for i in range(n)]
+    nmat = [[m.get(i, j) / d[i] if j < i else Fraction(0) for j in range(n)] for i in range(n)]
+    total = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    power = [row[:] for row in total]
+    for k in range(1, n):
+        power = [
+            [sum((power[i][t] * nmat[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+            for i in range(n)
+        ]
+        sign = -1 if k % 2 else 1
+        total = [[total[i][j] + sign * power[i][j] for j in range(n)] for i in range(n)]
+    return [tuple(total[i][j] / d[j] for j in range(i + 1)) for i in range(n)]

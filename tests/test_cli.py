@@ -90,6 +90,12 @@ def test_verify_custom_samples(capsys):
     assert "samples: 0, 1, 2" in out
 
 
+def test_verify_negative_samples_joined_with_equals(capsys):
+    code, out, _ = run(["verify", "--m", "2", "--samples=-1/2,7/3"], capsys)
+    assert code == 0
+    assert "combination identity: PASS (m = 2, samples: -1/2, 7/3)" in out
+
+
 def test_verify_m0_single_sample(capsys):
     code, _, _ = run(["verify", "--m", "0", "--samples", "5"], capsys)
     assert code == 0

@@ -4,10 +4,11 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from strategies import non_dyadic
 from zetacomb.combinat import (
     bernoulli_number,
     bernoulli_poly,
@@ -75,6 +76,13 @@ def test_bernoulli_poly_values():
 def test_bernoulli_poly_at_one():
     for n in range(13):
         assert bernoulli_poly(n, 1) == (-1) ** n * bernoulli_number(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 24), st.one_of(non_dyadic, st.integers(-20, 20)))
+@example(0, Fraction(-7, 3))
+def test_bernoulli_poly_matches_power_sum_oracle(n, z):
+    assert bernoulli_poly(n, z) == oracles.bernoulli_poly_power_sum(n, z)
 
 
 def test_bernoulli_poly_reflection():

@@ -3,9 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from strategies import non_dyadic
 from zetacomb.numcore import (
     Basis,
     Poly,
@@ -124,3 +126,12 @@ def test_rebase_preserves_evaluation(coeffs):
     for t in range(-6, 7):
         x = Fraction(t, 3)
         assert p.eval(x) == q.eval(x)
+
+
+@settings(max_examples=80)
+@given(poly_coeffs, st.one_of(non_dyadic, st.integers(-50, 50)), st.sampled_from(Basis))
+@example([], Fraction(-2, 3), Basis.SHIFTED)
+@example([Fraction(5, 7)], Fraction(-1), Basis.SHIFTED)
+def test_eval_matches_fraction_horner_oracle(coeffs, x, basis):
+    t = x + 1 if basis is Basis.SHIFTED else x
+    assert Poly(tuple(coeffs), basis).eval(x) == oracles.poly_eval_fraction(coeffs, t)

@@ -79,6 +79,13 @@ def test_get_out_of_range():
         m.get(0, -1)
 
 
+@pytest.mark.parametrize("i", [3, 5, -1])
+def test_row_out_of_range(i):
+    m = LowerTriMatrix.identity(3)
+    with pytest.raises(IndexError, match=f"index {i} out of range for dim 3"):
+        m.row(i)
+
+
 def test_from_func():
     m = LowerTriMatrix.from_func(3, lambda i, j: Fraction(i + j))
     assert m.rows() == [(Fraction(0),), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(3), Fraction(4))]
@@ -208,6 +215,21 @@ def test_methods_agree(m):
 @example(LowerTriMatrix.from_rows([[Fraction(-5, 9)]]))
 def test_substitution_matches_fraction_oracle(m):
     assert invert_substitution(m).rows() == oracles.invert_substitution_fraction(m)
+
+
+@settings(max_examples=40)
+@given(tri_matrices(dims=st.integers(1, 8)))
+@example(LowerTriMatrix.from_rows([[Fraction(-5, 9)]]))
+def test_series_matches_neumann_oracle(m):
+    assert invert_series(m).rows() == oracles.invert_series_neumann(m)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 9, 16, 17])
+def test_series_matches_substitution_at_doubling_edges(dim):
+    # positive strict entries keep every power of N up to N^(dim-1)
+    # nonzero, so the doubling loop runs to its 2^r >= dim bound
+    m = LowerTriMatrix.from_func(dim, lambda i, j: Fraction(i + j + 1, 2 * j + 3))
+    assert invert_series(m) == invert_substitution(m)
 
 
 def test_substitution_kernel_raises_on_inexact_division():

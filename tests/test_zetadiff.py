@@ -5,9 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _tables_m9 as tables
 import oracles
+from strategies import non_dyadic
 from zetacomb.numcore import Basis
 from zetacomb.trimat import LowerTriMatrix
 from zetacomb.zetadiff import (
@@ -52,6 +55,24 @@ def test_hyper_poly_linear():
     # G(1, x) = 1 + 2x
     assert hyper_poly(1, 3) == 7
     assert hyper_poly(1, Fraction(1, 2)) == 2
+
+
+@st.composite
+def hyper_points(draw):
+    """(m, x): non-dyadic rationals, negative integers, and nonnegative
+    integers below m, where the hypergeometric sum stops early."""
+    m = draw(st.integers(0, 24))
+    below_m = st.integers(0, m - 1) if m else st.just(0)
+    return m, draw(st.one_of(non_dyadic, st.integers(-20, -1), below_m))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hyper_points())
+@example((0, Fraction(-7, 3)))
+@example((6, 2))
+def test_hyper_poly_matches_rising_factorial_oracle(case):
+    m, x = case
+    assert hyper_poly(m, x) == oracles.hyper_poly_rising(m, x)
 
 
 def test_hyper_poly_at_zero_is_factorial():
@@ -195,6 +216,11 @@ def test_verify_combination_detects_tampering():
     assert residual != 0
 
 
+def test_verify_combination_rejects_wrong_dim():
+    with pytest.raises(ValueError, match="dim 6"):
+        verify_combination(2, matrix=combination_matrix(5).matrix)
+
+
 def test_verify_report_json_shape():
     doc = verify_combination(2).to_json_dict()
     assert set(doc) == {"m", "samples", "pass", "violations"}
@@ -231,6 +257,28 @@ def test_verify_polynomial_forms_rejects_wrong_table():
     assert not verify_polynomial_forms(9, matrices=broken)
 
 
+def _form_tables(m):
+    return (
+        zeta_diff_coeffs(m, Basis.MONOMIAL),
+        hyper_poly_coeffs(m, Basis.MONOMIAL),
+        zeta_diff_coeffs(m, Basis.SHIFTED),
+        hyper_poly_coeffs(m, Basis.SHIFTED),
+    )
+
+
+def test_verify_polynomial_forms_rejects_wrong_dim():
+    with pytest.raises(ValueError, match="dim 3"):
+        verify_polynomial_forms(5, _form_tables(2))
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_verify_polynomial_forms_rejects_one_wrong_dim(position):
+    mats = list(_form_tables(2))
+    mats[position] = _form_tables(5)[position]
+    with pytest.raises(ValueError, match="dim 6"):
+        verify_polynomial_forms(2, tuple(mats))
+
+
 # --- sign pattern scan ----------------------------------------------------------------
 
 
@@ -261,6 +309,11 @@ def test_scan_sign_pattern_flags_doctored_matrix():
         (2, 0): ExpectedSign.NEGATIVE,
         (4, 0): ExpectedSign.POSITIVE,
     }
+
+
+def test_scan_sign_pattern_rejects_wrong_dim():
+    with pytest.raises(ValueError, match="dim 6"):
+        scan_sign_pattern(2, matrix=combination_matrix(5).matrix)
 
 
 def test_sign_finding_json():
