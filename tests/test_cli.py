@@ -5,15 +5,28 @@ everything else captures stdout/stderr with capsys.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import _tables_m9 as tables
+from zetacomb import cli
 from zetacomb.cli import main
+from zetacomb.etacheck import RouteDisagreementError
 from zetacomb.trimat import LowerTriMatrix
+from zetacomb.zetadiff import (
+    CombinationViolation,
+    ExpectedSign,
+    Route,
+    SignPatternFinding,
+    SignViolation,
+    VerificationReport,
+)
 
 
 def run(argv, capsys):
@@ -266,3 +279,111 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/2\n"
+
+
+# --- golden output and the exit-1 contract ---------------------------------------------
+
+# argv, stdout, stderr and exit code of main(argv) for every subcommand x format
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"]))
+def test_golden_output(entry, capsys):
+    assert run(entry["argv"], capsys) == (entry["exit"], entry["stdout"], entry["stderr"])
+
+
+def test_route_disagreement_exits_1(monkeypatch, capsys):
+    real = cli.combination_matrix
+
+    def skewed(m, route=Route.MONOMIAL):
+        report = real(m, route)
+        if route is Route.SHIFTED_SERIES:
+            extra = LowerTriMatrix.from_func(m + 1, lambda i, j: int(i == m and j == 0))
+            return dataclasses.replace(report, matrix=report.matrix + extra)
+        return report
+
+    monkeypatch.setattr(cli, "combination_matrix", skewed)
+    code, out, err = run(["coeffs", "--m", "3", "--check-all-routes"], capsys)
+    assert (code, out, err) == (1, "", "route disagreement at m=3\n")
+
+
+def test_eta_route_disagreement_exits_1(monkeypatch, capsys):
+    def disagree(max_m):
+        raise RouteDisagreementError(2, {"via_zeta": Fraction(0), "via_stirling2": Fraction(1)})
+
+    monkeypatch.setattr(cli, "eta_cross_check", disagree)
+    code, out, err = run(["eta", "--max", "4", "--format", "json"], capsys)
+    assert (code, out, err) == (1, "", "eta routes disagree at m=2: via_stirling2=1, via_zeta=0\n")
+
+
+FAILED_REPORT = VerificationReport(
+    m=2,
+    samples=(Fraction(1, 2),),
+    passed=False,
+    violations=(
+        CombinationViolation(1, Fraction(1, 2), Fraction(-3, 4)),
+        CombinationViolation(2, Fraction(1, 2), Fraction(5)),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("pretty", "combination identity: FAIL (m = 2, samples: 1/2)\npolynomial forms: PASS\n"),
+        ("csv", "row,sample,residual\n1,1/2,-3/4\n2,1/2,5\n"),
+        (
+            "json",
+            '{\n  "m": 2,\n  "samples": [\n    "1/2"\n  ],\n  "pass": false,\n'
+            '  "violations": [\n'
+            '    {\n      "row": 1,\n      "sample": "1/2",\n      "residual": "-3/4"\n    },\n'
+            '    {\n      "row": 2,\n      "sample": "1/2",\n      "residual": "5"\n    }\n'
+            '  ],\n  "polynomial_forms_pass": true\n}\n',
+        ),
+    ],
+)
+def test_failed_verification_exits_1_after_the_output(fmt, expected, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_combination", lambda m, samples: FAILED_REPORT)
+    code, out, err = run(["verify", "--m", "2", "--samples", "1/2", "--format", fmt], capsys)
+    assert (code, out, err) == (1, expected, "violation: row 1, sample 1/2, residual -3/4\n")
+
+
+def test_failed_polynomial_forms_exit_1_after_the_output(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
+    code, out, err = run(["verify", "--m", "2"], capsys)
+    assert code == 1
+    assert out == (
+        "combination identity: PASS (m = 2, samples: 0, 1/2, 1, 2, 7/3)\npolynomial forms: FAIL\n"
+    )
+    assert err == "polynomial forms check failed at m=2\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "pretty",
+            "sign pattern scan to m = 3: 3 entries checked, 2 violations\n"
+            "  (2, 0) = 1/4, expected negative\n  (3, 0) = -1/8, expected zero\n",
+        ),
+        ("csv", "i,j,value,expected\n2,0,1/4,negative\n3,0,-1/8,zero\n"),
+        (
+            "json",
+            '{\n  "max_m": 3,\n  "checked": 3,\n  "violations": [\n'
+            '    {\n      "i": 2,\n      "j": 0,\n      "value": "1/4",\n      "expected": "negative"\n    },\n'
+            '    {\n      "i": 3,\n      "j": 0,\n      "value": "-1/8",\n      "expected": "zero"\n    }\n'
+            "  ]\n}\n",
+        ),
+    ],
+)
+def test_conjecture_violations_render(fmt, expected, monkeypatch, capsys):
+    finding = SignPatternFinding(
+        max_m=3,
+        checked=3,
+        violations=(
+            SignViolation(2, 0, Fraction(1, 4), ExpectedSign.NEGATIVE),
+            SignViolation(3, 0, Fraction(-1, 8), ExpectedSign.ZERO),
+        ),
+    )
+    monkeypatch.setattr(cli, "scan_sign_pattern", lambda max_m: finding)
+    assert run(["conjecture", "--max", "3", "--format", fmt], capsys) == (0, expected, "")
