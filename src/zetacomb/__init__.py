@@ -21,7 +21,6 @@ from .etacheck import (
     EtaTriple,
     RouteDisagreementError,
     eta_cross_check,
-    eta_one_minus_n,
     eta_via_coeff_row,
     eta_via_stirling2,
     eta_via_zeta,
@@ -35,14 +34,12 @@ from .numcore import (
     rational,
 )
 from .trimat import (
-    DiagPlusStrictSplit,
     DimensionMismatchError,
     LowerTriMatrix,
     SingularDiagonalError,
     invert_series,
     invert_substitution,
     mat_mul,
-    split_diag_strict,
 )
 from .zetadiff import (
     DEFAULT_SAMPLES,
@@ -81,13 +78,11 @@ __all__ = [
     "falling_factorial",
     "rising_factorial",
     "LowerTriMatrix",
-    "DiagPlusStrictSplit",
     "DimensionMismatchError",
     "SingularDiagonalError",
     "mat_mul",
     "invert_substitution",
     "invert_series",
-    "split_diag_strict",
     "Route",
     "CoeffReport",
     "SignPatternFinding",
@@ -110,6 +105,5 @@ __all__ = [
     "eta_via_zeta",
     "eta_via_coeff_row",
     "eta_via_stirling2",
-    "eta_one_minus_n",
     "eta_cross_check",
 ]

@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 1 mathematical-check failure, 2 usage error.
 Results go to stdout (or --out); diagnostics go to stderr.
+
+Each ``cmd_*`` computes its result once and returns a ``_Result`` holding
+three deferred views of it: the JSON document, the CSV text and the pretty
+text. ``main`` alone picks the view that --format names (only that one is
+built), writes it, and maps failures to exit codes. Record-shaped CSVs come
+from ``_records_csv`` over the same dicts the JSON view carries, so the
+CSV header is the JSON keys.
 """
 from __future__ import annotations
 
@@ -9,15 +16,14 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterable
 
 from .combinat import bernoulli_number, stirling1, stirling2
 from .etacheck import RouteDisagreementError, eta_cross_check, to_json_rows
 from .numcore import Basis, parse_rational
 from .trimat import LowerTriMatrix, invert_series, invert_substitution
 from .zetadiff import (
-    DEFAULT_SAMPLES,
     Route,
     combination_matrix,
     hyper_poly_coeffs,
@@ -27,7 +33,7 @@ from .zetadiff import (
     zeta_diff_coeffs,
 )
 
-__all__ = ["CliConfig", "main"]
+__all__ = ["main"]
 
 DEFAULT_M_CAP = 64
 
@@ -37,27 +43,32 @@ EXIT_USAGE = 2
 
 
 @dataclasses.dataclass(frozen=True)
-class CliConfig:
-    command: str
-    m: int | None = None
-    max_m: int | None = None
-    route: Route = Route.MONOMIAL
-    samples: tuple[Fraction, ...] = DEFAULT_SAMPLES
-    fmt: str = "pretty"
-    out: Path | None = None
-    check_all_routes: bool = False
-    fixtures_dir: Path | None = None
-    cap: int = DEFAULT_M_CAP
-    n: int | None = None
-    k: int | None = None
-    kind: str | None = None
+class _Result:
+    """A command's result: three deferred views, of which ``main`` builds one.
+
+    ``files`` is the view ``--fixtures`` picks: file names mapped to JSON
+    documents. ``failure`` is the stderr line of a check that failed once
+    the result was computed; it follows the output, and the exit code is 1.
+    """
+
+    json: Callable[[], object]
+    csv: Callable[[], str]
+    pretty: Callable[[], str]
+    files: Callable[[], dict[str, object]] | None = None
+    failure: str | None = None
+
+
+class _CheckFailed(Exception):
+    """A mathematical check failed; exits 1."""
+
+
+class _UnwritableOutputError(Exception):
+    """An --out or --fixtures path could not be written; a usage error."""
 
 
 def _grid(matrix: LowerTriMatrix) -> str:
     # full square, right-aligned columns
-    cells = [
-        [str(matrix.get(i, j)) for j in range(matrix.dim)] for i in range(matrix.dim)
-    ]
+    cells = [line.split(",") for line in matrix.to_csv().splitlines()]
     widths = [max(len(row[j]) for row in cells) for j in range(matrix.dim)]
     lines = [
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
@@ -65,201 +76,152 @@ def _grid(matrix: LowerTriMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _UnwritableOutputError(Exception):
-    """An --out or --fixtures path could not be written; a usage error."""
+def _records_csv(fields: tuple[str, ...], records: Iterable[dict]) -> str:
+    """Header ``fields``, then one line per record; cells are JSON scalars, unquoted."""
+    lines = [",".join(fields)]
+    lines += [
+        ",".join(v if isinstance(v, str) else json.dumps(v) for v in map(r.get, fields))
+        for r in records
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text)
-    except OSError as exc:
-        raise _UnwritableOutputError(f"cannot write {path}: {exc.strerror}") from exc
+def cmd_coeffs(args: argparse.Namespace) -> _Result:
+    route = Route(args.route)
+    report = combination_matrix(args.m, route)
+    if args.check_all_routes:
+        if any(combination_matrix(args.m, r).matrix != report.matrix for r in Route):
+            raise _CheckFailed(f"route disagreement at m={args.m}")
+        print("4 routes agree", file=sys.stderr)
+    header = f"combination matrix, m = {args.m}, route = {route.value}\n"
+    return _Result(
+        json=report.to_json_dict,
+        csv=report.matrix.to_csv,
+        pretty=lambda: header + _grid(report.matrix),
+    )
 
 
-def _emit(cfg: CliConfig, text: str) -> None:
-    if cfg.out is not None:
-        _write(cfg.out, text)
-    else:
-        sys.stdout.write(text)
+def cmd_verify(args: argparse.Namespace) -> _Result:
+    report = verify_combination(args.m, args.samples)
+    forms_ok = verify_polynomial_forms(args.m)
+    failure = None
+    if not report.passed:
+        first = report.violations[0]
+        failure = f"violation: row {first.row}, sample {first.sample}, residual {first.residual}"
+    elif not forms_ok:
+        failure = f"polynomial forms check failed at m={args.m}"
+    return _Result(
+        json=lambda: {**report.to_json_dict(), "polynomial_forms_pass": forms_ok},
+        csv=lambda: _records_csv(("row", "sample", "residual"), report.to_json_dict()["violations"]),
+        pretty=lambda: (
+            f"combination identity: {'PASS' if report.passed else 'FAIL'}"
+            f" (m = {args.m}, samples: {', '.join(str(s) for s in report.samples)})\n"
+            f"polynomial forms: {'PASS' if forms_ok else 'FAIL'}\n"
+        ),
+        failure=failure,
+    )
+
+
+def cmd_eta(args: argparse.Namespace) -> _Result:
+    triples = eta_cross_check(args.max_m)
+    return _Result(
+        json=lambda: to_json_rows(triples),
+        csv=lambda: _records_csv(("m", "eta", "routes_agree"), to_json_rows(triples)),
+        pretty=lambda: "".join(f"eta({-t.m}) = {t.via_zeta}\n" for t in triples),
+    )
+
+
+def cmd_conjecture(args: argparse.Namespace) -> _Result:
+    finding = scan_sign_pattern(args.max_m)
+    header = (
+        f"sign pattern scan to m = {finding.max_m}:"
+        f" {finding.checked} entries checked, {len(finding.violations)} violations\n"
+    )
+    return _Result(
+        json=finding.to_json_dict,
+        csv=lambda: _records_csv(("i", "j", "value", "expected"), finding.to_json_dict()["violations"]),
+        pretty=lambda: header + "".join(
+            f"  ({v.i}, {v.j}) = {v.value}, expected {v.expected.value}\n" for v in finding.violations
+        ),
+    )
+
+
+def _scalar(doc: dict, pretty: str) -> _Result:
+    return _Result(json=lambda: doc, csv=lambda: _records_csv(tuple(doc), [doc]), pretty=lambda: pretty)
+
+
+def cmd_bernoulli(args: argparse.Namespace) -> _Result:
+    value = bernoulli_number(args.n)
+    return _scalar({"n": args.n, "value": str(value)}, f"B({args.n}) = {value}\n")
+
+
+def cmd_stirling(args: argparse.Namespace) -> _Result:
+    first = args.kind == "first"
+    value = (stirling1 if first else stirling2)(args.n, args.k)
+    doc = {"kind": args.kind, "n": args.n, "k": args.k, "value": value}
+    return _scalar(doc, f"{'s' if first else 'S'}({args.n}, {args.k}) = {value}\n")
+
+
+def cmd_matrices(args: argparse.Namespace) -> _Result:
+    b, b_sh = hyper_poly_coeffs(args.m, Basis.MONOMIAL), hyper_poly_coeffs(args.m, Basis.SHIFTED)
+    suite = {
+        "A": zeta_diff_coeffs(args.m, Basis.MONOMIAL),
+        "B": b,
+        "B_inv": invert_substitution(b),
+        "A_shifted": zeta_diff_coeffs(args.m, Basis.SHIFTED),
+        "B_shifted": b_sh,
+        "B_shifted_inv": invert_series(b_sh),
+        "product": combination_matrix(args.m).matrix,
+    }
+    return _Result(
+        json=lambda: {"m": args.m, **{name: matrix.to_json_dict() for name, matrix in suite.items()}},
+        csv=lambda: "\n".join(f"{name}\n{matrix.to_csv()}" for name, matrix in suite.items()),
+        pretty=lambda: "\n".join(
+            f"{name} (m = {args.m})\n{_grid(matrix)}" for name, matrix in suite.items()
+        ),
+        files=lambda: {f"{name}.json": matrix.to_json_dict() for name, matrix in suite.items()},
+    )
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def cmd_coeffs(cfg: CliConfig) -> int:
-    report = combination_matrix(cfg.m, cfg.route)
-    if cfg.check_all_routes:
-        others = [combination_matrix(cfg.m, r) for r in Route]
-        if any(o.matrix != report.matrix for o in others):
-            print(f"route disagreement at m={cfg.m}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        print("4 routes agree", file=sys.stderr)
-    if cfg.fmt == "json":
-        text = _json_text(report.to_json_dict())
-    elif cfg.fmt == "csv":
-        text = report.matrix.to_csv()
-    else:
-        header = f"combination matrix, m = {cfg.m}, route = {cfg.route.value}\n"
-        text = header + _grid(report.matrix)
-    _emit(cfg, text)
-    return EXIT_OK
-
-
-def cmd_verify(cfg: CliConfig) -> int:
-    report = verify_combination(cfg.m, cfg.samples)
-    forms_ok = verify_polynomial_forms(cfg.m)
-    if cfg.fmt == "json":
-        payload = report.to_json_dict()
-        payload["polynomial_forms_pass"] = forms_ok
-        text = _json_text(payload)
-    elif cfg.fmt == "csv":
-        lines = ["row,sample,residual"]
-        lines += [f"{v.row},{v.sample},{v.residual}" for v in report.violations]
-        text = "\n".join(lines) + "\n"
-    else:
-        samples = ", ".join(str(s) for s in report.samples)
-        text = (
-            f"combination identity: {'PASS' if report.passed else 'FAIL'}"
-            f" (m = {cfg.m}, samples: {samples})\n"
-            f"polynomial forms: {'PASS' if forms_ok else 'FAIL'}\n"
-        )
-    _emit(cfg, text)
-    if not report.passed:
-        first = report.violations[0]
-        print(
-            f"violation: row {first.row}, sample {first.sample}, residual {first.residual}",
-            file=sys.stderr,
-        )
-        return EXIT_CHECK_FAILED
-    if not forms_ok:
-        print(f"polynomial forms check failed at m={cfg.m}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
-
-
-def cmd_eta(cfg: CliConfig) -> int:
+def _write(path: Path | None, text: str) -> None:
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
-        triples = eta_cross_check(cfg.max_m)
-    except RouteDisagreementError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    if cfg.fmt == "json":
-        text = _json_text(to_json_rows(triples))
-    elif cfg.fmt == "csv":
-        lines = ["m,eta,routes_agree"]
-        lines += [f"{t.m},{t.via_zeta},{str(t.routes_agree).lower()}" for t in triples]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = "".join(f"eta({-t.m}) = {t.via_zeta}\n" for t in triples)
-    _emit(cfg, text)
-    return EXIT_OK
+        path.write_text(text)
+    except OSError as exc:
+        raise _UnwritableOutputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def cmd_conjecture(cfg: CliConfig) -> int:
-    finding = scan_sign_pattern(cfg.max_m)
-    if cfg.fmt == "json":
-        text = _json_text(finding.to_json_dict())
-    elif cfg.fmt == "csv":
-        lines = ["i,j,value,expected"]
-        lines += [f"{v.i},{v.j},{v.value},{v.expected.value}" for v in finding.violations]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = (
-            f"sign pattern scan to m = {finding.max_m}:"
-            f" {finding.checked} entries checked, {len(finding.violations)} violations\n"
-        )
-        for v in finding.violations:
-            text += f"  ({v.i}, {v.j}) = {v.value}, expected {v.expected.value}\n"
-    _emit(cfg, text)
-    return EXIT_OK
+def _deliver(args: argparse.Namespace, result: _Result) -> None:
+    """The one place command output is written: the files view to --fixtures,
+    or else the view --format picks, to --out or stdout."""
+    directory = getattr(args, "fixtures_dir", None)
+    if directory is None:
+        view = getattr(result, args.format)()
+        _write(args.out, _json_text(view) if args.format == "json" else view)
+        return
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UnwritableOutputError(f"cannot create {directory}: {exc.strerror}") from exc
+    files = result.files()
+    for name, doc in files.items():
+        _write(directory / name, _json_text(doc))
+    print(f"wrote {len(files)} fixture files to {directory}", file=sys.stderr)
 
 
-def cmd_bernoulli(cfg: CliConfig) -> int:
-    value = bernoulli_number(cfg.n)
-    if cfg.fmt == "json":
-        text = _json_text({"n": cfg.n, "value": str(value)})
-    elif cfg.fmt == "csv":
-        text = f"n,value\n{cfg.n},{value}\n"
-    else:
-        text = f"B({cfg.n}) = {value}\n"
-    _emit(cfg, text)
-    return EXIT_OK
-
-
-def cmd_stirling(cfg: CliConfig) -> int:
-    fn = stirling1 if cfg.kind == "first" else stirling2
-    value = fn(cfg.n, cfg.k)
-    if cfg.fmt == "json":
-        text = _json_text({"kind": cfg.kind, "n": cfg.n, "k": cfg.k, "value": value})
-    elif cfg.fmt == "csv":
-        text = f"kind,n,k,value\n{cfg.kind},{cfg.n},{cfg.k},{value}\n"
-    else:
-        symbol = "s" if cfg.kind == "first" else "S"
-        text = f"{symbol}({cfg.n}, {cfg.k}) = {value}\n"
-    _emit(cfg, text)
-    return EXIT_OK
-
-
-def _matrix_suite(m: int) -> dict[str, LowerTriMatrix]:
-    a = zeta_diff_coeffs(m, Basis.MONOMIAL)
-    b = hyper_poly_coeffs(m, Basis.MONOMIAL)
-    a_sh = zeta_diff_coeffs(m, Basis.SHIFTED)
-    b_sh = hyper_poly_coeffs(m, Basis.SHIFTED)
-    return {
-        "A": a,
-        "B": b,
-        "B_inv": invert_substitution(b),
-        "A_shifted": a_sh,
-        "B_shifted": b_sh,
-        "B_shifted_inv": invert_series(b_sh),
-        "product": combination_matrix(m).matrix,
-    }
-
-
-def cmd_matrices(cfg: CliConfig) -> int:
-    suite = _matrix_suite(cfg.m)
-    if cfg.fixtures_dir is not None:
-        try:
-            cfg.fixtures_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise _UnwritableOutputError(f"cannot create {cfg.fixtures_dir}: {exc.strerror}") from exc
-        for name, matrix in suite.items():
-            _write(cfg.fixtures_dir / f"{name}.json", _json_text(matrix.to_json_dict()))
-        print(f"wrote {len(suite)} fixture files to {cfg.fixtures_dir}", file=sys.stderr)
-        return EXIT_OK
-    if cfg.fmt == "json":
-        payload: dict = {"m": cfg.m}
-        payload.update({name: matrix.to_json_dict() for name, matrix in suite.items()})
-        text = _json_text(payload)
-    elif cfg.fmt == "csv":
-        text = "\n".join(f"{name}\n{matrix.to_csv()}" for name, matrix in suite.items())
-    else:
-        text = "\n".join(
-            f"{name} (m = {cfg.m})\n{_grid(matrix)}" for name, matrix in suite.items()
-        )
-    _emit(cfg, text)
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "verify": cmd_verify,
-    "eta": cmd_eta,
-    "conjecture": cmd_conjecture,
-    "bernoulli": cmd_bernoulli,
-    "stirling": cmd_stirling,
-    "matrices": cmd_matrices,
-}
-
-
-def _add_output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-    sub.add_argument("--out", type=Path, default=None)
-
-
-def _add_cap_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
+def _subcommand(p: argparse.ArgumentParser, run: Callable, cap: bool = True) -> None:
+    """The flags every subcommand shares, after its own; ``run`` computes its result."""
+    p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+    p.add_argument("--out", type=Path, default=None)
+    if cap:
+        p.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
+    p.set_defaults(run=run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,8 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--route", choices=[r.value for r in Route], default=Route.MONOMIAL.value
     )
     p.add_argument("--check-all-routes", action="store_true")
-    _add_output_flags(p)
-    _add_cap_flag(p)
+    _subcommand(p, cmd_coeffs)
 
     p = sub.add_parser("verify", help="check the combination identity at sample points")
     p.add_argument("--m", type=int, required=True)
@@ -287,28 +248,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rationals; a list that starts with '-' must be "
         "joined to the flag with '=', as in --samples=-1/2,7/3",
     )
-    _add_output_flags(p)
-    _add_cap_flag(p)
+    _subcommand(p, cmd_verify)
 
     p = sub.add_parser("eta", help="eta(-m) by three routes, cross-checked")
     p.add_argument("--max", type=int, required=True, dest="max_m")
-    _add_output_flags(p)
-    _add_cap_flag(p)
+    _subcommand(p, cmd_eta)
 
     p = sub.add_parser("conjecture", help="scan the below-diagonal sign pattern")
     p.add_argument("--max", type=int, required=True, dest="max_m")
-    _add_output_flags(p)
-    _add_cap_flag(p)
+    _subcommand(p, cmd_conjecture)
 
     p = sub.add_parser("bernoulli", help="a single Bernoulli number")
     p.add_argument("--n", type=int, required=True)
-    _add_output_flags(p)
+    _subcommand(p, cmd_bernoulli, cap=False)
 
     p = sub.add_parser("stirling", help="a single Stirling number")
     p.add_argument("--kind", choices=("first", "second"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_output_flags(p)
+    _subcommand(p, cmd_stirling, cap=False)
 
     p = sub.add_parser("matrices", help="all coefficient matrices and inverses")
     p.add_argument("--m", type=int, required=True)
@@ -319,57 +277,55 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fixtures_dir",
         help="write one JSON file per matrix into this directory",
     )
-    _add_output_flags(p)
-    _add_cap_flag(p)
+    _subcommand(p, cmd_matrices)
 
     return parser
 
 
-def _config_from_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> CliConfig:
-    samples: tuple[Fraction, ...] = DEFAULT_SAMPLES
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Check the parsed flags in place (``--samples`` becomes a tuple); exit 2 on error."""
     if getattr(args, "samples", None) is not None:
         try:
-            samples = tuple(parse_rational(part) for part in args.samples.split(","))
+            args.samples = tuple(parse_rational(part) for part in args.samples.split(","))
         except ValueError:
             parser.error(f"--samples must be comma-separated rationals, got {args.samples!r}")
-    cap = getattr(args, "cap", DEFAULT_M_CAP)
     for name in ("m", "max_m"):
         value = getattr(args, name, None)
         if value is None:
             continue
         if value < 0:
             parser.error(f"--{name.replace('_m', '')} must be >= 0")
-        if value > cap:
-            parser.error(f"m = {value} exceeds the cap {cap} (raise with --cap)")
-    n = getattr(args, "n", None)
-    if n is not None and n < 0:
+        if value > args.cap:
+            parser.error(f"m = {value} exceeds the cap {args.cap} (raise with --cap)")
+    if getattr(args, "n", None) is not None and args.n < 0:
         parser.error("--n must be >= 0")
-    return CliConfig(
-        command=args.command,
-        m=getattr(args, "m", None),
-        max_m=getattr(args, "max_m", None),
-        route=Route(getattr(args, "route", Route.MONOMIAL.value)),
-        samples=samples,
-        fmt=args.format,
-        out=args.out,
-        check_all_routes=getattr(args, "check_all_routes", False),
-        fixtures_dir=getattr(args, "fixtures_dir", None),
-        cap=cap,
-        n=n,
-        k=getattr(args, "k", None),
-        kind=getattr(args, "kind", None),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(parser, args)
+    _validate(parser, args)
+    # Results are exact integers of any size (s(1600, 1) has 4,474 digits), so
+    # the int/str digit limit of Python >= 3.10.7 is lifted while the command
+    # runs; it still holds while the flags are parsed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        result = args.run(args)
+        _deliver(args, result)
+        if result.failure is not None:
+            raise _CheckFailed(result.failure)
+        return EXIT_OK
+    except (_CheckFailed, RouteDisagreementError) as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except _UnwritableOutputError as exc:
         print(f"zetacomb: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ __all__ = [
     "eta_via_zeta",
     "eta_via_coeff_row",
     "eta_via_stirling2",
-    "eta_one_minus_n",
     "eta_cross_check",
     "to_json_rows",
 ]
@@ -83,22 +82,6 @@ def eta_via_stirling2(m: int) -> Fraction:
         (
             Fraction((-1) ** j, 2 ** (j + 1)) * stirling2(m + 1, j + 1) * factorial(j)
             for j in range(m + 1)
-        ),
-        Fraction(0),
-    )
-
-
-def eta_one_minus_n(n: int) -> Fraction:
-    """eta(1-n) = sum_{k=1}^{n} (-1)^{k-1} (k-1)!/2^k * S(n, k), n >= 1.
-
-    The same sum as :func:`eta_via_stirling2` indexed by n = m + 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return sum(
-        (
-            Fraction((-1) ** (k - 1) * factorial(k - 1), 2**k) * stirling2(n, k)
-            for k in range(1, n + 1)
         ),
         Fraction(0),
     )

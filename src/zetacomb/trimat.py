@@ -30,15 +30,15 @@ from math import lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
+from .numcore import _as_fraction
+
 __all__ = [
     "LowerTriMatrix",
-    "DiagPlusStrictSplit",
     "DimensionMismatchError",
     "SingularDiagonalError",
     "mat_mul",
     "invert_substitution",
     "invert_series",
-    "split_diag_strict",
 ]
 
 
@@ -52,10 +52,6 @@ class SingularDiagonalError(ValueError):
     def __init__(self, index: int):
         self.index = index
         super().__init__(f"zero diagonal entry at index {index}")
-
-
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,18 +164,6 @@ class LowerTriMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclasses.dataclass(frozen=True)
-class DiagPlusStrictSplit:
-    """A matrix decomposed as diagonal part + strictly lower part."""
-
-    diag: tuple[Fraction, ...]
-    strict: LowerTriMatrix
-
-    def recombine(self) -> LowerTriMatrix:
-        d = LowerTriMatrix.diagonal(self.diag)
-        return d + self.strict
-
-
 def _scaled_rows(m: LowerTriMatrix) -> tuple[list[list[int]], int]:
     """Integer rows of d*M and the scale d, the lcm of M's denominators."""
     scale = lcm(*(e.denominator for e in m.entries))
@@ -256,9 +240,9 @@ def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
     """
     _require_invertible(m)
     n = m.dim
-    split = split_diag_strict(m)
-    d_inv = LowerTriMatrix.diagonal([1 / d for d in split.diag])
-    power = mat_mul(d_inv, split.strict)
+    diag = m.diagonal_entries()
+    d_inv = LowerTriMatrix.diagonal([1 / d for d in diag])
+    power = mat_mul(d_inv, m - LowerTriMatrix.diagonal(diag))
     total = LowerTriMatrix.identity(n) - power
     terms = 2
     while terms < n:
@@ -268,12 +252,3 @@ def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
         total = total + mat_mul(total, power)
         terms *= 2
     return mat_mul(total, d_inv)
-
-
-def split_diag_strict(m: LowerTriMatrix) -> DiagPlusStrictSplit:
-    """Split into diagonal and strictly-lower parts; recombining round-trips."""
-    diag = m.diagonal_entries()
-    strict = LowerTriMatrix.from_func(
-        m.dim, lambda i, j: m.get(i, j) if i != j else Fraction(0)
-    )
-    return DiagPlusStrictSplit(diag, strict)

@@ -5,8 +5,10 @@ everything else captures stdout/stderr with capsys.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -387,3 +389,41 @@ def test_conjecture_violations_render(fmt, expected, monkeypatch, capsys):
     )
     monkeypatch.setattr(cli, "scan_sign_pattern", lambda max_m: finding)
     assert run(["conjecture", "--max", "3", "--format", fmt], capsys) == (0, expected, "")
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_exact_integers_beyond_the_str_digit_limit(fmt, capsys):
+    # s(1600, 1) = (-1)^1599 1599! has 4,474 digits, past Python's default 4,300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(["stirling", "--kind", "first", "--n", "1600", "--k", "1", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored
+    with _unlimited_int_digits():
+        value = -math.factorial(1599)
+        if fmt == "pretty":
+            assert out == f"s(1600, 1) = {value}\n"
+        else:
+            assert json.loads(out) == {"kind": "first", "n": 1600, "k": 1, "value": value}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bernoulli", "--n", "1" * 5000], ["verify", "--m", "1", "--samples", "1" * 5000]],
+)
+def test_huge_digit_strings_are_usage_errors(argv, capsys):
+    # the digit limit is lifted only after the flags are parsed
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2

@@ -9,7 +9,6 @@ from zetacomb import etacheck
 from zetacomb.etacheck import (
     RouteDisagreementError,
     eta_cross_check,
-    eta_one_minus_n,
     eta_via_coeff_row,
     eta_via_stirling2,
     eta_via_zeta,
@@ -34,16 +33,6 @@ def test_eta_via_stirling2_values():
     assert eta_via_stirling2(0) == Fraction(1, 2)
     assert eta_via_stirling2(1) == Fraction(1, 4)
     assert eta_via_stirling2(6) == 0
-
-
-def test_stirling2_route_is_eta_at_one_minus_n():
-    for m in range(16):
-        assert eta_via_stirling2(m) == eta_one_minus_n(m + 1)
-
-
-def test_eta_one_minus_n_needs_positive_n():
-    with pytest.raises(ValueError):
-        eta_one_minus_n(0)
 
 
 def test_coeff_row_route_is_function_at_zero():

@@ -17,7 +17,6 @@ from zetacomb.trimat import (
     invert_series,
     invert_substitution,
     mat_mul,
-    split_diag_strict,
 )
 
 entries = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -248,32 +247,6 @@ def test_inverse_round_trips(m):
     inv = invert_substitution(m)
     assert mat_mul(m, inv) == eye
     assert mat_mul(inv, m) == eye
-
-
-# --- splitting ----------------------------------------------------------------
-
-
-def test_split_fixture():
-    b = tables.matrix(tables.B10)
-    parts = split_diag_strict(b)
-    assert parts.diag == tuple(Fraction(2) ** i for i in range(10))
-    assert parts.strict.get(3, 0) == 6
-    assert all(parts.strict.get(i, i) == 0 for i in range(10))
-    assert parts.recombine() == b
-
-
-def test_split_identity():
-    eye = LowerTriMatrix.identity(4)
-    parts = split_diag_strict(eye)
-    assert parts.diag == (Fraction(1),) * 4
-    assert parts.strict.is_zero()
-
-
-def test_split_strict_input():
-    strict = LowerTriMatrix.from_rows([[0], [9, 0]])
-    parts = split_diag_strict(strict)
-    assert parts.diag == (Fraction(0), Fraction(0))
-    assert parts.strict == strict
 
 
 # --- serialization ------------------------------------------------------------
