@@ -305,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    # Results are exact integers of any size (s(1600, 1) has 4,474 digits), so
+    # Results are exact integers of any size (s(1600, 1) has 4,431 digits), so
     # the int/str digit limit of Python >= 3.10.7 is lifted while the command
     # runs; it still holds while the flags are parsed.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

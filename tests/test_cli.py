@@ -405,7 +405,7 @@ def _unlimited_int_digits():
 
 @pytest.mark.parametrize("fmt", ["pretty", "json"])
 def test_exact_integers_beyond_the_str_digit_limit(fmt, capsys):
-    # s(1600, 1) = (-1)^1599 1599! has 4,474 digits, past Python's default 4,300
+    # s(1600, 1) = (-1)^1599 1599! has 4,431 digits, past Python's default 4,300
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     code, out, err = run(["stirling", "--kind", "first", "--n", "1600", "--k", "1", "--format", fmt], capsys)
     assert (code, err) == (0, "")
