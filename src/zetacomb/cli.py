@@ -68,7 +68,7 @@ class _UnwritableOutputError(Exception):
 
 def _grid(matrix: LowerTriMatrix) -> str:
     # full square, right-aligned columns
-    cells = [line.split(",") for line in matrix.to_csv().splitlines()]
+    cells = [[*map(str, matrix.row(i)), *["0"] * (matrix.dim - 1 - i)] for i in range(matrix.dim)]
     widths = [max(len(row[j]) for row in cells) for j in range(matrix.dim)]
     lines = [
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
