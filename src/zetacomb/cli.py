@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterable
@@ -63,7 +64,7 @@ class _CheckFailed(Exception):
 
 
 class _UnwritableOutputError(Exception):
-    """An --out or --fixtures path could not be written; a usage error."""
+    """Stdout or an --out or --fixtures path could not be written; a usage error."""
 
 
 def _grid(matrix: LowerTriMatrix) -> str:
@@ -188,13 +189,20 @@ def _json_text(obj) -> str:
 
 
 def _write(path: Path | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
-        path.write_text(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            path.write_text(text)
     except OSError as exc:
-        raise _UnwritableOutputError(f"cannot write {path}: {exc.strerror}") from exc
+        if path is None:
+            # the interpreter flushes stdout again at exit; send what is
+            # left to devnull so the error line stays the only diagnostic
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise _UnwritableOutputError(f"cannot write {path or 'stdout'}: {exc.strerror}") from exc
 
 
 def _deliver(args: argparse.Namespace, result: _Result) -> None:
@@ -275,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=Path,
         default=None,
         dest="fixtures_dir",
-        help="write one JSON file per matrix into this directory",
+        help="write one JSON file per matrix into this directory; the files "
+        "are always JSON, so --format does not apply, and --out is refused",
     )
     _subcommand(p, cmd_matrices)
 
@@ -299,6 +308,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error(f"m = {value} exceeds the cap {args.cap} (raise with --cap)")
     if getattr(args, "n", None) is not None and args.n < 0:
         parser.error("--n must be >= 0")
+    if getattr(args, "fixtures_dir", None) is not None and args.out is not None:
+        # one line, as an unwritable --out or --fixtures path gives
+        parser.exit(EXIT_USAGE, "zetacomb: error: --fixtures writes JSON files; it takes no --out\n")
 
 
 def main(argv: list[str] | None = None) -> int:

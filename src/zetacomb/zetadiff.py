@@ -8,9 +8,11 @@ The two families of functions:
 Both are degree-m polynomials in x, so there is a unique lower-triangular
 coefficient matrix (a_{i,j}) with F(i, .) = sum_j a_{i,j} G(j, .) and
 diagonal a_{i,i} = 1/2^{i+1}. This module builds the row-coefficient
-matrices of F and G in two bases (powers of x, powers of x+1), forms
-(a_{i,j}) by four routes that must agree exactly, and cross-checks the
-whole construction against direct evaluation of F and G.
+matrices of F (from the Euler form) and of G (by its three-term recurrence
+in m) in two bases (powers of x, powers of x+1), forms (a_{i,j}) by four
+routes that must agree exactly, and cross-checks the whole construction
+against direct evaluation of F and G. Only ``combination_matrix`` is
+cached; the F and G tables cost O(m^2) and are rebuilt on request.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .combinat import bernoulli_number, bernoulli_poly, binomial, stirling1, stirling2
+from .combinat import bernoulli_number, bernoulli_poly, binomial, stirling2
 from .numcore import Basis, Poly
 from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 
@@ -88,7 +90,7 @@ def zeta_diff(m: int, x) -> Fraction:
 def hyper_poly(m: int, x) -> Fraction:
     """G(m, x) = m! * sum_{k<=m} (-m)_k (-x)_k 2^k / (k!)^2, exactly.
 
-    A direct sum, independent of the Stirling-based coefficient tables.
+    A direct sum, independent of the recurrence that builds the G table.
     The terms t_k have the ratio t_{k+1}/t_k = 2(k-m)(k-x)/(k+1)^2, so
     with x = p/q the sum nests Horner-style as
 
@@ -116,7 +118,6 @@ def _euler_at_zero_halves(m: int) -> list[Fraction]:
     return [-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)]
 
 
-@lru_cache(maxsize=None)
 def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     """Row i = coefficients of F(i, x) in the requested basis; dim m+1.
 
@@ -141,28 +142,38 @@ def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     return LowerTriMatrix.from_func(m + 1, lambda i, j: binomial(i, j) * halves[i - j])
 
 
-@lru_cache(maxsize=None)
 def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     """Row i = coefficients of G(i, x) in the requested basis; dim m+1.
 
-    Monomial basis:
-        entry(i, j) = sum_{k=j}^{i} 2^k (i-k)! C(i,k)^2 s(k, j)
-    Shifted basis:
-        entry(i, j) = sum_{k=j}^{i} 2^k (i-k)! C(i,k)^2 s(k+1, j+1)
+    Built by the three-term recurrence in the degree,
 
-    The diagonal is 2^i in both bases, so these matrices are always
-    invertible.
+        G(n+1, x) = (2x+1) G(n, x) + n^2 G(n-1, x),   G(0, x) = 1,
+
+    which is Gauss's contiguous relation in the first parameter (DLMF
+    15.5(ii)) at a = -n, b = -x, c = 1, z = 2, multiplied by n!. In powers
+    of t, with t = x (monomial) or t = x+1 (shifted), the factor 2x+1 is
+    2t + c with c = +1 resp. -1, so each integer row is
+
+        row_{n+1}[j] = 2 row_n[j-1] + c row_n[j] + n^2 row_{n-1}[j],
+
+    O(m^2) integer additions for the table. The diagonal is 2^i in both
+    bases, so these matrices are always invertible. The paper's Stirling
+    form, entry(i, j) = sum_k 2^k (i-k)! C(i,k)^2 s(k+h, j+h) with h = 0
+    resp. 1, is kept as the test oracle (``tests/oracles.py``).
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    shift = 0 if basis is Basis.MONOMIAL else 1
-    # stirling[k][j] = s(k + shift, j + shift)
-    stirling = [[stirling1(k + shift, j + shift) for j in range(k + 1)] for k in range(m + 1)]
-    packed: list[int] = []
-    for i in range(m + 1):
-        weights = [2**k * factorial(i - k) * binomial(i, k) ** 2 for k in range(i + 1)]
-        for j in range(i + 1):
-            packed.append(sum(weights[k] * stirling[k][j] for k in range(j, i + 1)))
+    c = 1 if basis is Basis.MONOMIAL else -1
+    prev: list[int] = []
+    row = [1]
+    packed = [1]
+    for n in range(m):
+        # t * row_n, row_n and row_{n-1}, each padded to length n+2
+        row, prev = [
+            2 * t_term + c * r + n * n * p
+            for t_term, r, p in zip([0, *row], [*row, 0], [*prev, 0, 0])
+        ], row
+        packed += row
     return LowerTriMatrix(m + 1, tuple(packed))
 
 

@@ -4,10 +4,11 @@ Each one reaches its value by a route genuinely different from the
 library implementation: series division instead of the binomial
 recurrence, polynomial expansion instead of the Stirling recurrence,
 explicit partition enumeration instead of the triangle, Pascal's rule
-instead of math.comb. The ``Fraction`` evaluators at the end (rising
-factorials for G, powers for B_n(z), Horner for a polynomial and the
-power-by-power Neumann sum for an inverse) are the plain forms the
-integer kernels replaced.
+instead of math.comb, the paper's Stirling double sum for the G table
+instead of its three-term recurrence. The ``Fraction`` evaluators at the
+end (rising factorials for G, powers for B_n(z), Horner for a polynomial
+and the power-by-power Neumann sum for an inverse) are the plain forms
+the integer kernels replaced.
 """
 from __future__ import annotations
 
@@ -150,6 +151,25 @@ def zeta_diff_coeffs_shifted_sums(m: int) -> list[tuple[Fraction, ...]]:
                 ),
                 Fraction(0),
             )
+            for j in range(i + 1)
+        )
+        for i in range(m + 1)
+    ]
+
+
+def hyper_poly_coeffs_stirling(m: int, shifted: bool) -> list[tuple[int, ...]]:
+    """Rows of G(i, x) in powers of x (or of x+1 when ``shifted``), by the
+    paper's double sum
+
+        entry(i, j) = sum_{k=j}^{i} 2^k (i-k)! C(i,k)^2 s(k+h, j+h),  h = 0 resp. 1,
+
+    with the signed Stirling numbers s read off the falling factorials.
+    """
+    h = int(shifted)
+    s = [falling_factorial_coeffs(n) for n in range(m + 1 + h)]
+    return [
+        tuple(
+            sum(2**k * factorial(i - k) * comb(i, k) ** 2 * s[k + h][j + h] for k in range(j, i + 1))
             for j in range(i + 1)
         )
         for i in range(m + 1)

@@ -1,7 +1,8 @@
 """CLI behavior, tested in-process through main(argv) for speed.
 
-One subprocess smoke test at the end proves the installed entry point works;
-everything else captures stdout/stderr with capsys.
+Subprocess tests prove that the module entry point works and that a stdout
+that cannot be written exits 2; everything else captures stdout/stderr with
+capsys.
 """
 from __future__ import annotations
 
@@ -271,6 +272,38 @@ def test_unwritable_output_exits_2(flag, tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("zetacomb: error: cannot ")
     assert str(tmp_path / "missing") in err
+
+
+def test_fixtures_refuse_out(tmp_path, capsys):
+    target = tmp_path / "O"
+    with pytest.raises(SystemExit) as info:
+        main(["matrices", "--m", "9", "--fixtures", str(tmp_path / "D"), "--out", str(target)])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "zetacomb: error: --fixtures writes JSON files; it takes no --out\n"
+    assert not target.exists()
+    assert not (tmp_path / "D").exists()
+
+
+def test_fixtures_help_says_format_does_not_apply(capsys):
+    with pytest.raises(SystemExit):
+        main(["matrices", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "always JSON, so --format does not apply" in help_text
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["coeffs", "--m", "64"], ["bernoulli", "--n", "2"]])
+def test_full_stdout_exits_2(argv):
+    # a large write fails at once, a small one only when stdout is flushed
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetacomb", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("zetacomb: error: cannot write stdout: ")
 
 
 def test_module_entry_point():

@@ -143,6 +143,13 @@ def test_euler_form_matches_bernoulli_sums(basis, oracle):
         assert zeta_diff_coeffs(m, basis).rows() == expected[: m + 1]
 
 
+@pytest.mark.parametrize("basis", [Basis.MONOMIAL, Basis.SHIFTED])
+def test_recurrence_matches_stirling_sum(basis):
+    expected = oracles.hyper_poly_coeffs_stirling(40, basis is Basis.SHIFTED)
+    for m in range(41):
+        assert hyper_poly_coeffs(m, basis).rows() == expected[: m + 1]
+
+
 # --- the combination matrix ------------------------------------------------------
 
 
