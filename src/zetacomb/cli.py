@@ -93,7 +93,7 @@ def cmd_coeffs(args: argparse.Namespace) -> _Result:
     if args.check_all_routes:
         if any(combination_matrix(args.m, r).matrix != report.matrix for r in Route):
             raise _CheckFailed(f"route disagreement at m={args.m}")
-        print("4 routes agree", file=sys.stderr)
+        print(f"{len(Route)} routes agree", file=sys.stderr)
     header = f"combination matrix, m = {args.m}, route = {route.value}\n"
     return _Result(
         json=report.to_json_dict,
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="combination matrix for a given m")
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
-        "--route", choices=[r.value for r in Route], default=Route.MONOMIAL.value
+        "--route", choices=[r.value for r in Route], default=Route.RIORDAN.value
     )
     p.add_argument("--check-all-routes", action="store_true")
     _subcommand(p, cmd_coeffs)

@@ -1,4 +1,5 @@
-"""Number-theoretic sequences: binomials, Bernoulli, Stirling, factorial powers.
+"""Number-theoretic sequences: binomials, Bernoulli, Stirling, tanh powers,
+factorial powers.
 
 Conventions used throughout:
 
@@ -6,9 +7,10 @@ Conventions used throughout:
   polynomials generated by z*e^{tz}/(e^z - 1).
 * Stirling numbers of the first kind are the *signed* ones: the
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
-* All tables are built by recurrence and memoized; an independent slow
-  oracle for each (series division, polynomial expansion, partition
-  enumeration) lives in the test suite, never here.
+* All tables are built by recurrence; the Bernoulli and Stirling ones
+  are memoized, the tanh-power triangle is built per call. An
+  independent slow oracle for each (series division, polynomial
+  expansion, partition enumeration) lives in the test suite, never here.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ __all__ = [
     "bernoulli_poly",
     "stirling1",
     "stirling2",
+    "tanh_power_triangle",
     "falling_factorial",
     "rising_factorial",
 ]
@@ -126,6 +129,28 @@ def stirling2(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return _stirling_row("second", n)[k]
+
+
+def tanh_power_triangle(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of the integers V(n, k) = n! [s^n] tanh(s)^k, 0 <= k <= n.
+
+    Since d/ds tanh^k = k (tanh^{k-1} - tanh^{k+1}), the rows obey
+
+        V(n, k) = k (V(n-1, k-1) - V(n-1, k+1)),   V(0, k) = [k = 0]
+
+    (Hoffman, Amer. Math. Monthly 1995). V(n, k) is 0 when n - k is odd.
+    Built per call; nothing is kept.
+
+    >>> tanh_power_triangle(3)[3]
+    [0, -2, 0, 6]
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1] + [0, 0]
+        rows.append([0, *(k * (prev[k - 1] - prev[k + 1]) for k in range(1, n + 1))])
+    return rows
 
 
 def falling_factorial(z, n: int) -> Fraction:

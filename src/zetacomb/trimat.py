@@ -158,10 +158,10 @@ class LowerTriMatrix:
 
     def to_csv(self) -> str:
         """Full square grid, explicit "0" above the diagonal, one row per line."""
-        lines = []
-        for i in range(self.dim):
-            lines.append(",".join(str(self.get(i, j)) for j in range(self.dim)))
-        return "\n".join(lines) + "\n"
+        return "".join(
+            ",".join([*map(str, self.row(i)), *["0"] * (self.dim - 1 - i)]) + "\n"
+            for i in range(self.dim)
+        )
 
 
 def _scaled_rows(m: LowerTriMatrix) -> tuple[list[list[int]], int]:

@@ -7,12 +7,20 @@ The two families of functions:
 
 Both are degree-m polynomials in x, so there is a unique lower-triangular
 coefficient matrix (a_{i,j}) with F(i, .) = sum_j a_{i,j} G(j, .) and
-diagonal a_{i,i} = 1/2^{i+1}. This module builds the row-coefficient
-matrices of F (from the Euler form) and of G (by its three-term recurrence
-in m) in two bases (powers of x, powers of x+1), forms (a_{i,j}) by four
-routes that must agree exactly, and cross-checks the whole construction
-against direct evaluation of F and G. Only ``combination_matrix`` is
-cached; the F and G tables cost O(m^2) and are rebuilt on request.
+diagonal a_{i,i} = 1/2^{i+1}. The production route reads (a_{i,j}) in
+closed form off the integer triangle V(n, k) = n! [s^n] tanh(s)^k:
+
+    a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}),
+
+because the matrix is the exponential Riordan array
+[2e^s/(e^s+1)^2, tanh(s/2)] (see ``Route``). The paper's construction,
+A = F G^{-1}, stays as four cross-check routes: this module builds the
+row-coefficient matrices of F (from the Euler form) and of G (by its
+three-term recurrence in m) in two bases (powers of x, powers of x+1) and
+inverts G by two algorithms. All five routes must agree exactly, and the
+whole construction is cross-checked against direct evaluation of F and
+G. Only ``combination_matrix`` is cached; the F and G tables cost O(m^2)
+and are rebuilt on request.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -24,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .combinat import bernoulli_number, bernoulli_poly, binomial, stirling2
+from .combinat import bernoulli_number, bernoulli_poly, binomial, stirling2, tanh_power_triangle
 from .numcore import Basis, Poly
 from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 
@@ -180,11 +188,23 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
 class Route(enum.Enum):
     """How the combination matrix is assembled.
 
-    The first word names the basis pair; a "-series" suffix means the
+    RIORDAN, the default, is the closed form. With the exponential Riordan
+    array [g, h], entry(n, k) = n!/k! [s^n] g(s) h(s)^k (Shapiro et al.,
+    "The Riordan group", 1991), the F table in powers of x is
+    [e^t/(e^t+1), t] (Appell, DLMF 24.2) and the G table is
+    [1/(1-t), 2 artanh t] (Delannoy), so A = F G^{-1} =
+    [2e^s/(e^s+1)^2, tanh(s/2)]. Since g = h', entry (i, j) is
+    (i+1)!/(j+1)! [s^{i+1}] tanh(s/2)^{j+1} = V(i+1, j+1)/((j+1)! 2^{i+1})
+    with V from ``tanh_power_triangle``: O(m^2) integer steps and one
+    ``Fraction`` per entry.
+
+    The other four are the paper's A = F G^{-1}, kept as cross-checks. The
+    first word names the basis pair; a "-series" suffix means the
     G-coefficient matrix is inverted by the finite Neumann series instead
-    of forward substitution. All four routes must agree exactly.
+    of forward substitution. All five routes must agree exactly.
     """
 
+    RIORDAN = "riordan"
     MONOMIAL = "monomial"
     SHIFTED = "shifted"
     MONOMIAL_SERIES = "monomial-series"
@@ -216,9 +236,22 @@ class CoeffReport:
         )
 
 
+def _riordan_matrix(m: int) -> LowerTriMatrix:
+    """(a_{i,j}) = V(i+1, j+1) / ((j+1)! 2^{i+1}); see ``Route``."""
+    v = tanh_power_triangle(m + 1)
+    factorials = [factorial(k) for k in range(m + 2)]
+    return LowerTriMatrix.from_func(
+        m + 1, lambda i, j: Fraction(v[i + 1][j + 1], factorials[j + 1] << (i + 1))
+    )
+
+
 @lru_cache(maxsize=None)
-def combination_matrix(m: int, route: Route = Route.MONOMIAL) -> CoeffReport:
+def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
     """The unique (a_{i,j}) with F(i, .) = sum_j a_{i,j} G(j, .), dim m+1."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if route is Route.RIORDAN:
+        return CoeffReport(m=m, route=route, matrix=_riordan_matrix(m))
     basis = (
         Basis.MONOMIAL
         if route in (Route.MONOMIAL, Route.MONOMIAL_SERIES)
@@ -272,7 +305,7 @@ def verify_combination(
     F and G are evaluated directly (Bernoulli closed form, terminating
     hypergeometric sum), independently of how the matrix was built. Pass
     means every residual is exactly zero. A matrix may be injected to
-    check external tables; by default the monomial route is used. An
+    check external tables; by default the Riordan route is used. An
     injected matrix must have dim m+1, or ``ValueError`` is raised.
     """
     if not samples:
@@ -352,9 +385,15 @@ class SignViolation:
 class SignPatternFinding:
     """Below-diagonal sign classification of the combination matrix.
 
-    Empirical pattern, by i-j: zero when odd, negative when = 2 mod 4,
-    positive when = 0 mod 4. Verified for max_m <= 9; beyond that the
-    scan is exploratory and its outcome is reported, not assumed.
+    The pattern, by d = i-j: zero when d is odd, negative when d = 2 mod 4,
+    positive when d = 0 mod 4. It is a theorem. The entries are
+    a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}) with V(n, k) = n! [u^n]
+    tanh(u)^k (see ``Route``), and tanh(u)^k = (-I)^k tan(I u)^k with
+    I^2 = -1. The odd coefficients of tan are positive, so n! [u^n] tan^k
+    = T(n, k) is positive when n >= k and n - k is even, and 0 otherwise.
+    Hence V(n, k) = I^{n-k} T(n, k): sign (-1)^{(n-k)/2} when n - k is
+    even, 0 when n - k is odd, and sign a_{i,j} = (-1)^{(i-j)/2}. The scan
+    is a regression check of the built matrix against the theorem.
     """
 
     max_m: int
@@ -413,9 +452,14 @@ def compare_stirling2_matrix(m: int) -> tuple[int, int] | None:
     """First (row-major) index where the combination matrix differs from
     the candidate (-1)^j S(i+1, j+1) / 2^{j+1}, or None if they coincide.
 
-    The two matrices share every diagonal entry and every weighted row
-    sum with factorial weights, yet differ somewhere for every m >= 1;
-    at m = 0 both are [[1/2]].
+    The diagonals agree only in absolute value: the combination matrix
+    has 1/2^{i+1} and the candidate (-1)^i/2^{i+1} (at m = 3, 1/2, 1/4,
+    1/8, 1/16 against 1/2, -1/4, 1/8, -1/16). Every weighted row sum with
+    factorial weights agrees: the candidate is the exponential Riordan
+    array [e^s/2, (1-e^s)/2], and for both arrays the row sums
+    sum_j entry(i, j) j! have the generating function g/(1-h) =
+    e^s/(e^s+1). The matrices still differ somewhere for every m >= 1,
+    because h differs from tanh(s/2); at m = 0 both are [[1/2]].
     """
     mat = combination_matrix(m).matrix
     for i in range(mat.dim):

@@ -5,10 +5,11 @@ library implementation: series division instead of the binomial
 recurrence, polynomial expansion instead of the Stirling recurrence,
 explicit partition enumeration instead of the triangle, Pascal's rule
 instead of math.comb, the paper's Stirling double sum for the G table
-instead of its three-term recurrence. The ``Fraction`` evaluators at the
-end (rising factorials for G, powers for B_n(z), Horner for a polynomial
-and the power-by-power Neumann sum for an inverse) are the plain forms
-the integer kernels replaced.
+instead of its three-term recurrence, tanh as the quotient of the sinh and
+cosh series instead of the derivative recurrence of its powers. The
+``Fraction`` evaluators at the end (rising factorials for G, powers for
+B_n(z), Horner for a polynomial and the power-by-power Neumann sum for an
+inverse) are the plain forms the integer kernels replaced.
 """
 from __future__ import annotations
 
@@ -28,6 +29,31 @@ def bernoulli_series(n: int) -> Fraction:
     for k in range(1, n + 1):
         t[k] = -sum(a[i] * t[k - i] for i in range(1, k + 1))
     return factorial(n) * t[n]
+
+
+def tanh_power_series(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of n! [s^n] tanh(s)^k for 0 <= k <= n.
+
+    tanh is the exact power-series quotient sinh/cosh to degree n_max, and
+    tanh^k is the product of k copies of it, truncated at degree n_max.
+    """
+    sinh = [Fraction(n % 2, factorial(n)) for n in range(n_max + 1)]
+    cosh = [Fraction(1 - n % 2, factorial(n)) for n in range(n_max + 1)]
+    tanh: list[Fraction] = []
+    for n in range(n_max + 1):
+        # cosh[0] = 1, so sinh = cosh * tanh gives each coefficient in turn
+        tanh.append(sinh[n] - sum(cosh[i] * tanh[n - i] for i in range(1, n + 1)))
+    power = [Fraction(1)] + [Fraction(0)] * n_max
+    columns = []
+    for _ in range(n_max + 1):
+        columns.append(power)
+        power = [sum(power[i] * tanh[n - i] for i in range(n + 1)) for n in range(n_max + 1)]
+    rows = []
+    for n in range(n_max + 1):
+        values = [factorial(n) * columns[k][n] for k in range(n + 1)]
+        assert all(v.denominator == 1 for v in values)
+        rows.append([v.numerator for v in values])
+    return rows
 
 
 def binomial_pascal(n: int, k: int) -> int:

@@ -50,7 +50,7 @@ def test_coeffs_m0_csv(capsys):
 def test_coeffs_m0_pretty(capsys):
     code, out, _ = run(["coeffs", "--m", "0"], capsys)
     assert code == 0
-    assert out.splitlines() == ["combination matrix, m = 0, route = monomial", "1/2"]
+    assert out.splitlines() == ["combination matrix, m = 0, route = riordan", "1/2"]
 
 
 def test_coeffs_m9_csv_bottom_row(capsys):
@@ -66,13 +66,13 @@ def test_coeffs_m9_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["m"] == 9
-    assert doc["route"] == "monomial"
+    assert doc["route"] == "riordan"
     assert LowerTriMatrix.from_json_dict(doc["matrix"]) == tables.matrix(tables.PRODUCT10)
 
 
 def test_coeffs_route_flag(capsys):
     base = run(["coeffs", "--m", "6", "--format", "csv"], capsys)[1]
-    for route in ("shifted", "monomial-series", "shifted-series"):
+    for route in ("monomial", "shifted", "monomial-series", "shifted-series"):
         code, out, _ = run(["coeffs", "--m", "6", "--route", route, "--format", "csv"], capsys)
         assert code == 0
         assert out == base
@@ -81,8 +81,8 @@ def test_coeffs_route_flag(capsys):
 def test_coeffs_check_all_routes(capsys):
     code, out, err = run(["coeffs", "--m", "9", "--check-all-routes"], capsys)
     assert code == 0
-    assert "4 routes agree" in err
-    assert "4 routes agree" not in out  # diagnostics stay on stderr
+    assert "5 routes agree" in err
+    assert "5 routes agree" not in out  # diagnostics stay on stderr
 
 
 # --- verify -------------------------------------------------------------------

@@ -17,6 +17,7 @@ from zetacomb.combinat import (
     rising_factorial,
     stirling1,
     stirling2,
+    tanh_power_triangle,
 )
 
 
@@ -170,3 +171,24 @@ def test_rising_factorial():
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=20), st.integers(0, 12))
 def test_rising_is_reflected_falling(z, n):
     assert rising_factorial(z, n) == (-1) ** n * falling_factorial(-z, n)
+
+
+def test_tanh_power_triangle_matches_series():
+    assert tanh_power_triangle(40) == oracles.tanh_power_series(40)
+
+
+def test_tanh_power_triangle_small_rows():
+    # tanh s = s - s^3/3 + 2 s^5/15 - ...
+    assert tanh_power_triangle(5) == [
+        [1],
+        [0, 1],
+        [0, 0, 2],
+        [0, -2, 0, 6],
+        [0, 0, -16, 0, 24],
+        [0, 16, 0, -120, 0, 120],
+    ]
+
+
+def test_tanh_power_triangle_negative():
+    with pytest.raises(ValueError):
+        tanh_power_triangle(-1)

@@ -177,6 +177,22 @@ def test_routes_agree():
         assert {r.route for r in reports} == set(Route)
 
 
+def test_riordan_route_matches_paper_route_to_64():
+    for m in range(65):
+        paper = combination_matrix(m, Route.MONOMIAL).matrix
+        assert combination_matrix(m, Route.RIORDAN).matrix == paper, m
+
+
+def test_riordan_is_the_default_route():
+    assert combination_matrix(4).route is Route.RIORDAN
+
+
+def test_combination_matrix_rejects_negative_m():
+    for route in Route:
+        with pytest.raises(ValueError):
+            combination_matrix(-1, route)
+
+
 def test_coeff_report_json_round_trip():
     report = combination_matrix(5, Route.SHIFTED_SERIES)
     doc = json.loads(json.dumps(report.to_json_dict()))
