@@ -13,12 +13,11 @@ CSV header is the JSON keys.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .combinat import bernoulli_number, stirling1, stirling2
 from .etacheck import RouteDisagreementError, eta_cross_check, to_json_rows
@@ -43,8 +42,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclasses.dataclass(frozen=True)
-class _Result:
+class _Result(NamedTuple):
     """A command's result: three deferred views, of which ``main`` builds one.
 
     ``files`` is the view ``--fixtures`` picks: file names mapped to JSON

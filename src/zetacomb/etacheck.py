@@ -9,9 +9,9 @@ raised, never returned.
 """
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .combinat import bernoulli_poly, stirling2
 from .zetadiff import combination_matrix
@@ -37,8 +37,7 @@ class RouteDisagreementError(ArithmeticError):
         super().__init__(f"eta routes disagree at m={m}: {detail}")
 
 
-@dataclasses.dataclass(frozen=True)
-class EtaTriple:
+class EtaTriple(NamedTuple):
     """eta(-m) computed three ways; agreement is the whole point."""
 
     m: int

@@ -7,10 +7,14 @@ matrix entries can be compared structurally against reference tables.
 A :class:`Poly` carries a basis tag because the same function is expanded
 here both in powers of x and in powers of (x+1); ``rebase`` converts
 between the two without changing the function.
+
+``_Value`` is the small immutable-value base that ``Poly``,
+``trimat.LowerTriMatrix`` and ``zetadiff.CoeffReport`` share in place of
+``dataclasses``, whose import and generated code would cost every cold
+CLI call about 20 ms.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 from fractions import Fraction
@@ -87,23 +91,59 @@ def _taylor_shift(coeffs: tuple[Fraction, ...], a: Fraction) -> tuple[Fraction, 
     return tuple(out)
 
 
-@dataclasses.dataclass(frozen=True)
-class Poly:
+class _Value:
+    """Base of the validating value types: immutable, equal by value.
+
+    A subclass names its fields in ``_fields`` and sets them in ``__init__``
+    with ``object.__setattr__``; after that, assignment and deletion raise
+    ``AttributeError``. Two instances are equal when they are of the same
+    class and their fields are equal, and the hash follows the fields. An
+    instance never equals one of another class, so a ``Poly`` is never a
+    ``LowerTriMatrix`` and never a tuple.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable value")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable value")
+
+
+class Poly(_Value):
     """Dense rational polynomial; ``coeffs[j]`` multiplies the j-th basis power.
 
     Trailing zero coefficients are trimmed on construction, so the zero
     polynomial has an empty coefficient tuple and equality is structural.
     """
 
+    _fields = ("coeffs", "basis")
     coeffs: tuple[Fraction, ...]
-    basis: Basis = Basis.MONOMIAL
+    basis: Basis
 
-    def __post_init__(self) -> None:
-        cs = tuple(_as_fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs, basis: Basis = Basis.MONOMIAL) -> None:
+        cs = tuple(_as_fraction(c) for c in coeffs)
         end = len(cs)
         while end > 0 and cs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", cs[:end])
+        object.__setattr__(self, "basis", basis)
 
     @property
     def degree(self) -> int:

@@ -24,13 +24,12 @@ a nonzero one raises. Only one column of integers is held at a time.
 """
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .numcore import _as_fraction
+from .numcore import _as_fraction, _Value
 
 __all__ = [
     "LowerTriMatrix",
@@ -54,8 +53,7 @@ class SingularDiagonalError(ValueError):
         super().__init__(f"zero diagonal entry at index {index}")
 
 
-@dataclasses.dataclass(frozen=True)
-class LowerTriMatrix:
+class LowerTriMatrix(_Value):
     """Immutable lower-triangular rational matrix, packed row-major.
 
     ``entries`` has length dim*(dim+1)//2; ``entries[i*(i+1)//2 + j]`` is
@@ -63,17 +61,17 @@ class LowerTriMatrix:
     construction and not stored.
     """
 
+    _fields = ("dim", "entries")
     dim: int
     entries: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, entries: Iterable) -> None:
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        packed = tuple(_as_fraction(e) for e in self.entries)
-        if len(packed) != self.dim * (self.dim + 1) // 2:
-            raise ValueError(
-                f"need {self.dim * (self.dim + 1) // 2} packed entries, got {len(packed)}"
-            )
+        packed = tuple(_as_fraction(e) for e in entries)
+        if len(packed) != dim * (dim + 1) // 2:
+            raise ValueError(f"need {dim * (dim + 1) // 2} packed entries, got {len(packed)}")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "entries", packed)
 
     @classmethod

@@ -26,14 +26,14 @@ Everything is exact; there is no floating point anywhere.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .combinat import bernoulli_number, bernoulli_poly, binomial, stirling2, tanh_power_triangle
-from .numcore import Basis, Poly
+from .numcore import Basis, Poly, _Value
 from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 
 __all__ = [
@@ -211,18 +211,21 @@ class Route(enum.Enum):
     SHIFTED_SERIES = "shifted-series"
 
 
-@dataclasses.dataclass(frozen=True)
-class CoeffReport:
+class CoeffReport(_Value):
     """The combination matrix plus which route produced it."""
 
+    _fields = ("m", "route", "matrix")
     m: int
     route: Route
     matrix: LowerTriMatrix
 
-    def __post_init__(self) -> None:
-        for i in range(self.matrix.dim):
-            if self.matrix.get(i, i) != Fraction(1, 2 ** (i + 1)):
+    def __init__(self, m: int, route: Route, matrix: LowerTriMatrix) -> None:
+        for i in range(matrix.dim):
+            if matrix.get(i, i) != Fraction(1, 2 ** (i + 1)):
                 raise ValueError(f"diagonal entry {i} must be 1/2^{i + 1}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "matrix", matrix)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "route": self.route.value, "matrix": self.matrix.to_json_dict()}
@@ -236,18 +239,38 @@ class CoeffReport:
         )
 
 
+_ZERO = Fraction(0)
+
+
 def _riordan_matrix(m: int) -> LowerTriMatrix:
-    """(a_{i,j}) = V(i+1, j+1) / ((j+1)! 2^{i+1}); see ``Route``."""
+    """(a_{i,j}) = V(i+1, j+1) / ((j+1)! 2^{i+1}); see ``Route``.
+
+    V(n, k) vanishes when n - k is odd, so half the entries are zero; they
+    all share ``_ZERO`` rather than each normalising a ``Fraction(0, d)``.
+    """
     v = tanh_power_triangle(m + 1)
     factorials = [factorial(k) for k in range(m + 2)]
-    return LowerTriMatrix.from_func(
-        m + 1, lambda i, j: Fraction(v[i + 1][j + 1], factorials[j + 1] << (i + 1))
+    packed = (
+        Fraction(v_nk, factorials[k] << n) if v_nk else _ZERO
+        for n in range(1, m + 2)
+        for k, v_nk in enumerate(v[n][1:], start=1)
     )
+    return LowerTriMatrix(m + 1, packed)
+
+
+def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
+    """The unique (a_{i,j}) with F(i, .) = sum_j a_{i,j} G(j, .), dim m+1.
+
+    Cached on the value of the arguments, however they are spelled:
+    ``combination_matrix(9)``, ``combination_matrix(9, Route.RIORDAN)`` and
+    ``combination_matrix(m=9)`` share one entry. ``cache_info`` and
+    ``cache_clear`` are those of the cache.
+    """
+    return _combination_matrix(m, route)
 
 
 @lru_cache(maxsize=None)
-def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
-    """The unique (a_{i,j}) with F(i, .) = sum_j a_{i,j} G(j, .), dim m+1."""
+def _combination_matrix(m: int, route: Route) -> CoeffReport:
     if m < 0:
         raise ValueError("m must be >= 0")
     if route is Route.RIORDAN:
@@ -267,15 +290,17 @@ def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
     return CoeffReport(m=m, route=route, matrix=mat_mul(f_rows, invert(g_rows)))
 
 
-@dataclasses.dataclass(frozen=True)
-class CombinationViolation:
+combination_matrix.cache_info = _combination_matrix.cache_info
+combination_matrix.cache_clear = _combination_matrix.cache_clear
+
+
+class CombinationViolation(NamedTuple):
     row: int
     sample: Fraction
     residual: Fraction
 
 
-@dataclasses.dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Residuals of F(i, x) - sum_j a_{i,j} G(j, x) over rows and samples."""
 
     m: int
@@ -373,16 +398,14 @@ class ExpectedSign(enum.Enum):
     POSITIVE = "positive"
 
 
-@dataclasses.dataclass(frozen=True)
-class SignViolation:
+class SignViolation(NamedTuple):
     i: int
     j: int
     value: Fraction
     expected: ExpectedSign
 
 
-@dataclasses.dataclass(frozen=True)
-class SignPatternFinding:
+class SignPatternFinding(NamedTuple):
     """Below-diagonal sign classification of the combination matrix.
 
     The pattern, by d = i-j: zero when d is odd, negative when d = 2 mod 4,
@@ -429,22 +452,15 @@ def scan_sign_pattern(
         raise ValueError("max_m must be >= 0")
     mat = matrix if matrix is not None else combination_matrix(max_m).matrix
     _require_dim(max_m, mat)
-    checked = 0
     violations = []
     for i in range(mat.dim):
-        for j in range(i):
-            checked += 1
-            value = mat.get(i, j)
-            expected = _expected_sign(i, j)
-            ok = (
-                value == 0
-                if expected is ExpectedSign.ZERO
-                else value < 0
-                if expected is ExpectedSign.NEGATIVE
-                else value > 0
-            )
+        # the packed row without its diagonal entry; d = i - j
+        for j, value in enumerate(mat.row(i)[:i]):
+            d, num = i - j, value.numerator
+            ok = num == 0 if d % 2 else num < 0 if d % 4 else num > 0
             if not ok:
-                violations.append(SignViolation(i, j, value, expected))
+                violations.append(SignViolation(i, j, value, _expected_sign(i, j)))
+    checked = mat.dim * (mat.dim - 1) // 2
     return SignPatternFinding(max_m=max_m, checked=checked, violations=tuple(violations))
 
 

@@ -7,7 +7,6 @@ capsys.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 import subprocess
@@ -23,6 +22,7 @@ from zetacomb.cli import main
 from zetacomb.etacheck import RouteDisagreementError
 from zetacomb.trimat import LowerTriMatrix
 from zetacomb.zetadiff import (
+    CoeffReport,
     CombinationViolation,
     ExpectedSign,
     Route,
@@ -334,7 +334,7 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
         report = real(m, route)
         if route is Route.SHIFTED_SERIES:
             extra = LowerTriMatrix.from_func(m + 1, lambda i, j: int(i == m and j == 0))
-            return dataclasses.replace(report, matrix=report.matrix + extra)
+            return CoeffReport(m=report.m, route=report.route, matrix=report.matrix + extra)
         return report
 
     monkeypatch.setattr(cli, "combination_matrix", skewed)

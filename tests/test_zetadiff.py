@@ -187,6 +187,14 @@ def test_riordan_is_the_default_route():
     assert combination_matrix(4).route is Route.RIORDAN
 
 
+def test_combination_matrix_cache_keys_on_value_not_spelling():
+    combination_matrix.cache_clear()
+    reports = [combination_matrix(13), combination_matrix(13, Route.RIORDAN), combination_matrix(m=13)]
+    info = combination_matrix.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert reports[0] is reports[1] is reports[2]
+
+
 def test_combination_matrix_rejects_negative_m():
     for route in Route:
         with pytest.raises(ValueError):
