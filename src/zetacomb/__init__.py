@@ -12,8 +12,6 @@ from .combinat import (
     bernoulli_number,
     bernoulli_poly,
     binomial,
-    falling_factorial,
-    rising_factorial,
     stirling1,
     stirling2,
 )
@@ -51,7 +49,6 @@ from .zetadiff import (
     VerificationReport,
     combination_matrix,
     compare_stirling2_matrix,
-    hurwitz_zeta_neg,
     hyper_poly,
     hyper_poly_coeffs,
     scan_sign_pattern,
@@ -75,8 +72,6 @@ __all__ = [
     "bernoulli_poly",
     "stirling1",
     "stirling2",
-    "falling_factorial",
-    "rising_factorial",
     "LowerTriMatrix",
     "DimensionMismatchError",
     "SingularDiagonalError",
@@ -90,7 +85,6 @@ __all__ = [
     "ExpectedSign",
     "VerificationReport",
     "DEFAULT_SAMPLES",
-    "hurwitz_zeta_neg",
     "zeta_diff",
     "hyper_poly",
     "zeta_diff_coeffs",

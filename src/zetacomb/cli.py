@@ -36,6 +36,7 @@ from .zetadiff import (
 __all__ = ["main"]
 
 DEFAULT_M_CAP = 64
+DEFAULT_N_CAP = 2000
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -221,12 +222,11 @@ def _deliver(args: argparse.Namespace, result: _Result) -> None:
     print(f"wrote {len(files)} fixture files to {directory}", file=sys.stderr)
 
 
-def _subcommand(p: argparse.ArgumentParser, run: Callable, cap: bool = True) -> None:
+def _subcommand(p: argparse.ArgumentParser, run: Callable, cap: int = DEFAULT_M_CAP) -> None:
     """The flags every subcommand shares, after its own; ``run`` computes its result."""
     p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
     p.add_argument("--out", type=Path, default=None)
-    if cap:
-        p.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
+    p.add_argument("--cap", type=int, default=cap)
     p.set_defaults(run=run)
 
 
@@ -266,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bernoulli", help="a single Bernoulli number")
     p.add_argument("--n", type=int, required=True)
-    _subcommand(p, cmd_bernoulli, cap=False)
+    _subcommand(p, cmd_bernoulli, cap=DEFAULT_N_CAP)
 
     p = sub.add_parser("stirling", help="a single Stirling number")
     p.add_argument("--kind", choices=("first", "second"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _subcommand(p, cmd_stirling, cap=False)
+    _subcommand(p, cmd_stirling, cap=DEFAULT_N_CAP)
 
     p = sub.add_parser("matrices", help="all coefficient matrices and inverses")
     p.add_argument("--m", type=int, required=True)
@@ -296,16 +296,14 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             args.samples = tuple(parse_rational(part) for part in args.samples.split(","))
         except ValueError:
             parser.error(f"--samples must be comma-separated rationals, got {args.samples!r}")
-    for name in ("m", "max_m"):
+    for name, flag, symbol in (("m", "m", "m"), ("max_m", "max", "m"), ("n", "n", "n")):
         value = getattr(args, name, None)
         if value is None:
             continue
         if value < 0:
-            parser.error(f"--{name.replace('_m', '')} must be >= 0")
+            parser.error(f"--{flag} must be >= 0")
         if value > args.cap:
-            parser.error(f"m = {value} exceeds the cap {args.cap} (raise with --cap)")
-    if getattr(args, "n", None) is not None and args.n < 0:
-        parser.error("--n must be >= 0")
+            parser.error(f"{symbol} = {value} exceeds the cap {args.cap} (raise with --cap)")
     if getattr(args, "fixtures_dir", None) is not None and args.out is not None:
         # one line, as an unwritable --out or --fixtures path gives
         parser.exit(EXIT_USAGE, "zetacomb: error: --fixtures writes JSON files; it takes no --out\n")

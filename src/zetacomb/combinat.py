@@ -1,5 +1,4 @@
-"""Number-theoretic sequences: binomials, Bernoulli, Stirling, tanh powers,
-factorial powers.
+"""Number-theoretic sequences: binomials, Bernoulli, Stirling, tanh powers.
 
 Conventions used throughout:
 
@@ -7,16 +6,15 @@ Conventions used throughout:
   polynomials generated by z*e^{tz}/(e^z - 1).
 * Stirling numbers of the first kind are the *signed* ones: the
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
-* All tables are built by recurrence; the Bernoulli and Stirling ones
-  are memoized, the tanh-power triangle is built per call. An
+* All tables are built by integer recurrence; the Bernoulli and Stirling
+  ones grow as they are asked for, the tanh-power triangle is built per call. An
   independent slow oracle for each (series division, polynomial
   expansion, partition enumeration) lives in the test suite, never here.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 __all__ = [
     "binomial",
@@ -25,8 +23,6 @@ __all__ = [
     "stirling1",
     "stirling2",
     "tanh_power_triangle",
-    "falling_factorial",
-    "rising_factorial",
 ]
 
 
@@ -39,28 +35,62 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@lru_cache(maxsize=None)
+class _TangentTable:
+    """Bernoulli numbers from the tangent numbers, grown as they are asked for.
+
+    T_j = a(j, j) = 1, 2, 16, 272, ... in Brent & Harvey's integer triangle
+    ("Fast computation of Bernoulli, tangent and secant numbers", 2011):
+    a(1, j) = (j-1)! and a(k, j) = (j-k) a(k, j-1) + (j-k+2) a(k-1, j).
+    Only the last column is kept. B_2j = (-1)^(j-1) 2j T_j / (4^j (4^j-1)),
+    and B_2j+1 = 0. Per n asked for, ``row`` keeps c_k = d C(n,k) B_k and
+    the scale d, the lcm of the denominators of B_0..B_n.
+    """
+
+    def __init__(self) -> None:
+        self._column: list[int] = []
+        self._numbers = [Fraction(1), Fraction(-1, 2)]
+        self._rows: dict[int, tuple[tuple[int, ...], int]] = {}
+
+    def number(self, n: int) -> Fraction:
+        while len(self._numbers) <= n:
+            # a(j, j-1) is not stored; its factor is 0
+            j = len(self._column) + 1
+            column = [factorial(j - 1)]
+            for k, left in zip(range(2, j + 1), [*self._column[1:], 0]):
+                column.append((j - k) * left + (j - k + 2) * column[-1])
+            self._column = column
+            b_2j = Fraction((-1) ** (j - 1) * 2 * j * column[-1], (4**j - 1) << (2 * j))
+            self._numbers += [b_2j, Fraction(0)]
+        return self._numbers[n]
+
+    def row(self, n: int) -> tuple[tuple[int, ...], int]:
+        if n not in self._rows:
+            self.number(n)
+            bern = self._numbers[: n + 1]
+            scale = lcm(*(b.denominator for b in bern))
+            row = tuple(comb(n, k) * b.numerator * (scale // b.denominator) for k, b in enumerate(bern))
+            self._rows[n] = (row, scale)
+        return self._rows[n]
+
+
+_TANGENT_TABLE = _TangentTable()
+
+
 def bernoulli_number(n: int) -> Fraction:
-    """B_n with B_1 = -1/2, from the recurrence sum_{k=0}^{n} C(n+1,k) B_k = 0.
+    """B_n with B_1 = -1/2, read off the tangent numbers (``_TangentTable``).
 
     >>> bernoulli_number(12)
     Fraction(-691, 2730)
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(n):
-        acc += comb(n + 1, k) * bernoulli_number(k)
-    return -acc / (n + 1)
+    return _TANGENT_TABLE.number(n)
 
 
 def bernoulli_poly(n: int, z) -> Fraction:
     """B_n(z) = sum_k C(n,k) B_k z^{n-k}, evaluated exactly at rational z.
 
-    Runs on integers: with z = p/q and d the lcm of the denominators of
-    B_0..B_n, the terms c_k = d C(n,k) B_k are integers and
+    Runs on integers: with z = p/q and the table's row c_k = d C(n,k) B_k,
 
         d q^n B_n(z) = sum_k c_k p^{n-k} q^k,
 
@@ -71,12 +101,11 @@ def bernoulli_poly(n: int, z) -> Fraction:
         raise ValueError("n must be >= 0")
     zq = Fraction(z)
     p, q = zq.numerator, zq.denominator
-    bern = [bernoulli_number(k) for k in range(n + 1)]
-    scale = lcm(*(b.denominator for b in bern))
+    row, scale = _TANGENT_TABLE.row(n)
     acc = 0
     q_power = 1
-    for k, b in enumerate(bern):
-        acc = acc * p + comb(n, k) * b.numerator * (scale // b.denominator) * q_power
+    for c in row:
+        acc = acc * p + c * q_power
         q_power *= q
     return Fraction(acc, scale * q**n)
 
@@ -151,25 +180,3 @@ def tanh_power_triangle(n_max: int) -> list[list[int]]:
         prev = rows[-1] + [0, 0]
         rows.append([0, *(k * (prev[k - 1] - prev[k + 1]) for k in range(1, n + 1))])
     return rows
-
-
-def falling_factorial(z, n: int) -> Fraction:
-    """<z>_n = z (z-1) ... (z-n+1); empty product 1 when n = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    zq = Fraction(z)
-    acc = Fraction(1)
-    for k in range(n):
-        acc *= zq - k
-    return acc
-
-
-def rising_factorial(z, n: int) -> Fraction:
-    """(z)_n = z (z+1) ... (z+n-1); equals (-1)^n <-z>_n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    zq = Fraction(z)
-    acc = Fraction(1)
-    for k in range(n):
-        acc *= zq + k
-    return acc

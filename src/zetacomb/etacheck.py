@@ -10,7 +10,7 @@ raised, never returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .combinat import bernoulli_poly, stirling2
@@ -58,8 +58,7 @@ def eta_via_zeta(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    zeta_neg_m = -bernoulli_poly(m + 1, 1) / (m + 1)
-    return (1 - 2 ** (m + 1)) * zeta_neg_m
+    return bernoulli_poly(m + 1, 1) * Fraction(2 ** (m + 1) - 1, m + 1)
 
 
 def eta_via_coeff_row(m: int) -> Fraction:
@@ -70,20 +69,17 @@ def eta_via_coeff_row(m: int) -> Fraction:
 
 
 def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
-    return sum((a * factorial(j) for j, a in enumerate(row)), Fraction(0))
+    scale = lcm(*(a.denominator for a in row))
+    total = sum(a.numerator * (scale // a.denominator) * factorial(j) for j, a in enumerate(row))
+    return Fraction(total, scale)
 
 
 def eta_via_stirling2(m: int) -> Fraction:
     """eta(-m) = sum_{j=0}^{m} (-1)^j / 2^{j+1} * S(m+1, j+1) * j!."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    return sum(
-        (
-            Fraction((-1) ** j, 2 ** (j + 1)) * stirling2(m + 1, j + 1) * factorial(j)
-            for j in range(m + 1)
-        ),
-        Fraction(0),
-    )
+    total = sum((-1) ** j * stirling2(m + 1, j + 1) * factorial(j) << (m - j) for j in range(m + 1))
+    return Fraction(total, 1 << (m + 1))
 
 
 def eta_cross_check(max_m: int) -> list[EtaTriple]:

@@ -81,16 +81,6 @@ def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _taylor_shift(coeffs: tuple[Fraction, ...], a: Fraction) -> tuple[Fraction, ...]:
-    # coefficients of p(t + a) from those of p(t), by repeated Horner steps
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += a * out[j + 1]
-    return tuple(out)
-
-
 class _Value:
     """Base of the validating value types: immutable, equal by value.
 
@@ -195,8 +185,16 @@ class Poly(_Value):
 
         Writing p(x) = sum c_j x^j as sum d_j (x+1)^j amounts to a Taylor
         shift of the coefficient vector by -1 (and by +1 the other way).
+        It runs on the integer coefficients of d*p (``_scaled``) and
+        builds one ``Fraction`` per coefficient at the end.
         """
         if target is self.basis:
             return self
-        shift = Fraction(-1) if target is Basis.SHIFTED else Fraction(1)
-        return Poly(_taylor_shift(self.coeffs, shift), target)
+        shift = -1 if target is Basis.SHIFTED else 1
+        coeffs, scale = self._scaled
+        out = list(coeffs)
+        n = len(out)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += shift * out[j + 1]
+        return Poly((Fraction(c, scale) for c in out), target)

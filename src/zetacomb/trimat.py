@@ -12,20 +12,15 @@ of (-N)^k for k < dim, which the doubling product
 collects with about 2 log2(dim) products instead of dim. The series
 inverse never uses substitution, so the two check each other.
 
-The product and the substitution inverse run on integers, not on
-``Fraction``s. Each operand is scaled to an integer matrix by the lcm of
-its denominators, so ``mat_mul`` sums plain integer products and builds
-one ``Fraction`` per output entry. ``invert_substitution`` solves the
-scaled system fraction-free (Bareiss 1968): for column j the unknowns
-are multiplied by the product of the diagonal entries j..dim-1, which
-makes them the integer entries of that trailing block's adjugate, so
-every division in the recurrence is exact. The remainder is checked and
-a nonzero one raises. Only one column of integers is held at a time.
+The product and both inverses run on integers, not on ``Fraction``s.
+Each operand is scaled to an integer matrix by the lcm of its
+denominators; every intermediate is an integer matrix over one scale, and
+one ``Fraction`` is built per output entry.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -169,21 +164,23 @@ def _scaled_rows(m: LowerTriMatrix) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
+def _scaled_product(a: tuple[list[list[int]], int], b: tuple[list[list[int]], int]):
+    """(A B, s t) for a = (A, s) and b = (B, t), divided by the gcd of all of it."""
+    (a_rows, a_scale), (b_rows, b_scale) = a, b
+    n = len(a_rows)
+    # b_cols[j][k - j] = b[k][j] for k >= j
+    b_cols = [[b_rows[k][j] for k in range(j, n)] for j in range(n)]
+    rows = [[sum(map(mul, a_row[j:], b_cols[j])) for j in range(i + 1)] for i, a_row in enumerate(a_rows)]
+    g = gcd(a_scale * b_scale, *(v for row in rows for v in row))
+    return [[v // g for v in row] for row in rows], a_scale * b_scale // g
+
+
 def mat_mul(a: LowerTriMatrix, b: LowerTriMatrix) -> LowerTriMatrix:
     """Exact product; lower-triangular times lower-triangular stays lower."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dims {a.dim} and {b.dim}")
-    n = a.dim
-    a_rows, a_scale = _scaled_rows(a)
-    b_rows, b_scale = _scaled_rows(b)
-    scale = a_scale * b_scale
-    # b_cols[j][k - j] = b[k][j] for k >= j
-    b_cols = [[b_rows[k][j] for k in range(j, n)] for j in range(n)]
-    packed = []
-    for i, a_row in enumerate(a_rows):
-        for j in range(i + 1):
-            packed.append(Fraction(sum(map(mul, a_row[j:], b_cols[j])), scale))
-    return LowerTriMatrix(n, tuple(packed))
+    rows, scale = _scaled_product(_scaled_rows(a), _scaled_rows(b))
+    return LowerTriMatrix(a.dim, (Fraction(v, scale) for row in rows for v in row))
 
 
 def _require_invertible(m: LowerTriMatrix) -> None:
@@ -192,38 +189,30 @@ def _require_invertible(m: LowerTriMatrix) -> None:
             raise SingularDiagonalError(i)
 
 
-def _adjugate_column(rows: Sequence[Sequence[int]], j: int, det: int) -> list[int]:
-    """Column j (rows j..dim-1) of det * L^{-1} for the integer matrix L.
-
-    ``det`` must be a multiple of the product of L's diagonal entries
-    j..dim-1; then every unknown is an integer and every division below
-    is exact. A remainder means that precondition failed, and raises.
-    """
-    col: list[int] = []
-    for i in range(j, len(rows)):
-        row = rows[i]
-        rhs = det if i == j else -sum(map(mul, row[j:i], col))
-        quotient, remainder = divmod(rhs, row[i])
-        if remainder:
-            raise ArithmeticError(f"inexact division in row {i} of column {j}")
-        col.append(quotient)
-    return col
-
-
 def invert_substitution(m: LowerTriMatrix) -> LowerTriMatrix:
     """Inverse by forward substitution, solving M X = I column by column.
 
-    Runs fraction-free on the integer matrix d*M (see the module
-    docstring); M^{-1} = d (d*M)^{-1}.
+    Runs on the integer matrix d*M; M^{-1} = d (d*M)^{-1}. Each column is
+    held as integers over one denominator D. Row i solves for -s/p (dot
+    product s, pivot p), and only f = p/gcd(s, p), the part of p that does
+    not divide s, joins D, so D follows the column's own denominators.
     """
     _require_invertible(m)
     n = m.dim
     rows, scale = _scaled_rows(m)
     out: list[list[Fraction]] = [[] for _ in range(n)]
     for j in range(n):
-        det = prod(rows[k][k] for k in range(j, n))
-        for i, value in enumerate(_adjugate_column(rows, j, det), start=j):
-            out[i].append(Fraction(value * scale, det))
+        col, den = [], 1
+        for i, row in enumerate(rows[j:], start=j):
+            rhs = den if i == j else -sum(map(mul, row[j:i], col))
+            g = gcd(rhs, row[i])
+            f = row[i] // g
+            if f != 1:
+                col = [y * f for y in col]
+                den *= f
+            col.append(rhs // g)
+        for i, value in enumerate(col, start=j):
+            out[i].append(Fraction(value * scale, den))
     return LowerTriMatrix.from_rows(out)
 
 
@@ -234,19 +223,29 @@ def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
     M^{-1} = (I + N)^{-1} D^{-1} and (I + N)^{-1} = sum_{k<dim} (-N)^k.
     After r factors, (I - N)(I + N^2)...(I + N^{2^{r-1}}) equals the sum
     over k < 2^r, so the loop squares the power and multiplies in one
-    factor until 2^r >= dim, or stops early when the power is zero.
+    factor until 2^r >= dim, or stops early when the power is zero. Each
+    factor is a pair (integer rows R, scale s) standing for R/s.
     """
     _require_invertible(m)
     n = m.dim
-    diag = m.diagonal_entries()
-    d_inv = LowerTriMatrix.diagonal([1 / d for d in diag])
-    power = mat_mul(d_inv, m - LowerTriMatrix.diagonal(diag))
-    total = LowerTriMatrix.identity(n) - power
+    rows, scale = _scaled_rows(m)
+    diag = [row[-1] for row in rows]
+    p = lcm(*diag)
+    # N = D^{-1} L and I - N, both over the scale lcm(diag)
+    strict = [[v * (p // d) for v in row[:-1]] for row, d in zip(rows, diag)]
+    power = ([[*row, 0] for row in strict], p)
+    total = ([[-v for v in row] + [p] for row in strict], p)
     terms = 2
     while terms < n:
-        power = mat_mul(power, power)
-        if power.is_zero():
+        power = _scaled_product(power, power)
+        if not any(map(any, power[0])):
             break
-        total = total + mat_mul(total, power)
+        # I + N^k = (W + s I)/s for N^k = W/s
+        w, s = power
+        total = _scaled_product(total, ([[*row[:-1], s] for row in w], s))
         terms *= 2
-    return mat_mul(total, d_inv)
+    # times D^{-1} = diag(scale / diag)
+    t_rows, t_scale = total
+    return LowerTriMatrix(
+        n, (Fraction(v * scale, t_scale * diag[j]) for row in t_rows for j, v in enumerate(row))
+    )

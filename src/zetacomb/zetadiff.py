@@ -29,12 +29,13 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 from typing import NamedTuple
 
-from .combinat import bernoulli_number, bernoulli_poly, binomial, stirling2, tanh_power_triangle
+from .combinat import _TANGENT_TABLE, bernoulli_number, binomial, stirling2, tanh_power_triangle
 from .numcore import Basis, Poly, _Value
-from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
+from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
 __all__ = [
     "Route",
@@ -45,7 +46,6 @@ __all__ = [
     "CombinationViolation",
     "VerificationReport",
     "DEFAULT_SAMPLES",
-    "hurwitz_zeta_neg",
     "zeta_diff",
     "hyper_poly",
     "zeta_diff_coeffs",
@@ -73,26 +73,28 @@ def _require_dim(m: int, matrix: LowerTriMatrix) -> None:
         raise ValueError(f"matrix has dim {matrix.dim}, expected m + 1 = {m + 1}")
 
 
-def hurwitz_zeta_neg(m: int, a) -> Fraction:
-    """zeta(-m, a) for integer m >= 0, via zeta(-m, a) = -B_{m+1}(a)/(m+1)."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return -bernoulli_poly(m + 1, a) / (m + 1)
-
-
 def zeta_diff(m: int, x) -> Fraction:
-    """F(m, x), exactly.
+    """F(m, x), exactly, by the closed Bernoulli form.
 
-    The closed Bernoulli form is polynomial in x, so any rational x is
+    With n = m+1, x = p/q and Q = 2q, F = 2^m (B_n((p+2q)/Q) - B_n((p+q)/Q))/n:
+    one integer Horner pass over the Bernoulli row (as in ``bernoulli_poly``)
+    sums both terms. The form is polynomial in x, so any rational x is
     accepted; agreement with the Hurwitz-zeta definition is claimed only
     for x > -1, where both half-arguments stay positive.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     xq = Fraction(x)
-    return 2**m * (
-        hurwitz_zeta_neg(m, (1 + xq) / 2) - hurwitz_zeta_neg(m, (2 + xq) / 2)
-    )
+    p, q = xq.numerator, xq.denominator
+    a, b, big_q = p + q, p + 2 * q, 2 * q
+    row, scale = _TANGENT_TABLE.row(m + 1)
+    acc_a, acc_b, q_power = 0, 0, 1
+    for c in row:
+        term = c * q_power
+        acc_a = acc_a * a + term
+        acc_b = acc_b * b + term
+        q_power *= big_q
+    return Fraction(2**m * (acc_b - acc_a), (m + 1) * scale * big_q ** (m + 1))
 
 
 def hyper_poly(m: int, x) -> Fraction:
@@ -121,11 +123,6 @@ def hyper_poly(m: int, x) -> Fraction:
     return Fraction(factorial(m) * num, den)
 
 
-def _euler_at_zero_halves(m: int) -> list[Fraction]:
-    """E_n(0)/2 for 0 <= n <= m, from E_n(0) = -2(2^{n+1}-1)B_{n+1}/(n+1)."""
-    return [-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)]
-
-
 def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     """Row i = coefficients of F(i, x) in the requested basis; dim m+1.
 
@@ -144,7 +141,8 @@ def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    halves = _euler_at_zero_halves(m)
+    # E_n(0)/2 for 0 <= n <= m
+    halves = [-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)]
     if basis is Basis.MONOMIAL:
         halves = [-h if n % 2 else h for n, h in enumerate(halves)]
     return LowerTriMatrix.from_func(m + 1, lambda i, j: binomial(i, j) * halves[i - j])
@@ -220,6 +218,7 @@ class CoeffReport(_Value):
     matrix: LowerTriMatrix
 
     def __init__(self, m: int, route: Route, matrix: LowerTriMatrix) -> None:
+        _require_dim(m, matrix)
         for i in range(matrix.dim):
             if matrix.get(i, i) != Fraction(1, 2 ** (i + 1)):
                 raise ValueError(f"diagonal entry {i} must be 1/2^{i + 1}")
@@ -331,23 +330,28 @@ def verify_combination(
     hypergeometric sum), independently of how the matrix was built. Pass
     means every residual is exactly zero. A matrix may be injected to
     check external tables; by default the Riordan route is used. An
-    injected matrix must have dim m+1, or ``ValueError`` is raised.
+    injected matrix must have dim m+1, or ``ValueError`` is raised. Each
+    residual is an integer dot product, a ``Fraction`` only when nonzero;
+    violations come row by row, samples in the order given.
     """
     if not samples:
         raise ValueError("samples must be nonempty")
     samples = tuple(Fraction(s) for s in samples)
     mat = matrix if matrix is not None else combination_matrix(m).matrix
     _require_dim(m, mat)
-    g_at = {
-        (j, x): hyper_poly(j, x) for j in range(mat.dim) for x in samples
-    }
+    rows, scale = _scaled_rows(mat)
+    g_at = []
+    for x in samples:
+        values = [hyper_poly(j, x) for j in range(mat.dim)]
+        den = lcm(*(v.denominator for v in values))
+        g_at.append(([v.numerator * (den // v.denominator) for v in values], scale * den))
     violations = []
-    for i in range(mat.dim):
-        for x in samples:
-            combo = sum((mat.get(i, j) * g_at[j, x] for j in range(i + 1)), Fraction(0))
-            residual = zeta_diff(i, x) - combo
-            if residual != 0:
-                violations.append(CombinationViolation(i, x, residual))
+    for i, row in enumerate(rows):
+        for x, (g, den) in zip(samples, g_at):
+            f = zeta_diff(i, x)
+            residual = f.numerator * den - f.denominator * sum(map(mul, row, g))
+            if residual:
+                violations.append(CombinationViolation(i, x, Fraction(residual, f.denominator * den)))
     return VerificationReport(
         m=m, samples=samples, passed=not violations, violations=tuple(violations)
     )
@@ -363,7 +367,9 @@ def verify_polynomial_forms(
     matrices evaluate to F resp. G; same for the shifted-basis matrices;
     and rebasing a shifted row reproduces the monomial row exactly.
     ``matrices`` may inject (F_mono, G_mono, F_shift, G_shift) tables,
-    each of dim m+1 (otherwise ``ValueError``).
+    each of dim m+1 (otherwise ``ValueError``). At each x = p/3 the powers
+    p^j 3^{m-j} of x, and of x+1, are built once; a row c/d (``Poly._scaled``)
+    takes the value v iff sum_j c_j p^j 3^{m-j} den(v) = d 3^m num(v).
     """
     if matrices is None:
         matrices = (
@@ -374,21 +380,22 @@ def verify_polynomial_forms(
         )
     for matrix in matrices:
         _require_dim(m, matrix)
-    f_mono, g_mono, f_shift, g_shift = matrices
-    points = [Fraction(t - m - 1, 3) for t in range(2 * m + 3)]
+    bases = (Basis.MONOMIAL, Basis.MONOMIAL, Basis.SHIFTED, Basis.SHIFTED)
+    fm, gm, fs, gs = ([Poly(t.row(i), b) for i in range(m + 1)] for t, b in zip(matrices, bases))
     for i in range(m + 1):
-        fm = Poly(f_mono.row(i), Basis.MONOMIAL)
-        gm = Poly(g_mono.row(i), Basis.MONOMIAL)
-        fs = Poly(f_shift.row(i), Basis.SHIFTED)
-        gs = Poly(g_shift.row(i), Basis.SHIFTED)
-        for x in points:
-            fx, gx = zeta_diff(i, x), hyper_poly(i, x)
-            if fm.eval(x) != fx or fs.eval(x) != fx:
-                return False
-            if gm.eval(x) != gx or gs.eval(x) != gx:
-                return False
-        if fs.rebase(Basis.MONOMIAL) != fm or gs.rebase(Basis.MONOMIAL) != gm:
+        if fs[i].rebase(Basis.MONOMIAL) != fm[i] or gs[i].rebase(Basis.MONOMIAL) != gm[i]:
             return False
+    q_powers = [3**k for k in range(m, -1, -1)]
+    for p in range(-m - 1, m + 2):
+        x = Fraction(p, 3)
+        at_x = [p**j * qp for j, qp in enumerate(q_powers)]
+        at_x1 = [(p + 3) ** j * qp for j, qp in enumerate(q_powers)]
+        for i in range(m + 1):
+            fx, gx = zeta_diff(i, x), hyper_poly(i, x)
+            for poly, w, v in zip((fm[i], fs[i], gm[i], gs[i]), (at_x, at_x1) * 2, (fx, fx, gx, gx)):
+                coeffs, scale = poly._scaled
+                if sum(map(mul, coeffs, w)) * v.denominator != scale * q_powers[0] * v.numerator:
+                    return False
     return True
 
 

@@ -8,8 +8,9 @@ instead of math.comb, the paper's Stirling double sum for the G table
 instead of its three-term recurrence, tanh as the quotient of the sinh and
 cosh series instead of the derivative recurrence of its powers. The
 ``Fraction`` evaluators at the end (rising factorials for G, powers for
-B_n(z), Horner for a polynomial and the power-by-power Neumann sum for an
-inverse) are the plain forms the integer kernels replaced.
+B_n(z), Horner for a polynomial, the power-by-power Neumann sum for an
+inverse and the Taylor shift for a change of basis) are the plain forms
+the integer kernels replaced.
 """
 from __future__ import annotations
 
@@ -17,8 +18,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 
-def bernoulli_series(n: int) -> Fraction:
-    """B_n as n! times the degree-n coefficient of z/(e^z - 1).
+def bernoulli_series(n: int) -> list[Fraction]:
+    """B_0..B_n as k! times the degree-k coefficients of z/(e^z - 1).
 
     The series is the reciprocal of (e^z - 1)/z = sum z^k/(k+1)!, computed
     by exact power-series division.
@@ -28,7 +29,7 @@ def bernoulli_series(n: int) -> Fraction:
     t[0] = Fraction(1)
     for k in range(1, n + 1):
         t[k] = -sum(a[i] * t[k - i] for i in range(1, k + 1))
-    return factorial(n) * t[n]
+    return [factorial(k) * t[k] for k in range(n + 1)]
 
 
 def tanh_power_series(n_max: int) -> list[list[int]]:
@@ -82,6 +83,28 @@ def falling_factorial_coeffs(n: int) -> list[int]:
     return coeffs
 
 
+def falling_factorial(z, n: int) -> Fraction:
+    """<z>_n = z (z-1) ... (z-n+1); empty product 1 when n = 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    zq = Fraction(z)
+    acc = Fraction(1)
+    for k in range(n):
+        acc *= zq - k
+    return acc
+
+
+def rising_factorial(z, n: int) -> Fraction:
+    """(z)_n = z (z+1) ... (z+n-1); equals (-1)^n <-z>_n."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    zq = Fraction(z)
+    acc = Fraction(1)
+    for k in range(n):
+        acc *= zq + k
+    return acc
+
+
 def count_partitions(n: int, k: int) -> int:
     """Number of partitions of an n-set into k blocks, by enumerating
     restricted-growth strings (one per partition). Exponential; keep n small.
@@ -129,16 +152,12 @@ def invert_substitution_fraction(m):
     return [tuple(row) for row in out]
 
 
-def _bernoulli_list(n: int) -> list[Fraction]:
-    return [bernoulli_series(k) for k in range(n + 1)]
-
-
 def zeta_diff_coeffs_monomial_sums(m: int) -> list[tuple[Fraction, ...]]:
     """Rows of F(i, x) in powers of x, by the Bernoulli double sum
 
         (2^i/(i+1)) sum_{k=j}^{i} C(i+1,k+1) C(k+1,j) (2^{k-j+1}-1)/2^{k+1} B_{i-k}.
     """
-    bern = _bernoulli_list(m)
+    bern = bernoulli_series(m)
     return [
         tuple(
             Fraction(2**i, i + 1)
@@ -163,7 +182,7 @@ def zeta_diff_coeffs_shifted_sums(m: int) -> list[tuple[Fraction, ...]]:
 
         sum_{k=0}^{i-j} C(i,k) 2^{k-1} B_k/(i-k+1) C(i-k+1,j).
     """
-    bern = _bernoulli_list(m)
+    bern = bernoulli_series(m)
     return [
         tuple(
             sum(
@@ -206,16 +225,12 @@ def hyper_poly_rising(m: int, x) -> Fraction:
     """G(m, x) = m! sum_k (-m)_k (-x)_k 2^k/(k!)^2, each term from two
     ``Fraction`` rising factorials.
     """
-
-    def rising(z, n):
-        acc = Fraction(1)
-        for k in range(n):
-            acc *= z + k
-        return acc
-
     xq = Fraction(x)
     return factorial(m) * sum(
-        (rising(-m, k) * rising(-xq, k) * Fraction(2**k, factorial(k) ** 2) for k in range(m + 1)),
+        (
+            rising_factorial(-m, k) * rising_factorial(-xq, k) * Fraction(2**k, factorial(k) ** 2)
+            for k in range(m + 1)
+        ),
         Fraction(0),
     )
 
@@ -225,7 +240,8 @@ def bernoulli_poly_power_sum(n: int, z) -> Fraction:
     with B_k from the series oracle.
     """
     zq = Fraction(z)
-    return sum((comb(n, k) * bernoulli_series(k) * zq ** (n - k) for k in range(n + 1)), Fraction(0))
+    bern = bernoulli_series(n)
+    return sum((comb(n, k) * bern[k] * zq ** (n - k) for k in range(n + 1)), Fraction(0))
 
 
 def poly_eval_fraction(coeffs, x) -> Fraction:
@@ -254,3 +270,15 @@ def invert_series_neumann(m):
         sign = -1 if k % 2 else 1
         total = [[total[i][j] + sign * power[i][j] for j in range(n)] for i in range(n)]
     return [tuple(total[i][j] / d[j] for j in range(i + 1)) for i in range(n)]
+
+
+def taylor_shift(coeffs, a) -> tuple[Fraction, ...]:
+    """Coefficients of p(t + a) from those of p(t), by repeated ``Fraction``
+    Horner steps: the plain form of ``Poly.rebase``.
+    """
+    out = [Fraction(c) for c in coeffs]
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return tuple(out)

@@ -245,6 +245,30 @@ def test_cap_can_be_raised(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["bernoulli", "--n", "2001"], ["stirling", "--kind", "second", "--n", "20000", "--k", "3"]]
+)
+def test_n_over_the_cap_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    n = argv[argv.index("--n") + 1]
+    assert capsys.readouterr().err.endswith(f"error: n = {n} exceeds the cap 2000 (raise with --cap)\n")
+
+
+def test_n_cap_can_be_raised(capsys):
+    code, out, _ = run(["bernoulli", "--n", "2002", "--cap", "2002"], capsys)
+    assert code == 0
+    # von Staudt-Clausen: the denominator of B_2002 is the product of the primes p with (p - 1) | 2002
+    primes = [p for p in range(2, 2004) if 2002 % (p - 1) == 0 and all(p % r for r in range(2, p))]
+    assert out.startswith("B(2002) = ") and out.endswith(f"/{math.prod(primes)}\n")
+    code, out, _ = run(["stirling", "--kind", "second", "--n", "5", "--k", "2", "--cap", "5"], capsys)
+    assert (code, out) == (0, "S(5, 2) = 15\n")
+    with pytest.raises(SystemExit) as info:
+        main(["stirling", "--kind", "second", "--n", "5", "--k", "2", "--cap", "4"])
+    assert info.value.code == 2
+
+
 def test_determinism(capsys):
     first = run(["matrices", "--m", "7", "--format", "json"], capsys)
     second = run(["matrices", "--m", "7", "--format", "json"], capsys)

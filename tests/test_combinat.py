@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 import oracles
 from strategies import non_dyadic
 from zetacomb.combinat import (
+    _TangentTable,
     bernoulli_number,
     bernoulli_poly,
     binomial,
-    falling_factorial,
-    rising_factorial,
     stirling1,
     stirling2,
     tanh_power_triangle,
@@ -47,8 +46,19 @@ def test_bernoulli_small():
 
 
 def test_bernoulli_matches_series_oracle():
-    for n in range(15):
-        assert bernoulli_number(n) == oracles.bernoulli_series(n)
+    assert [bernoulli_number(n) for n in range(15)] == oracles.bernoulli_series(14)
+
+
+def test_tangent_table_matches_series_oracle_across_extensions():
+    # a fresh table grown to n = 10, extended to 200, then asked below its end
+    table = _TangentTable()
+    expected = oracles.bernoulli_series(150)
+    assert [table.number(n) for n in range(11)] == expected[:11]
+    # von Staudt-Clausen: the primes p with (p - 1) | 200; the sign of B_2k is (-1)^(k+1)
+    b_200 = table.number(200)
+    assert b_200 < 0 and b_200.denominator == 2 * 3 * 5 * 11 * 41 * 101
+    assert table.number(50) == expected[50]
+    assert [table.number(n) for n in range(151)] == expected
 
 
 def test_bernoulli_odd_vanishing():
@@ -117,7 +127,7 @@ def test_stirling1_expansion_evaluates():
     for n in range(9):
         for z in points:
             expanded = sum(stirling1(n, k) * z**k for k in range(n + 1))
-            assert expanded == falling_factorial(z, n)
+            assert expanded == oracles.falling_factorial(z, n)
 
 
 def test_stirling1_shift_identity():
@@ -156,21 +166,21 @@ def test_stirling_orthogonality():
 
 
 def test_falling_factorial():
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(Fraction(17, 3), 0) == 1
-    assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
-    assert falling_factorial(3, 5) == 0
+    assert oracles.falling_factorial(5, 3) == 60
+    assert oracles.falling_factorial(Fraction(17, 3), 0) == 1
+    assert oracles.falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
+    assert oracles.falling_factorial(3, 5) == 0
 
 
 def test_rising_factorial():
-    assert rising_factorial(2, 3) == 24
-    assert rising_factorial(-3, 4) == 0
-    assert rising_factorial(Fraction(-1, 2), 2) == Fraction(-1, 4)
+    assert oracles.rising_factorial(2, 3) == 24
+    assert oracles.rising_factorial(-3, 4) == 0
+    assert oracles.rising_factorial(Fraction(-1, 2), 2) == Fraction(-1, 4)
 
 
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=20), st.integers(0, 12))
 def test_rising_is_reflected_falling(z, n):
-    assert rising_factorial(z, n) == (-1) ** n * falling_factorial(-z, n)
+    assert oracles.rising_factorial(z, n) == (-1) ** n * oracles.falling_factorial(-z, n)
 
 
 def test_tanh_power_triangle_matches_series():

@@ -135,3 +135,13 @@ def test_rebase_preserves_evaluation(coeffs):
 def test_eval_matches_fraction_horner_oracle(coeffs, x, basis):
     t = x + 1 if basis is Basis.SHIFTED else x
     assert Poly(tuple(coeffs), basis).eval(x) == oracles.poly_eval_fraction(coeffs, t)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.one_of(non_dyadic, st.integers(-50, 50)), max_size=13), st.sampled_from(Basis))
+@example([], Basis.SHIFTED)
+def test_rebase_matches_taylor_shift_oracle(coeffs, basis):
+    # powers of x -> powers of x+1 is a shift by -1, and back by +1
+    target, shift = (Basis.SHIFTED, -1) if basis is Basis.MONOMIAL else (Basis.MONOMIAL, 1)
+    expected = Poly(oracles.taylor_shift(coeffs, shift), target)
+    assert Poly(tuple(coeffs), basis).rebase(target) == expected

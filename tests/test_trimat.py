@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import _tables_m9 as tables
 import oracles
-from zetacomb import trimat
+from zetacomb.numcore import Basis
 from zetacomb.trimat import (
     DimensionMismatchError,
     LowerTriMatrix,
@@ -18,6 +18,7 @@ from zetacomb.trimat import (
     invert_substitution,
     mat_mul,
 )
+from zetacomb.zetadiff import hyper_poly_coeffs
 
 entries = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 nonzero = entries.filter(lambda q: q != 0)
@@ -223,21 +224,34 @@ def test_series_matches_neumann_oracle(m):
     assert invert_series(m).rows() == oracles.invert_series_neumann(m)
 
 
+# a negative, non-dyadic diagonal: the pivots' signs and odd factors
+# must reach the common denominators of both integer kernels
+negative_non_dyadic = st.builds(
+    Fraction, st.integers(-(10**3), -1), st.integers(3, 200).filter(lambda d: d & (d - 1))
+)
+
+
+@settings(max_examples=60)
+@given(tri_matrices(dims=st.integers(1, 8), diag=negative_non_dyadic))
+@example(LowerTriMatrix.from_rows([[Fraction(-5, 9)], [Fraction(2, 3), Fraction(-7, 6)]]))
+def test_inverses_match_fraction_oracle_on_negative_non_dyadic_diagonals(m):
+    expected = oracles.invert_substitution_fraction(m)
+    assert invert_substitution(m).rows() == expected
+    assert invert_series(m).rows() == expected
+
+
+@pytest.mark.parametrize("basis", list(Basis))
+def test_inverses_agree_on_g_at_m64(basis):
+    g = hyper_poly_coeffs(64, basis)
+    assert invert_substitution(g) == invert_series(g)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 9, 16, 17])
 def test_series_matches_substitution_at_doubling_edges(dim):
     # positive strict entries keep every power of N up to N^(dim-1)
     # nonzero, so the doubling loop runs to its 2^r >= dim bound
     m = LowerTriMatrix.from_func(dim, lambda i, j: Fraction(i + j + 1, 2 * j + 3))
     assert invert_series(m) == invert_substitution(m)
-
-
-def test_substitution_kernel_raises_on_inexact_division():
-    rows = [[2], [3, 5]]
-    assert trimat._adjugate_column(rows, 0, 10) == [5, -3]
-    with pytest.raises(ArithmeticError, match="row 0 of column 0"):
-        trimat._adjugate_column(rows, 0, 5)  # 5 / 2
-    with pytest.raises(ArithmeticError, match="row 1 of column 0"):
-        trimat._adjugate_column(rows, 0, 2)  # -3 / 5
 
 
 @settings(max_examples=40)

@@ -16,6 +16,7 @@ from zetacomb.trimat import LowerTriMatrix
 from zetacomb.zetadiff import (
     DEFAULT_SAMPLES,
     CoeffReport,
+    CombinationViolation,
     ExpectedSign,
     Route,
     combination_matrix,
@@ -209,6 +210,18 @@ def test_coeff_report_json_round_trip():
     assert CoeffReport.from_json_dict(doc) == report
 
 
+def test_coeff_report_rejects_wrong_size():
+    with pytest.raises(ValueError, match=r"matrix has dim 3, expected m \+ 1 = 8"):
+        CoeffReport(m=7, route=Route.RIORDAN, matrix=combination_matrix(2).matrix)
+
+
+def test_coeff_report_from_json_rejects_wrong_size():
+    doc = json.loads(json.dumps(combination_matrix(2).to_json_dict()))
+    doc["m"] = 7
+    with pytest.raises(ValueError, match="dim 3"):
+        CoeffReport.from_json_dict(doc)
+
+
 def test_coeff_report_rejects_bad_diagonal():
     wrong = LowerTriMatrix.identity(3)
     with pytest.raises(ValueError):
@@ -237,14 +250,17 @@ def test_verify_combination_m1():
 def test_verify_combination_detects_tampering():
     good = combination_matrix(3).matrix
     rows = [list(r) for r in good.rows()]
-    rows[2][0] += 1
+    rows[1][0] += 1
+    rows[3][0] += Fraction(1, 3)
     bad = LowerTriMatrix.from_rows(rows)
-    report = verify_combination(3, matrix=bad)
+    samples = (Fraction(7, 3), Fraction(0), Fraction(-1, 2))
+    report = verify_combination(3, samples=samples, matrix=bad)
     assert not report.passed
-    assert report.violations
-    assert all(v.row == 2 for v in report.violations)
-    residual = report.violations[0].residual
-    assert residual != 0
+    # G(0, x) = 1, so adding d in column 0 of row i leaves the residual -d at
+    # every sample; violations come row by row, samples in the order given
+    assert report.violations == tuple(
+        CombinationViolation(i, x, -d) for i, d in ((1, 1), (3, Fraction(1, 3))) for x in samples
+    )
 
 
 def test_verify_combination_rejects_wrong_dim():
@@ -275,17 +291,18 @@ def test_verify_polynomial_forms_fixture_matrices():
     assert verify_polynomial_forms(9, matrices=mats)
 
 
-def test_verify_polynomial_forms_rejects_wrong_table():
-    rows = [list(r) for r in tables.matrix(tables.A10).rows()]
-    rows[5][2] += Fraction(1, 3)
-    mats = (
+@pytest.mark.parametrize("position", range(4))
+def test_verify_polynomial_forms_rejects_wrong_table(position):
+    mats = [
         tables.matrix(tables.A10),
         tables.matrix(tables.B10),
         tables.matrix(tables.A10_SHIFTED),
         tables.matrix(tables.B10_SHIFTED),
-    )
-    broken = (LowerTriMatrix.from_rows(rows),) + mats[1:]
-    assert not verify_polynomial_forms(9, matrices=broken)
+    ]
+    rows = [list(r) for r in mats[position].rows()]
+    rows[5][2] += Fraction(1, 3)
+    mats[position] = LowerTriMatrix.from_rows(rows)
+    assert not verify_polynomial_forms(9, matrices=tuple(mats))
 
 
 def _form_tables(m):
