@@ -19,8 +19,12 @@ row-coefficient matrices of F (from the Euler form) and of G (by its
 three-term recurrence in m) in two bases (powers of x, powers of x+1) and
 inverts G by two algorithms. All five routes must agree exactly, and the
 whole construction is cross-checked against direct evaluation of F and
-G. Only ``combination_matrix`` is cached; the F and G tables cost O(m^2)
-and are rebuilt on request.
+G. Only ``combination_matrix`` is cached, on its arguments, and the
+Riordan route reads its entries off one table that grows as larger m are
+asked for (``_RiordanTable``); ``combination_matrix.cache_clear`` empties
+both. The F and G tables cost O(m^2) and are rebuilt on request, and the
+paper routes never read the Riordan table, so they stay independent
+cross-checks.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -31,9 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 from operator import mul
+from threading import Lock
 from typing import NamedTuple
 
-from .combinat import _TANGENT_TABLE, bernoulli_number, binomial, stirling2, tanh_power_triangle
+from .combinat import _TANGENT_TABLE, _tanh_power_row, bernoulli_number, binomial, stirling2
 from .numcore import Basis, Poly, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
@@ -241,20 +246,49 @@ class CoeffReport(_Value):
 _ZERO = Fraction(0)
 
 
-def _riordan_matrix(m: int) -> LowerTriMatrix:
-    """(a_{i,j}) = V(i+1, j+1) / ((j+1)! 2^{i+1}); see ``Route``.
+class _RiordanTable:
+    """The packed entries of (a_{i,j}), grown row by row as they are asked for.
 
-    V(n, k) vanishes when n - k is odd, so half the entries are zero; they
-    all share ``_ZERO`` rather than each normalising a ``Fraction(0, d)``.
+    a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}) (see ``Route``) does not depend
+    on m, so the matrix at m is the leading block of the matrix at any
+    larger m, and its packed row-major entries are the first (m+1)(m+2)/2
+    of the table. Only the last V row is kept; a larger m steps it on
+    (``_tanh_power_row``) for the new rows alone, which are published by
+    one ``extend`` of a finished list. V(n, k) vanishes when n - k is odd,
+    so half the entries are zero; they all share ``_ZERO`` rather than each
+    normalising a ``Fraction(0, d)``.
     """
-    v = tanh_power_triangle(m + 1)
-    factorials = [factorial(k) for k in range(m + 2)]
-    packed = (
-        Fraction(v_nk, factorials[k] << n) if v_nk else _ZERO
-        for n in range(1, m + 2)
-        for k, v_nk in enumerate(v[n][1:], start=1)
-    )
-    return LowerTriMatrix(m + 1, packed)
+
+    def __init__(self) -> None:
+        # two threads growing at once would each append the same rows
+        self._lock = Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._v_row = [1]  # V row n; matrix rows 0..n-1 are built
+            self._entries: list[Fraction] = []
+
+    def packed(self, m: int) -> list[Fraction]:
+        size = (m + 1) * (m + 2) // 2
+        with self._lock:
+            if len(self._entries) < size:
+                self._grow(m)
+            return self._entries[:size]
+
+    def _grow(self, m: int) -> None:
+        v, new = self._v_row, []
+        for n in range(len(v), m + 2):
+            v = _tanh_power_row(v)
+            k_factorial = 1
+            for k in range(1, n + 1):
+                k_factorial *= k
+                new.append(Fraction(v[k], k_factorial << n) if v[k] else _ZERO)
+        self._entries.extend(new)
+        self._v_row = v
+
+
+_RIORDAN_TABLE = _RiordanTable()
 
 
 def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
@@ -262,8 +296,12 @@ def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
 
     Cached on the value of the arguments, however they are spelled:
     ``combination_matrix(9)``, ``combination_matrix(9, Route.RIORDAN)`` and
-    ``combination_matrix(m=9)`` share one entry. ``cache_info`` and
-    ``cache_clear`` are those of the cache.
+    ``combination_matrix(m=9)`` share one entry. ``cache_info`` is that of
+    the cache. A miss on the Riordan route slices its entries off one table
+    that keeps the largest matrix built so far and grows by the new rows
+    only, so the entries of a smaller matrix are the very objects of the
+    larger one; the report is validated on every miss all the same.
+    ``cache_clear`` empties the cache and that table.
     """
     return _combination_matrix(m, route)
 
@@ -273,7 +311,7 @@ def _combination_matrix(m: int, route: Route) -> CoeffReport:
     if m < 0:
         raise ValueError("m must be >= 0")
     if route is Route.RIORDAN:
-        return CoeffReport(m=m, route=route, matrix=_riordan_matrix(m))
+        return CoeffReport(m=m, route=route, matrix=LowerTriMatrix(m + 1, _RIORDAN_TABLE.packed(m)))
     basis = (
         Basis.MONOMIAL
         if route in (Route.MONOMIAL, Route.MONOMIAL_SERIES)
@@ -289,8 +327,13 @@ def _combination_matrix(m: int, route: Route) -> CoeffReport:
     return CoeffReport(m=m, route=route, matrix=mat_mul(f_rows, invert(g_rows)))
 
 
+def _cache_clear() -> None:
+    _combination_matrix.cache_clear()
+    _RIORDAN_TABLE.clear()
+
+
 combination_matrix.cache_info = _combination_matrix.cache_info
-combination_matrix.cache_clear = _combination_matrix.cache_clear
+combination_matrix.cache_clear = _cache_clear
 
 
 class CombinationViolation(NamedTuple):

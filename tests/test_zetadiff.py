@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,8 +14,10 @@ from hypothesis import strategies as st
 import _tables_m9 as tables
 import oracles
 from strategies import non_dyadic
+from zetacomb import zetadiff
+from zetacomb.combinat import tanh_power_triangle
 from zetacomb.numcore import Basis
-from zetacomb.trimat import LowerTriMatrix
+from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution
 from zetacomb.zetadiff import (
     DEFAULT_SAMPLES,
     CoeffReport,
@@ -74,6 +79,19 @@ def hyper_points(draw):
 def test_hyper_poly_matches_rising_factorial_oracle(case):
     m, x = case
     assert hyper_poly(m, x) == oracles.hyper_poly_rising(m, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 30), non_dyadic)
+def test_euler_form_row_evaluates_to_zeta_diff(m, x):
+    row = zeta_diff_coeffs(m, Basis.MONOMIAL).row(m)
+    assert oracles.poly_eval_fraction(row, x) == zeta_diff(m, x)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 29), non_dyadic)
+def test_hyper_poly_obeys_delannoy_recurrence(n, x):
+    assert hyper_poly(n + 1, x) == (2 * x + 1) * hyper_poly(n, x) + n * n * hyper_poly(n - 1, x)
 
 
 def test_hyper_poly_at_zero_is_factorial():
@@ -194,6 +212,80 @@ def test_combination_matrix_cache_keys_on_value_not_spelling():
     info = combination_matrix.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     assert reports[0] is reports[1] is reports[2]
+
+
+def _riordan_closed_form(m):
+    # built independently of the table: a_ij = V(i+1, j+1) / ((j+1)! 2^(i+1))
+    v = tanh_power_triangle(m + 1)
+    return LowerTriMatrix.from_func(
+        m + 1, lambda i, j: Fraction(v[i + 1][j + 1], math.factorial(j + 1) * 2 ** (i + 1))
+    )
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_riordan_table_matches_closed_form_in_any_visit_order(order):
+    ms = list(range(41))
+    if order == "descending":
+        ms.reverse()
+    elif order == "shuffled":
+        random.Random(41).shuffle(ms)
+    combination_matrix.cache_clear()
+    for m in ms:
+        assert combination_matrix(m).matrix == _riordan_closed_form(m), m
+
+
+def test_riordan_table_builds_each_entry_once():
+    combination_matrix.cache_clear()
+    large = combination_matrix(64).matrix.entries
+    small = combination_matrix(30).matrix.entries
+    assert len(small) == 496
+    assert all(a is b for a, b in zip(small, large))
+
+
+def test_cache_clear_empties_riordan_table():
+    combination_matrix(20)
+    combination_matrix.cache_clear()
+    assert combination_matrix.cache_info().currsize == 0
+    assert zetadiff._RIORDAN_TABLE._entries == []
+    assert zetadiff._RIORDAN_TABLE._v_row == [1]
+
+
+def test_riordan_table_grows_consistently_under_threads():
+    table = zetadiff._RiordanTable()
+    expected = _riordan_closed_form(48).entries
+    wrong = []
+
+    def ascend():
+        for m in range(49):
+            if table.packed(m) != list(expected[: (m + 1) * (m + 2) // 2]):
+                wrong.append(m)
+
+    threads = [threading.Thread(target=ascend) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert table.packed(48) == list(expected)
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 20, 40])
+def test_g_inverse_matches_tanh_closed_form(m):
+    # G^-1 = [2/(e^s+1), tanh(s/2)] in powers of x, and 2/(e^s+1) = 1 - tanh(s/2),
+    # so G^-1[i][j] = (V(i, j) - V(i, j+1)) / (j! 2^i); V(i, i+1) = 0
+    v = [row + [0] for row in tanh_power_triangle(m)]
+    closed = LowerTriMatrix.from_func(
+        m + 1, lambda i, j: Fraction(v[i][j] - v[i][j + 1], math.factorial(j) * 2**i)
+    )
+    g = hyper_poly_coeffs(m, Basis.MONOMIAL)
+    assert invert_substitution(g) == closed
+    assert invert_series(g) == closed
 
 
 def test_combination_matrix_rejects_negative_m():
