@@ -13,7 +13,6 @@ CSV header is the JSON keys.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -78,6 +77,8 @@ def _grid(matrix: LowerTriMatrix) -> str:
 
 def _records_csv(fields: tuple[str, ...], records: Iterable[dict]) -> str:
     """Header ``fields``, then one line per record; cells are JSON scalars, unquoted."""
+    import json  # here, not at the top: a pretty request never needs it
+
     lines = [",".join(fields)]
     lines += [
         ",".join(v if isinstance(v, str) else json.dumps(v) for v in map(r.get, fields))
@@ -184,6 +185,8 @@ def cmd_matrices(args: argparse.Namespace) -> _Result:
 
 
 def _json_text(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 

@@ -63,7 +63,10 @@ class LowerTriMatrix(_Value):
     def __init__(self, dim: int, entries: Iterable) -> None:
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        packed = tuple(_as_fraction(e) for e in entries)
+        packed = tuple(entries)
+        # one C-level pass; a table of exact Fractions is kept as it is
+        if not {Fraction}.issuperset(map(type, packed)):
+            packed = tuple(map(_as_fraction, packed))
         if len(packed) != dim * (dim + 1) // 2:
             raise ValueError(f"need {dim * (dim + 1) // 2} packed entries, got {len(packed)}")
         object.__setattr__(self, "dim", dim)

@@ -31,10 +31,11 @@ Everything is exact; there is no floating point anywhere.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from operator import mul
+from operator import attrgetter, mul
 from threading import Lock
 from typing import NamedTuple
 
@@ -224,8 +225,8 @@ class CoeffReport(_Value):
 
     def __init__(self, m: int, route: Route, matrix: LowerTriMatrix) -> None:
         _require_dim(m, matrix)
-        for i in range(matrix.dim):
-            if matrix.get(i, i) != Fraction(1, 2 ** (i + 1)):
+        for i, d in enumerate(matrix.diagonal_entries()):
+            if not (d.numerator == 1 and d.denominator == 1 << (i + 1)):
                 raise ValueError(f"diagonal entry {i} must be 1/2^{i + 1}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "route", route)
@@ -247,7 +248,8 @@ _ZERO = Fraction(0)
 
 
 class _RiordanTable:
-    """The packed entries of (a_{i,j}), grown row by row as they are asked for.
+    """The packed entries of (a_{i,j}), grown row by row as they are asked for,
+    and the sign violations among them, classified once.
 
     a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}) (see ``Route``) does not depend
     on m, so the matrix at m is the leading block of the matrix at any
@@ -257,6 +259,11 @@ class _RiordanTable:
     one ``extend`` of a finished list. V(n, k) vanishes when n - k is odd,
     so half the entries are zero; they all share ``_ZERO`` rather than each
     normalising a ``Fraction(0, d)``.
+
+    The sign scan is a prefix too: a sign watermark counts the matrix rows
+    already classified against the pattern of ``SignPatternFinding``, and
+    their violations are kept row-major, so each entry is classified once
+    per process and a scan to m reads off the violations with i <= m.
     """
 
     def __init__(self) -> None:
@@ -268,6 +275,8 @@ class _RiordanTable:
         with self._lock:
             self._v_row = [1]  # V row n; matrix rows 0..n-1 are built
             self._entries: list[Fraction] = []
+            self._signed = 0  # matrix rows 0.._signed-1 are classified
+            self._violations: list[SignViolation] = []
 
     def packed(self, m: int) -> list[Fraction]:
         size = (m + 1) * (m + 2) // 2
@@ -275,6 +284,15 @@ class _RiordanTable:
             if len(self._entries) < size:
                 self._grow(m)
             return self._entries[:size]
+
+    def sign_violations(self, m: int) -> list[SignViolation]:
+        """The sign violations in rows 0..m, row-major; new rows are classified once."""
+        with self._lock:
+            if self._signed <= m:
+                self._grow(m)  # builds nothing if rows 0..m are already there
+                self._violations += _sign_violations(self._entries, self._signed, m + 1)
+                self._signed = m + 1
+            return self._violations[: bisect_right(self._violations, m, key=attrgetter("i"))]
 
     def _grow(self, m: int) -> None:
         v, new = self._v_row, []
@@ -300,8 +318,9 @@ def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
     the cache. A miss on the Riordan route slices its entries off one table
     that keeps the largest matrix built so far and grows by the new rows
     only, so the entries of a smaller matrix are the very objects of the
-    larger one; the report is validated on every miss all the same.
-    ``cache_clear`` empties the cache and that table.
+    larger one; the report is validated on every miss all the same. The
+    table also keeps the sign watermark of ``scan_sign_pattern``.
+    ``cache_clear`` empties the cache and that table, watermark included.
     """
     return _combination_matrix(m, route)
 
@@ -484,11 +503,27 @@ class SignPatternFinding(NamedTuple):
         }
 
 
-def _expected_sign(i: int, j: int) -> ExpectedSign:
-    d = i - j
-    if d % 2 == 1:
-        return ExpectedSign.ZERO
-    return ExpectedSign.NEGATIVE if d % 4 == 2 else ExpectedSign.POSITIVE
+# by (i - j) % 4: the sign of the numerator of a_{i,j}, and its name
+_PATTERN = (
+    (1, ExpectedSign.POSITIVE),
+    (0, ExpectedSign.ZERO),
+    (-1, ExpectedSign.NEGATIVE),
+    (0, ExpectedSign.ZERO),
+)
+
+
+def _sign_violations(entries, start: int, stop: int) -> list[SignViolation]:
+    """The strictly below-diagonal entries of rows start..stop-1 of the packed
+    row-major ``entries`` whose sign breaks the pattern, row-major."""
+    violations = []
+    for i in range(start, stop):
+        base = i * (i + 1) // 2
+        for j, value in enumerate(entries[base : base + i]):
+            sign, expected = _PATTERN[(i - j) % 4]
+            num = value.numerator
+            if (num > 0) - (num < 0) != sign:
+                violations.append(SignViolation(i, j, value, expected))
+    return violations
 
 
 def scan_sign_pattern(
@@ -496,21 +531,23 @@ def scan_sign_pattern(
 ) -> SignPatternFinding:
     """Classify every strictly below-diagonal entry against the sign pattern.
 
-    An injected ``matrix`` must have dim max_m+1, or ``ValueError`` is raised.
+    By default the matrix is ``combination_matrix(max_m)``, and its
+    violations are read off the Riordan table, which classifies each entry
+    once per process (``_RiordanTable.sign_violations``): a scan to m
+    classifies only the rows no earlier scan reached. An injected
+    ``matrix`` is classified in full; it must have dim max_m+1, or
+    ``ValueError`` is raised.
     """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
-    mat = matrix if matrix is not None else combination_matrix(max_m).matrix
-    _require_dim(max_m, mat)
-    violations = []
-    for i in range(mat.dim):
-        # the packed row without its diagonal entry; d = i - j
-        for j, value in enumerate(mat.row(i)[:i]):
-            d, num = i - j, value.numerator
-            ok = num == 0 if d % 2 else num < 0 if d % 4 else num > 0
-            if not ok:
-                violations.append(SignViolation(i, j, value, _expected_sign(i, j)))
-    checked = mat.dim * (mat.dim - 1) // 2
+    if matrix is None:
+        # the report is still built (and validated and cached) on a miss
+        combination_matrix(max_m)
+        violations = _RIORDAN_TABLE.sign_violations(max_m)
+    else:
+        _require_dim(max_m, matrix)
+        violations = _sign_violations(matrix.entries, 0, matrix.dim)
+    checked = max_m * (max_m + 1) // 2
     return SignPatternFinding(max_m=max_m, checked=checked, violations=tuple(violations))
 
 

@@ -7,6 +7,7 @@ capsys.
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import math
 import subprocess
@@ -15,6 +16,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _tables_m9 as tables
 from zetacomb import cli
@@ -484,3 +487,69 @@ def test_huge_digit_strings_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+# --- the exit-code contract over generated argv ------------------------------------
+
+# per subcommand, its capped size flag with the largest value a generated run
+# computes at (m <= 12, n <= 50), and its other flags: one choice per list,
+# None for leaving the flag out
+_SIZE = {
+    "coeffs": ("--m", 12),
+    "verify": ("--m", 12),
+    "eta": ("--max", 12),
+    "conjecture": ("--max", 12),
+    "matrices": ("--m", 12),
+    "bernoulli": ("--n", 50),
+    "stirling": ("--n", 50),
+}
+_FLAGS = {
+    "coeffs": [
+        [None, *(["--route", r] for r in (*(r.value for r in Route), "tanh"))],
+        [None, ["--check-all-routes"]],
+    ],
+    "verify": [
+        [None, *(["--samples", s] for s in ("0,1/2", "7/3", "-1/2", "a,b", "1/0", "")), ["--samples=-1/2,7/3"]],
+    ],
+    "stirling": [
+        [None, *(["--kind", k] for k in ("first", "second", "second", "third"))],
+        [None, *(["--k", str(k)] for k in (-3, 0, 1, 7, 50, 10**6))],
+    ],
+}
+_FORMATS = [None, *(["--format", f] for f in ("pretty", "json", "csv", "xml"))]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([*_SIZE, "nonsense"]))
+    groups = [draw(st.sampled_from(choices)) for choices in [*_FLAGS.get(command, []), _FORMATS]]
+    if draw(st.integers(0, 9)) == 0:
+        groups.append(draw(st.sampled_from([["--bogus"], ["--help"]])))
+    if command in _SIZE:
+        flag, small = _SIZE[command]
+        cap = draw(st.none() | st.integers(-1, small))
+        if cap is not None:
+            groups.append(["--cap", str(cap)])
+        # small, negative, over the cap in force, or not an int; sometimes missing
+        over = (cli.DEFAULT_N_CAP if flag == "--n" else cli.DEFAULT_M_CAP) if cap is None else cap
+        value = draw(
+            st.integers(-3, small if cap is None else cap)
+            | st.integers(over + 1, over + 10**6)
+            | st.sampled_from(["x", "1/2", "", None])
+        )
+        groups.append(None if value is None else [flag, str(value)])
+    return [command, *(arg for group in draw(st.permutations(groups)) if group for arg in group)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_exit_code_contract_on_generated_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors, and --help
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "", argv

@@ -65,6 +65,55 @@ def test_entries_length_checked():
         LowerTriMatrix(dim=0, entries=())
 
 
+class _Tagged(Fraction):
+    """A ``Fraction`` subclass, which the constructor keeps as the very object."""
+
+
+def _construct_as_before(dim, entries):
+    # the constructor before its one-pass check for exact Fractions: entry by entry
+    packed = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
+    if len(packed) != dim * (dim + 1) // 2:
+        raise ValueError(f"need {dim * (dim + 1) // 2} packed entries, got {len(packed)}")
+    return packed
+
+
+def _outcome(build):
+    try:
+        packed = build()
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+    return packed, [type(e) for e in packed]
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        (1, -2, 3),
+        ("1/2", "-3/4", "5"),
+        (Fraction(1, 2), 2, "3/4"),
+        (_Tagged(1, 2), Fraction(1, 3), _Tagged(-2)),
+        (True, 0, 1.5),
+        ("1/2", "x", 3),
+        (1, None, 2),
+        ("1/0", 1, 1),
+        ("1/2", 3),
+        (Fraction(1), Fraction(2)),
+    ],
+)
+def test_constructor_converts_and_rejects_entries_as_before(entries):
+    new = _outcome(lambda: LowerTriMatrix(2, entries).entries)
+    assert new == _outcome(lambda: _construct_as_before(2, entries))
+    if not isinstance(new[0], type):
+        built = LowerTriMatrix(2, entries).entries
+        assert all(a is b for a, b in zip(built, entries) if isinstance(b, Fraction))
+
+
+def test_constructor_keeps_a_tuple_of_exact_fractions():
+    entries = (Fraction(1, 2), Fraction(0), Fraction(-3, 4))
+    assert LowerTriMatrix(2, entries).entries is entries
+    assert LowerTriMatrix(2, iter(entries)).entries == entries
+
+
 def test_get_above_diagonal_is_zero():
     m = LowerTriMatrix.from_rows([[1], [2, 3]])
     assert m.get(0, 1) == 0

@@ -24,6 +24,7 @@ from zetacomb.zetadiff import (
     CombinationViolation,
     ExpectedSign,
     Route,
+    SignViolation,
     combination_matrix,
     compare_stirling2_matrix,
     hyper_poly,
@@ -222,13 +223,21 @@ def _riordan_closed_form(m):
     )
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-def test_riordan_table_matches_closed_form_in_any_visit_order(order):
-    ms = list(range(41))
+def _visit(order, top):
+    ms = list(range(top + 1))
     if order == "descending":
         ms.reverse()
     elif order == "shuffled":
-        random.Random(41).shuffle(ms)
+        random.Random(top + 1).shuffle(ms)
+    return ms
+
+
+ORDERS = ["ascending", "descending", "shuffled"]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_riordan_table_matches_closed_form_in_any_visit_order(order):
+    ms = _visit(order, 40)
     combination_matrix.cache_clear()
     for m in ms:
         assert combination_matrix(m).matrix == _riordan_closed_form(m), m
@@ -244,23 +253,97 @@ def test_riordan_table_builds_each_entry_once():
 
 def test_cache_clear_empties_riordan_table():
     combination_matrix(20)
+    scan_sign_pattern(20)
     combination_matrix.cache_clear()
     assert combination_matrix.cache_info().currsize == 0
     assert zetadiff._RIORDAN_TABLE._entries == []
     assert zetadiff._RIORDAN_TABLE._v_row == [1]
+    assert zetadiff._RIORDAN_TABLE._signed == 0
+    assert zetadiff._RIORDAN_TABLE._violations == []
+
+
+def _packed_index(i, j):
+    return i * (i + 1) // 2 + j
+
+
+def _doctor(entries, cells):
+    # flip the sign of each (i, j) (a zero becomes 1), so each breaks the pattern
+    for i, j in cells:
+        k = _packed_index(i, j)
+        entries[k] = -entries[k] or Fraction(1)
+
+
+def _doctor_shared_table(m, cells):
+    # grow the process-wide table to m and doctor it; every later miss reads it
+    combination_matrix.cache_clear()
+    zetadiff._RIORDAN_TABLE.packed(m)
+    _doctor(zetadiff._RIORDAN_TABLE._entries, cells)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_default_scan_reports_a_doctored_table_entry_from_its_row_on(order):
+    try:
+        _doctor_shared_table(64, [(17, 5)])  # i - j = 12: must be positive
+        value = zetadiff._RIORDAN_TABLE._entries[_packed_index(17, 5)]
+        assert value < 0
+        doctored = SignViolation(17, 5, value, ExpectedSign.POSITIVE)
+        for m in _visit(order, 64):
+            assert scan_sign_pattern(m).violations == ((doctored,) if m >= 17 else ()), m
+    finally:
+        combination_matrix.cache_clear()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("cells", [[], [(1, 0), (17, 5), (40, 38), (40, 39), (64, 0), (64, 63)]])
+def test_default_scan_matches_a_full_scan_of_the_matrix(order, cells):
+    try:
+        _doctor_shared_table(64, cells)
+        for m in _visit(order, 64):
+            full = scan_sign_pattern(m, matrix=combination_matrix(m).matrix)
+            assert scan_sign_pattern(m) == full, m
+            assert len(full.violations) == sum(i <= m for i, _ in cells), m
+    finally:
+        combination_matrix.cache_clear()
+
+
+def test_cache_clear_resets_the_sign_watermark():
+    try:
+        combination_matrix.cache_clear()
+        assert scan_sign_pattern(30).violations == ()
+        # after a clear, rows 0..30 are classified again, the doctored one included
+        _doctor_shared_table(30, [(9, 4)])
+        assert [(v.i, v.j) for v in scan_sign_pattern(30).violations] == [(9, 4)]
+    finally:
+        combination_matrix.cache_clear()
 
 
 def test_riordan_table_grows_consistently_under_threads():
-    table = zetadiff._RiordanTable()
-    expected = _riordan_closed_form(48).entries
+    # the table doctors cells (i, i-1) as it grows them, so the sign scan has
+    # violations to report; half the threads scan before they grow, half after
+    cells = [(i, i - 1) for i in range(1, 49, 3)]
+
+    class Doctored(zetadiff._RiordanTable):
+        def _grow(self, m):
+            start = len(self._entries)
+            super()._grow(m)
+            new = range(start, len(self._entries))
+            _doctor(self._entries, [(i, j) for i, j in cells if _packed_index(i, j) in new])
+
+    table = Doctored()
+    expected = list(_riordan_closed_form(48).entries)
+    _doctor(expected, cells)
+    prefixes = [expected[: _packed_index(m + 1, 0)] for m in range(49)]
+    scans = [list(scan_sign_pattern(m, matrix=LowerTriMatrix(m + 1, prefixes[m])).violations) for m in range(49)]
     wrong = []
 
-    def ascend():
+    def ascend(scan_first):
         for m in range(49):
-            if table.packed(m) != list(expected[: (m + 1) * (m + 2) // 2]):
-                wrong.append(m)
+            checks = [(table.packed, prefixes[m]), (table.sign_violations, scans[m])]
+            for call, want in checks[::-1] if scan_first else checks:
+                if call(m) != want:
+                    wrong.append(m)
 
-    threads = [threading.Thread(target=ascend) for _ in range(8)]
+    threads = [threading.Thread(target=ascend, args=(k % 2 == 0,)) for k in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -272,7 +355,8 @@ def test_riordan_table_grows_consistently_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert table.packed(48) == list(expected)
+    assert table.packed(48) == expected
+    assert table.sign_violations(48) == scans[48]
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 20, 40])
@@ -318,6 +402,17 @@ def test_coeff_report_rejects_bad_diagonal():
     wrong = LowerTriMatrix.identity(3)
     with pytest.raises(ValueError):
         CoeffReport(m=2, route=Route.MONOMIAL, matrix=wrong)
+
+
+@pytest.mark.parametrize("wrong", [Fraction(-1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1, 8), 0])
+def test_coeff_report_rejects_a_wrong_diagonal_entry(wrong):
+    rows = [list(row) for row in combination_matrix(3).matrix.rows()]
+    rows[1][1] = wrong
+    with pytest.raises(ValueError, match=r"^diagonal entry 1 must be 1/2\^2$"):
+        CoeffReport(m=3, route=Route.RIORDAN, matrix=LowerTriMatrix.from_rows(rows))
+    rows[1][1] = "2/8"  # the right value, spelled unreduced
+    report = CoeffReport(m=3, route=Route.RIORDAN, matrix=LowerTriMatrix.from_rows(rows))
+    assert report.matrix.get(1, 1) == Fraction(1, 4)
 
 
 # --- verification ------------------------------------------------------------------
