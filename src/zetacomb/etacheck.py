@@ -62,15 +62,31 @@ def eta_via_zeta(m: int) -> Fraction:
 
 
 def eta_via_coeff_row(m: int) -> Fraction:
-    """Weighted row sum: eta(-m) = sum_j a_{m,j} j!."""
+    """Weighted row sum: eta(-m) = sum_j a_{m,j} j!.
+
+    Sums row m of ``combination_matrix(m)``. The sum is kept on that
+    report, so a repeat call returns the same object until
+    ``combination_matrix.cache_clear``.
+    """
     if m < 0:
         raise ValueError("m must be >= 0")
-    return _weighted_row_sum(combination_matrix(m).matrix.row(m))
+    return combination_matrix(m)._answer(_eta_of_last_row)
+
+
+def _eta_of_last_row(report) -> Fraction:
+    return _weighted_row_sum(report.matrix.row(report.m))
 
 
 def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
+    # sum_j a_j j! over the lcm of the denominators, with a running j!;
+    # half of a row of (a_{i,j}) is zero and adds nothing
     scale = lcm(*(a.denominator for a in row))
-    total = sum(a.numerator * (scale // a.denominator) * factorial(j) for j, a in enumerate(row))
+    total, j_factorial = 0, 1
+    for j, a in enumerate(row):
+        if j:
+            j_factorial *= j
+        if a.numerator:
+            total += a.numerator * (scale // a.denominator) * j_factorial
     return Fraction(total, scale)
 
 

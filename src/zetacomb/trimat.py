@@ -73,6 +73,15 @@ class LowerTriMatrix(_Value):
         object.__setattr__(self, "entries", packed)
 
     @classmethod
+    def _of_fractions(cls, dim: int, packed: tuple[Fraction, ...]) -> LowerTriMatrix:
+        """Wrap ``packed``, which the caller guarantees is a tuple of exactly
+        dim*(dim+1)//2 ``Fraction``s, without checking it again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "entries", packed)
+        return self
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Iterable]) -> LowerTriMatrix:
         """Build from triangular rows; row i must hold exactly i+1 entries."""
         packed: list[Fraction] = []
@@ -227,15 +236,17 @@ def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
     After r factors, (I - N)(I + N^2)...(I + N^{2^{r-1}}) equals the sum
     over k < 2^r, so the loop squares the power and multiplies in one
     factor until 2^r >= dim, or stops early when the power is zero. Each
-    factor is a pair (integer rows R, scale s) standing for R/s.
+    factor is a pair (integer rows R, scale s) standing for R/s; N starts
+    over the lcm of its own reduced denominators.
     """
     _require_invertible(m)
     n = m.dim
     rows, scale = _scaled_rows(m)
     diag = [row[-1] for row in rows]
-    p = lcm(*diag)
-    # N = D^{-1} L and I - N, both over the scale lcm(diag)
-    strict = [[v * (p // d) for v in row[:-1]] for row, d in zip(rows, diag)]
+    # N = D^{-1} L and I - N, both over N's own scale p, the lcm of the
+    # reduced denominators of N (7 bits for G at dim 101, where lcm(diag) has 101)
+    p = lcm(*(d // gcd(v, d) for row, d in zip(rows, diag) for v in row[:-1]))
+    strict = [[v * p // d for v in row[:-1]] for row, d in zip(rows, diag)]
     power = ([[*row, 0] for row in strict], p)
     total = ([[-v for v in row] + [p] for row in strict], p)
     terms = 2

@@ -19,10 +19,10 @@ row-coefficient matrices of F (from the Euler form) and of G (by its
 three-term recurrence in m) in two bases (powers of x, powers of x+1) and
 inverts G by two algorithms. All five routes must agree exactly, and the
 whole construction is cross-checked against direct evaluation of F and
-G. Only ``combination_matrix`` is cached, on its arguments, and the
-Riordan route reads its entries off one table that grows as larger m are
-asked for (``_RiordanTable``); ``combination_matrix.cache_clear`` empties
-both. The F and G tables cost O(m^2) and are rebuilt on request, and the
+G. Only ``combination_matrix`` is cached, on its arguments; each cached
+report keeps the answers read off it (``CoeffReport``), and the Riordan
+route reads its entries off one table that grows as larger m are asked
+for (``_RiordanTable``); ``combination_matrix.cache_clear`` empties both. The F and G tables cost O(m^2) and are rebuilt on request, and the
 paper routes never read the Riordan table, so they stay independent
 cross-checks.
 
@@ -216,7 +216,14 @@ class Route(enum.Enum):
 
 
 class CoeffReport(_Value):
-    """The combination matrix plus which route produced it."""
+    """The combination matrix plus which route produced it.
+
+    A report also keeps the answers read off its matrix so far
+    (``_answer``): the eta row sum, the default sign scan and the Stirling
+    comparison at its m are each computed on the first call and returned
+    as the same object after that. The store is not a field, so it plays
+    no part in ``==``, ``hash``, ``repr`` or ``to_json_dict``.
+    """
 
     _fields = ("m", "route", "matrix")
     m: int
@@ -225,12 +232,24 @@ class CoeffReport(_Value):
 
     def __init__(self, m: int, route: Route, matrix: LowerTriMatrix) -> None:
         _require_dim(m, matrix)
-        for i, d in enumerate(matrix.diagonal_entries()):
+        entries = matrix.entries
+        for i in range(m + 1):
+            d = entries[i * (i + 3) // 2]  # the (i, i) entry
             if not (d.numerator == 1 and d.denominator == 1 << (i + 1)):
                 raise ValueError(f"diagonal entry {i} must be 1/2^{i + 1}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "route", route)
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_answers", {})
+
+    def _answer(self, compute):
+        """``compute(self)``, computed on the first call and kept on this report."""
+        answers = self._answers
+        try:
+            return answers[compute]
+        except KeyError:
+            # two threads may both compute it; both return the one kept
+            return answers.setdefault(compute, compute(self))
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "route": self.route.value, "matrix": self.matrix.to_json_dict()}
@@ -330,7 +349,9 @@ def _combination_matrix(m: int, route: Route) -> CoeffReport:
     if m < 0:
         raise ValueError("m must be >= 0")
     if route is Route.RIORDAN:
-        return CoeffReport(m=m, route=route, matrix=LowerTriMatrix(m + 1, _RIORDAN_TABLE.packed(m)))
+        # the table's entries are exact Fractions already: wrap a copy of them
+        matrix = LowerTriMatrix._of_fractions(m + 1, tuple(_RIORDAN_TABLE.packed(m)))
+        return CoeffReport(m=m, route=route, matrix=matrix)
     basis = (
         Basis.MONOMIAL
         if route in (Route.MONOMIAL, Route.MONOMIAL_SERIES)
@@ -534,19 +555,27 @@ def scan_sign_pattern(
     By default the matrix is ``combination_matrix(max_m)``, and its
     violations are read off the Riordan table, which classifies each entry
     once per process (``_RiordanTable.sign_violations``): a scan to m
-    classifies only the rows no earlier scan reached. An injected
-    ``matrix`` is classified in full; it must have dim max_m+1, or
+    classifies only the rows no earlier scan reached. The finding is kept
+    on that report, so a repeat call returns the same object until
+    ``combination_matrix.cache_clear``. An injected ``matrix`` is
+    classified in full on every call; it must have dim max_m+1, or
     ``ValueError`` is raised.
     """
     if max_m < 0:
         raise ValueError("max_m must be >= 0")
     if matrix is None:
         # the report is still built (and validated and cached) on a miss
-        combination_matrix(max_m)
-        violations = _RIORDAN_TABLE.sign_violations(max_m)
-    else:
-        _require_dim(max_m, matrix)
-        violations = _sign_violations(matrix.entries, 0, matrix.dim)
+        return combination_matrix(max_m)._answer(_scan_riordan_table)
+    _require_dim(max_m, matrix)
+    return _finding(max_m, _sign_violations(matrix.entries, 0, matrix.dim))
+
+
+def _scan_riordan_table(report: CoeffReport) -> SignPatternFinding:
+    # the report's entries are the table's own, sliced off it on its miss
+    return _finding(report.m, _RIORDAN_TABLE.sign_violations(report.m))
+
+
+def _finding(max_m: int, violations: list[SignViolation]) -> SignPatternFinding:
     checked = max_m * (max_m + 1) // 2
     return SignPatternFinding(max_m=max_m, checked=checked, violations=tuple(violations))
 
@@ -563,11 +592,19 @@ def compare_stirling2_matrix(m: int) -> tuple[int, int] | None:
     sum_j entry(i, j) j! have the generating function g/(1-h) =
     e^s/(e^s+1). The matrices still differ somewhere for every m >= 1,
     because h differs from tanh(s/2); at m = 0 both are [[1/2]].
+
+    Reads ``combination_matrix(m)``; entry p/q equals the candidate iff
+    p 2^{j+1} = (-1)^j S(i+1, j+1) q, so no candidate ``Fraction`` is
+    built. The answer is kept on that report (see ``CoeffReport``).
     """
-    mat = combination_matrix(m).matrix
-    for i in range(mat.dim):
-        for j in range(i + 1):
-            candidate = Fraction((-1) ** j * stirling2(i + 1, j + 1), 2 ** (j + 1))
-            if mat.get(i, j) != candidate:
+    return combination_matrix(m)._answer(_first_stirling2_mismatch)
+
+
+def _first_stirling2_mismatch(report: CoeffReport) -> tuple[int, int] | None:
+    entries = iter(report.matrix.entries)
+    for i in range(report.m + 1):
+        for j, a in zip(range(i + 1), entries):
+            s = stirling2(i + 1, j + 1)
+            if a.numerator << (j + 1) != (-s if j % 2 else s) * a.denominator:
                 return (i, j)
     return None

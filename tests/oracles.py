@@ -9,8 +9,9 @@ instead of its three-term recurrence, tanh as the quotient of the sinh and
 cosh series instead of the derivative recurrence of its powers. The
 ``Fraction`` evaluators at the end (rising factorials for G, powers for
 B_n(z), Horner for a polynomial, the power-by-power Neumann sum for an
-inverse and the Taylor shift for a change of basis) are the plain forms
-the integer kernels replaced.
+inverse, the Taylor shift for a change of basis and the candidate-by-
+candidate Stirling comparison) are the plain forms the integer kernels
+replaced.
 """
 from __future__ import annotations
 
@@ -282,3 +283,18 @@ def taylor_shift(coeffs, a) -> tuple[Fraction, ...]:
         for j in range(n - 2, i - 1, -1):
             out[j] += a * out[j + 1]
     return tuple(out)
+
+
+def first_stirling2_mismatch_fraction(matrix, stirling2):
+    """First row-major (i, j) where ``matrix`` differs from the candidate
+    (-1)^j S(i+1, j+1) / 2^{j+1}, or None: one ``Fraction`` candidate and one
+    ``get`` per entry, the plain form of ``compare_stirling2_matrix``. The
+    Stirling numbers come from ``stirling2``, since the comparison, not the
+    numbers, is under test.
+    """
+    for i in range(matrix.dim):
+        for j in range(i + 1):
+            candidate = Fraction((-1) ** j * stirling2(i + 1, j + 1), 2 ** (j + 1))
+            if matrix.get(i, j) != candidate:
+                return (i, j)
+    return None

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -14,7 +18,12 @@ from zetacomb.etacheck import (
     eta_via_zeta,
     to_json_rows,
 )
-from zetacomb.zetadiff import combination_matrix, zeta_diff
+from zetacomb.zetadiff import (
+    combination_matrix,
+    compare_stirling2_matrix,
+    scan_sign_pattern,
+    zeta_diff,
+)
 
 
 def test_eta_via_zeta_values():
@@ -92,3 +101,55 @@ def test_to_json_rows():
         {"m": 2, "eta": "0", "routes_agree": True},
         {"m": 3, "eta": "-1/8", "routes_agree": True},
     ]
+
+
+def test_eta_via_coeff_row_repeat_returns_the_kept_value():
+    combination_matrix.cache_clear()
+    first = eta_via_coeff_row(11)
+    assert eta_via_coeff_row(11) is first
+    assert combination_matrix(11)._answers == {etacheck._eta_of_last_row: first}
+    combination_matrix.cache_clear()
+    assert eta_via_coeff_row(11) == first
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 30, 64])
+def test_weighted_row_sum_matches_the_fraction_sum(m):
+    row = combination_matrix(m).matrix.row(m)
+    plain = sum((a * math.factorial(j) for j, a in enumerate(row)), Fraction(0))
+    assert etacheck._weighted_row_sum(row) == plain
+    doctored = tuple(a or Fraction(1, 3) for a in row)  # no zero left
+    plain = sum((a * math.factorial(j) for j, a in enumerate(doctored)), Fraction(0))
+    assert etacheck._weighted_row_sum(doctored) == plain
+
+
+def test_threads_interleaving_the_session_calls_agree():
+    # eight threads call the four session functions at every m in 0..40 in their
+    # own shuffled order; every thread must see the single-threaded answers
+    calls = (combination_matrix, eta_via_coeff_row, scan_sign_pattern, compare_stirling2_matrix)
+    ms = range(41)
+    combination_matrix.cache_clear()
+    expected = {(k, m): call(m) for m in ms for k, call in enumerate(calls)}
+    combination_matrix.cache_clear()
+    seen = [{} for _ in range(8)]
+
+    def session(index):
+        work = [(k, m) for m in ms for k in range(len(calls))] * 2
+        random.Random(index).shuffle(work)
+        for k, m in work:
+            seen[index].setdefault((k, m), []).append(calls[k](m))
+
+    threads = [threading.Thread(target=session, args=(index,)) for index in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for results in seen:
+        assert results.keys() == expected.keys()
+        for key, values in results.items():
+            assert values == [expected[key]] * 2, key

@@ -15,7 +15,8 @@ import _tables_m9 as tables
 import oracles
 from strategies import non_dyadic
 from zetacomb import zetadiff
-from zetacomb.combinat import tanh_power_triangle
+from zetacomb.combinat import stirling2, tanh_power_triangle
+from zetacomb.etacheck import eta_via_coeff_row
 from zetacomb.numcore import Basis
 from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution
 from zetacomb.zetadiff import (
@@ -359,6 +360,111 @@ def test_riordan_table_grows_consistently_under_threads():
     assert table.sign_violations(48) == scans[48]
 
 
+def test_riordan_miss_wraps_the_table_entries():
+    combination_matrix.cache_clear()
+    for m in (9, 3, 20):
+        entries = zetadiff._RIORDAN_TABLE.packed(m)
+        matrix = combination_matrix(m).matrix
+        assert type(matrix.entries) is tuple
+        assert matrix == LowerTriMatrix(m + 1, entries)
+        assert all(a is b for a, b in zip(matrix.entries, entries, strict=True))
+
+
+def test_riordan_miss_checks_the_diagonal_of_the_table():
+    try:
+        combination_matrix.cache_clear()
+        combination_matrix(3)
+        zetadiff._RIORDAN_TABLE.packed(12)
+        zetadiff._RIORDAN_TABLE._entries[_packed_index(5, 5)] = Fraction(1, 32)
+        for m in (5, 12, 8):
+            with pytest.raises(ValueError, match=r"^diagonal entry 5 must be 1/2\^6$"):
+                combination_matrix(m)
+        assert combination_matrix(4).matrix == _riordan_closed_form(4)
+    finally:
+        combination_matrix.cache_clear()
+
+
+# --- answers kept on the report ------------------------------------------------------
+
+
+def _fresh_answers(m):
+    # each answer recomputed from the published matrix, by the plain forms
+    matrix = combination_matrix(m).matrix
+    eta = sum((a * math.factorial(j) for j, a in enumerate(matrix.row(m))), Fraction(0))
+    return (
+        scan_sign_pattern(m, matrix=matrix),
+        eta,
+        oracles.first_stirling2_mismatch_fraction(matrix, stirling2),
+    )
+
+
+def _kept_answers(m):
+    return scan_sign_pattern(m), eta_via_coeff_row(m), compare_stirling2_matrix(m)
+
+
+def test_repeat_calls_return_the_kept_object():
+    combination_matrix.cache_clear()
+    for m in (0, 1, 17):
+        first, again = _kept_answers(m), _kept_answers(m)
+        assert all(a is b for a, b in zip(first, again)), m
+    assert scan_sign_pattern(17) is scan_sign_pattern(max_m=17)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_kept_answers_equal_a_fresh_computation(order):
+    combination_matrix.cache_clear()
+    for m in _visit(order, 64):
+        assert _kept_answers(m) == _fresh_answers(m), m
+        assert _kept_answers(m) == _fresh_answers(m), m  # now off the report
+
+
+def test_kept_answers_follow_a_doctored_table_after_cache_clear():
+    try:
+        combination_matrix.cache_clear()
+        clean = {m: _kept_answers(m) for m in (1, 20)}
+        assert clean[1] == (scan_sign_pattern(1, matrix=combination_matrix(1).matrix), Fraction(1, 4), (1, 0))
+        assert clean[20][1] == 0
+        combination_matrix.cache_clear()
+        zetadiff._RIORDAN_TABLE.packed(20)
+        entries = zetadiff._RIORDAN_TABLE._entries
+        entries[_packed_index(1, 0)] = Fraction(1, 2)  # the Stirling candidate's value
+        entries[_packed_index(20, 3)] = Fraction(1)  # i - j odd: must be zero
+        for m in (1, 20):
+            scan, eta, first_mismatch = _kept_answers(m)
+            assert (scan, eta, first_mismatch) == _fresh_answers(m), m
+            assert first_mismatch == (1, 1)
+            assert [(v.i, v.j) for v in scan.violations] == [(1, 0), (20, 3)][: 1 + (m == 20)]
+        assert eta_via_coeff_row(1) == Fraction(3, 4)
+        assert eta_via_coeff_row(20) == 6  # 3! * 1
+    finally:
+        combination_matrix.cache_clear()
+
+
+def test_scan_of_an_injected_matrix_is_not_kept():
+    combination_matrix.cache_clear()
+    rows = [list(row) for row in combination_matrix(6).matrix.rows()]
+    rows[3][0] = Fraction(-1)  # i - j = 3: must be zero
+    doctored = LowerTriMatrix.from_rows(rows)
+    first = scan_sign_pattern(6, matrix=doctored)
+    assert scan_sign_pattern(6).violations == ()
+    again = scan_sign_pattern(6, matrix=doctored)
+    assert first == again and first is not again
+    assert [(v.i, v.j) for v in again.violations] == [(3, 0)]
+    clean = combination_matrix(6).matrix
+    assert scan_sign_pattern(6, matrix=clean) is not scan_sign_pattern(6, matrix=clean)
+
+
+def test_kept_answers_do_not_change_the_report_value():
+    combination_matrix.cache_clear()
+    filled = combination_matrix(9)
+    _kept_answers(9)
+    empty = CoeffReport(m=9, route=Route.RIORDAN, matrix=filled.matrix)
+    assert len(filled._answers) == 3 and empty._answers == {}
+    assert filled == empty and hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
+    assert filled.to_json_dict() == empty.to_json_dict()
+
+
 @pytest.mark.parametrize("m", [0, 1, 5, 20, 40])
 def test_g_inverse_matches_tanh_closed_form(m):
     # G^-1 = [2/(e^s+1), tanh(s/2)] in powers of x, and 2/(e^s+1) = 1 - tanh(s/2),
@@ -572,3 +678,23 @@ def test_compare_stirling2_always_differs_for_positive_m():
     for m in range(1, 13):
         assert compare_stirling2_matrix(m) is not None
 
+
+
+def test_compare_stirling2_matches_the_fraction_candidates_to_64():
+    for m in range(65):
+        matrix = combination_matrix(m).matrix
+        assert compare_stirling2_matrix(m) == oracles.first_stirling2_mismatch_fraction(matrix, stirling2), m
+
+
+def test_compare_stirling2_moves_past_a_doctored_entry():
+    try:
+        combination_matrix.cache_clear()
+        zetadiff._RIORDAN_TABLE.packed(4)
+        zetadiff._RIORDAN_TABLE._entries[_packed_index(1, 0)] = Fraction(1, 2)
+        assert compare_stirling2_matrix(0) is None
+        for m in (1, 4):
+            matrix = combination_matrix(m).matrix
+            assert compare_stirling2_matrix(m) == (1, 1)
+            assert oracles.first_stirling2_mismatch_fraction(matrix, stirling2) == (1, 1)
+    finally:
+        combination_matrix.cache_clear()
