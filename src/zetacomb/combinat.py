@@ -7,12 +7,11 @@ Conventions used throughout:
 * Stirling numbers of the first kind are the *signed* ones: the
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
 * All tables are built by integer recurrence; the Bernoulli and Stirling
-  ones grow as they are asked for. ``tanh_power_triangle`` builds the
-  tanh-power triangle per call, one ``_tanh_power_row`` step per row; the
-  combination-matrix table in ``zetadiff`` steps the same rows and keeps
-  only the last. An independent slow oracle for each (series division,
-  polynomial expansion, partition enumeration) lives in the test suite,
-  never here.
+  ones grow as they are asked for. ``_tanh_power_row`` steps the
+  tanh-power triangle one row at a time; the combination-matrix table in
+  ``zetadiff`` keeps only the last row. An independent slow oracle for
+  each (series division, polynomial expansion, partition enumeration)
+  lives in the test suite, never here.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ __all__ = [
     "bernoulli_poly",
     "stirling1",
     "stirling2",
-    "tanh_power_triangle",
 ]
 
 
@@ -163,30 +161,18 @@ def stirling2(n: int, k: int) -> int:
     return _stirling_row("second", n)[k]
 
 
-def tanh_power_triangle(n_max: int) -> list[list[int]]:
-    """Rows 0..n_max of the integers V(n, k) = n! [s^n] tanh(s)^k, 0 <= k <= n.
+def _tanh_power_row(prev: list[int]) -> list[int]:
+    """Row n of the integers V(n, k) = n! [s^n] tanh(s)^k from row n-1.
 
-    Since d/ds tanh^k = k (tanh^{k-1} - tanh^{k+1}), the rows obey
+    Row n-1 has n entries. Since d/ds tanh^k = k (tanh^{k-1} - tanh^{k+1}),
 
         V(n, k) = k (V(n-1, k-1) - V(n-1, k+1)),   V(0, k) = [k = 0]
 
     (Hoffman, Amer. Math. Monthly 1995). V(n, k) is 0 when n - k is odd.
-    Built per call and not kept here; ``zetadiff``'s combination-matrix
-    table steps the same rows (``_tanh_power_row``) and keeps the last one.
 
-    >>> tanh_power_triangle(3)[3]
+    >>> _tanh_power_row([0, 0, 2])
     [0, -2, 0, 6]
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    rows = [[1]]
-    for _ in range(n_max):
-        rows.append(_tanh_power_row(rows[-1]))
-    return rows
-
-
-def _tanh_power_row(prev: list[int]) -> list[int]:
-    """Row n of ``tanh_power_triangle`` from row n-1 (which has n entries)."""
     n = len(prev)
     padded = prev + [0, 0]
     return [0, *(k * (padded[k - 1] - padded[k + 1]) for k in range(1, n + 1))]

@@ -26,7 +26,6 @@ __all__ = [
     "ZeroDenominatorError",
     "rational",
     "parse_rational",
-    "format_rational",
 ]
 
 
@@ -63,11 +62,6 @@ def parse_rational(text: str) -> Fraction:
         if isinstance(exc, ZeroDenominatorError):
             raise
         raise ValueError(f"not a rational: {text!r}") from exc
-
-
-def format_rational(value: Fraction) -> str:
-    """Render as "p/q", or just "p" when the denominator is 1."""
-    return str(value)
 
 
 class Basis(enum.Enum):
@@ -139,9 +133,6 @@ class Poly(_Value):
     def degree(self) -> int:
         """Degree of the leading term; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     @functools.cached_property
     def _scaled(self) -> tuple[tuple[int, ...], int]:

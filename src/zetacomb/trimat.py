@@ -100,11 +100,6 @@ class LowerTriMatrix(_Value):
     def identity(cls, dim: int) -> LowerTriMatrix:
         return cls.from_func(dim, lambda i, j: Fraction(1 if i == j else 0))
 
-    @classmethod
-    def diagonal(cls, values: Sequence) -> LowerTriMatrix:
-        vals = [_as_fraction(v) for v in values]
-        return cls.from_func(len(vals), lambda i, j: vals[i] if i == j else Fraction(0))
-
     def get(self, i: int, j: int) -> Fraction:
         """Entry (i, j) of the full square matrix (zero above the diagonal)."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -123,28 +118,8 @@ class LowerTriMatrix(_Value):
     def rows(self) -> list[tuple[Fraction, ...]]:
         return [self.row(i) for i in range(self.dim)]
 
-    def diagonal_entries(self) -> tuple[Fraction, ...]:
-        return tuple(self.get(i, i) for i in range(self.dim))
-
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
-
-    def __add__(self, other: LowerTriMatrix) -> LowerTriMatrix:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dims {self.dim} and {other.dim}")
-        return LowerTriMatrix(
-            self.dim, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: LowerTriMatrix) -> LowerTriMatrix:
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dims {self.dim} and {other.dim}")
-        return LowerTriMatrix(
-            self.dim, tuple(a - b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __matmul__(self, other: LowerTriMatrix) -> LowerTriMatrix:
-        return mat_mul(self, other)
 
     def to_json_dict(self) -> dict:
         """{"dim": n, "rows": [...]} with entries as "p/q" strings."""

@@ -199,8 +199,8 @@ class Route(enum.Enum):
     [1/(1-t), 2 artanh t] (Delannoy), so A = F G^{-1} =
     [2e^s/(e^s+1)^2, tanh(s/2)]. Since g = h', entry (i, j) is
     (i+1)!/(j+1)! [s^{i+1}] tanh(s/2)^{j+1} = V(i+1, j+1)/((j+1)! 2^{i+1})
-    with V from ``tanh_power_triangle``: O(m^2) integer steps and one
-    ``Fraction`` per entry.
+    with V stepped row by row (``combinat._tanh_power_row``): O(m^2)
+    integer steps and one ``Fraction`` per entry.
 
     The other four are the paper's A = F G^{-1}, kept as cross-checks. The
     first word names the basis pair; a "-series" suffix means the

@@ -360,8 +360,9 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     def skewed(m, route=Route.MONOMIAL):
         report = real(m, route)
         if route is Route.SHIFTED_SERIES:
-            extra = LowerTriMatrix.from_func(m + 1, lambda i, j: int(i == m and j == 0))
-            return CoeffReport(m=report.m, route=report.route, matrix=report.matrix + extra)
+            entries = list(report.matrix.entries)
+            entries[m * (m + 1) // 2] += 1  # entry (m, 0)
+            return CoeffReport(m=report.m, route=report.route, matrix=LowerTriMatrix(m + 1, entries))
         return report
 
     monkeypatch.setattr(cli, "combination_matrix", skewed)

@@ -11,12 +11,12 @@ import oracles
 from strategies import non_dyadic
 from zetacomb.combinat import (
     _TangentTable,
+    _tanh_power_row,
     bernoulli_number,
     bernoulli_poly,
     binomial,
     stirling1,
     stirling2,
-    tanh_power_triangle,
 )
 
 
@@ -183,13 +183,20 @@ def test_rising_is_reflected_falling(z, n):
     assert oracles.rising_factorial(z, n) == (-1) ** n * oracles.falling_factorial(-z, n)
 
 
+def _tanh_power_triangle(n_max):
+    rows = [[1]]
+    for _ in range(n_max):
+        rows.append(_tanh_power_row(rows[-1]))
+    return rows
+
+
 def test_tanh_power_triangle_matches_series():
-    assert tanh_power_triangle(40) == oracles.tanh_power_series(40)
+    assert _tanh_power_triangle(40) == oracles.tanh_power_series(40)
 
 
 def test_tanh_power_triangle_small_rows():
     # tanh s = s - s^3/3 + 2 s^5/15 - ...
-    assert tanh_power_triangle(5) == [
+    expected = [
         [1],
         [0, 1],
         [0, 0, 2],
@@ -197,8 +204,5 @@ def test_tanh_power_triangle_small_rows():
         [0, 0, -16, 0, 24],
         [0, 16, 0, -120, 0, 120],
     ]
-
-
-def test_tanh_power_triangle_negative():
-    with pytest.raises(ValueError):
-        tanh_power_triangle(-1)
+    assert _tanh_power_triangle(5) == expected
+    assert oracles.tanh_power_series(5) == expected

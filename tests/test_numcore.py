@@ -12,7 +12,6 @@ from zetacomb.numcore import (
     Basis,
     Poly,
     ZeroDenominatorError,
-    format_rational,
     parse_rational,
     rational,
 )
@@ -36,7 +35,7 @@ def test_rational_sign_on_numerator():
 
 
 def test_rational_table_entry():
-    assert format_rational(rational(-153, 4)) == "-153/4"
+    assert str(rational(-153, 4)) == "-153/4"
 
 
 def test_zero_denominator_rejected():
@@ -67,7 +66,7 @@ def test_parse_rational_garbage():
 
 @given(rationals)
 def test_format_parse_round_trip(q):
-    assert parse_rational(format_rational(q)) == q
+    assert parse_rational(str(q)) == q
 
 
 def test_eval_monomial():
@@ -85,7 +84,7 @@ def test_eval_degree_one_hyper_row():
 
 def test_zero_poly():
     p = Poly((0, 0, 0))
-    assert p.is_zero() and p.degree == -1
+    assert p.coeffs == () and p.degree == -1
     assert p.eval(Fraction(22, 7)) == 0
 
 

@@ -1,0 +1,98 @@
+"""The package namespace: ``from zetacomb import X`` and what each import loads.
+
+``import zetacomb`` loads no module of the package; a name loads its home
+module on first use. ``import zetacomb.cli`` loads all five homes, which
+``perfbench/tracing.install`` relies on. The load-set tests run in fresh
+interpreters, because this process has long since imported everything.
+"""
+from __future__ import annotations
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import zetacomb
+
+HOMES = ("numcore", "combinat", "trimat", "zetadiff", "etacheck")
+EXPORTS = """
+    Basis Poly ZeroDenominatorError rational parse_rational
+    binomial bernoulli_number bernoulli_poly stirling1 stirling2
+    LowerTriMatrix DimensionMismatchError SingularDiagonalError mat_mul invert_substitution invert_series
+    Route CoeffReport SignPatternFinding SignViolation ExpectedSign VerificationReport DEFAULT_SAMPLES
+    zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix verify_combination
+    verify_polynomial_forms scan_sign_pattern compare_stirling2_matrix
+    EtaTriple RouteDisagreementError eta_via_zeta eta_via_coeff_row eta_via_stirling2 eta_cross_check
+""".split()
+
+
+def loaded_after(code: str) -> list[str]:
+    """The zetacomb.* modules a fresh interpreter holds after running ``code``."""
+    probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('zetacomb.')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_all_keeps_its_names_and_order():
+    assert zetacomb.__all__ == EXPORTS
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_each_name_is_the_object_of_its_home(name):
+    homes = [importlib.import_module(f"zetacomb.{home}") for home in HOMES]
+    owners = [home for home in homes if name in home.__all__]
+    assert len(owners) == 1
+    assert getattr(zetacomb, name) is getattr(owners[0], name)
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict = {}
+    exec("from zetacomb import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(zetacomb.__all__)
+
+
+def test_dir_lists_the_exports_and_the_homes():
+    listed = dir(zetacomb)
+    assert set(zetacomb.__all__) <= set(listed)
+    assert set(HOMES) <= set(listed)
+    assert "__version__" in listed
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match=r"^module 'zetacomb' has no attribute 'x'$"):
+        zetacomb.x
+    assert not hasattr(zetacomb, "format_rational")
+
+
+def test_cache_controls_work_through_the_package():
+    zetacomb.combination_matrix.cache_clear()
+    first = zetacomb.combination_matrix(3)
+    assert zetacomb.combination_matrix(3) is first
+    info = zetacomb.combination_matrix.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    zetacomb.combination_matrix.cache_clear()
+    assert zetacomb.combination_matrix.cache_info().currsize == 0
+
+
+def test_bare_import_loads_no_module_of_the_package():
+    assert loaded_after("import zetacomb") == []
+
+
+def test_a_home_resolves_after_a_bare_import():
+    code = "import zetacomb\nassert zetacomb.trimat.LowerTriMatrix is zetacomb.LowerTriMatrix"
+    assert loaded_after(code) == ["zetacomb.numcore", "zetacomb.trimat"]
+
+
+def test_a_name_loads_its_home_only():
+    assert loaded_after("from zetacomb import bernoulli_number") == ["zetacomb.combinat"]
+
+
+def test_cli_import_loads_every_home():
+    missing = set(f"zetacomb.{home}" for home in HOMES) - set(loaded_after("import zetacomb.cli"))
+    assert not missing, (
+        f"import zetacomb.cli no longer loads {sorted(missing)}: perfbench/tracing.install "
+        "imports zetacomb.cli and then reads sys.modules for every home module"
+    )

@@ -37,6 +37,10 @@ def tri_matrices(dims=st.integers(1, 10), diag=nonzero):
     return st.composite(lambda draw: build(draw))()
 
 
+def diagonal(values):
+    return LowerTriMatrix.from_func(len(values), lambda i, j: Fraction(values[i] if i == j else 0))
+
+
 def strict_parts(dims=st.integers(1, 10)):
     return tri_matrices(dims=dims, diag=st.just(Fraction(0)))
 
@@ -142,7 +146,7 @@ def test_from_func():
 
 def test_diagonal_entries():
     b = tables.matrix(tables.B10)
-    assert b.diagonal_entries() == tuple(Fraction(2) ** i for i in range(10))
+    assert [row[-1] for row in b.rows()] == [Fraction(2) ** i for i in range(10)]
 
 
 # --- arithmetic ---------------------------------------------------------------
@@ -151,36 +155,26 @@ def test_diagonal_entries():
 def test_identity_is_neutral():
     b = tables.matrix(tables.B10)
     eye = LowerTriMatrix.identity(10)
-    assert eye @ b == b
-    assert b @ eye == b
-
-
-def test_add_sub():
-    a = LowerTriMatrix.from_rows([[1], [2, 3]])
-    b = LowerTriMatrix.from_rows([[4], [5, 6]])
-    assert (a + b).rows() == [(Fraction(5),), (Fraction(7), Fraction(9))]
-    assert ((a + b) - b) == a
+    assert mat_mul(eye, b) == b
+    assert mat_mul(b, eye) == b
 
 
 def test_dimension_mismatch():
     a = LowerTriMatrix.identity(2)
     b = LowerTriMatrix.identity(3)
     with pytest.raises(DimensionMismatchError):
-        a + b
-    with pytest.raises(DimensionMismatchError):
-        a @ b
+        mat_mul(a, b)
 
 
 def test_strict_lower_cube_vanishes():
     strict = LowerTriMatrix.from_rows([[0], [5, 0], [7, -2, 0]])
-    zero = LowerTriMatrix.diagonal([0, 0, 0])
-    assert strict @ strict @ strict == zero
+    assert mat_mul(mat_mul(strict, strict), strict).is_zero()
 
 
 def test_diagonal_times_diagonal():
-    d1 = LowerTriMatrix.diagonal([2, 3])
-    d2 = LowerTriMatrix.diagonal([Fraction(1, 2), Fraction(1, 3)])
-    assert d1 @ d2 == LowerTriMatrix.identity(2)
+    d1 = diagonal([2, 3])
+    d2 = diagonal([Fraction(1, 2), Fraction(1, 3)])
+    assert mat_mul(d1, d2) == LowerTriMatrix.identity(2)
 
 
 @settings(max_examples=60)
@@ -205,14 +199,9 @@ def test_strict_lower_is_nilpotent(strict):
 @given(strict_parts(dims=st.integers(1, 8)))
 def test_neumann_inverts_unitriangular(strict):
     n = strict.dim
-    eye = LowerTriMatrix.identity(n)
-    m = eye + strict
-    total = eye
-    power = eye
-    for k in range(1, n):
-        power = mat_mul(power, strict)
-        total = total + power if k % 2 == 0 else total - power
-    assert mat_mul(m, total) == eye
+    m = LowerTriMatrix.from_func(n, lambda i, j: strict.get(i, j) + (i == j))
+    total = LowerTriMatrix.from_rows(oracles.invert_series_neumann(m))
+    assert mat_mul(m, total) == LowerTriMatrix.identity(n)
 
 
 # --- inversion ----------------------------------------------------------------
@@ -225,8 +214,8 @@ def test_invert_identity():
 
 
 def test_invert_diagonal():
-    d = LowerTriMatrix.diagonal([2, 4, 8])
-    expected = LowerTriMatrix.diagonal([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+    d = diagonal([2, 4, 8])
+    expected = diagonal([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
     assert invert_substitution(d) == expected
     assert invert_series(d) == expected
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -15,7 +16,7 @@ import _tables_m9 as tables
 import oracles
 from strategies import non_dyadic
 from zetacomb import zetadiff
-from zetacomb.combinat import stirling2, tanh_power_triangle
+from zetacomb.combinat import stirling2
 from zetacomb.etacheck import eta_via_coeff_row
 from zetacomb.numcore import Basis
 from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution
@@ -216,9 +217,15 @@ def test_combination_matrix_cache_keys_on_value_not_spelling():
     assert reports[0] is reports[1] is reports[2]
 
 
+@functools.cache
+def _tanh_powers():
+    # V(n, k) = n! [s^n] tanh(s)^k by power-series products; rows 0..49 cover m <= 48
+    return oracles.tanh_power_series(49)
+
+
 def _riordan_closed_form(m):
     # built independently of the table: a_ij = V(i+1, j+1) / ((j+1)! 2^(i+1))
-    v = tanh_power_triangle(m + 1)
+    v = _tanh_powers()
     return LowerTriMatrix.from_func(
         m + 1, lambda i, j: Fraction(v[i + 1][j + 1], math.factorial(j + 1) * 2 ** (i + 1))
     )
@@ -469,7 +476,7 @@ def test_kept_answers_do_not_change_the_report_value():
 def test_g_inverse_matches_tanh_closed_form(m):
     # G^-1 = [2/(e^s+1), tanh(s/2)] in powers of x, and 2/(e^s+1) = 1 - tanh(s/2),
     # so G^-1[i][j] = (V(i, j) - V(i, j+1)) / (j! 2^i); V(i, i+1) = 0
-    v = [row + [0] for row in tanh_power_triangle(m)]
+    v = [row + [0] for row in _tanh_powers()[: m + 1]]
     closed = LowerTriMatrix.from_func(
         m + 1, lambda i, j: Fraction(v[i][j] - v[i][j + 1], math.factorial(j) * 2**i)
     )
