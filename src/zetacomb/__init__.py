@@ -16,7 +16,8 @@ the other homes load the same way. ``python -m zetacomb`` and
 
 __version__ = "0.1.0"
 
-# home module -> the names the package exports from it, in ``__all__`` order
+# home module -> its public names, in ``__all__`` order: the one list of them;
+# each home's ``__all__`` is its entry here
 _EXPORTS = {
     "numcore": ("Basis", "Poly", "ZeroDenominatorError", "rational", "parse_rational"),
     "combinat": ("binomial", "bernoulli_number", "bernoulli_poly", "stirling1", "stirling2"),
@@ -34,6 +35,7 @@ _EXPORTS = {
         "SignPatternFinding",
         "SignViolation",
         "ExpectedSign",
+        "CombinationViolation",
         "VerificationReport",
         "DEFAULT_SAMPLES",
         "zeta_diff",
@@ -53,6 +55,7 @@ _EXPORTS = {
         "eta_via_coeff_row",
         "eta_via_stirling2",
         "eta_cross_check",
+        "to_json_rows",
     ),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]

@@ -23,6 +23,7 @@ from .etacheck import RouteDisagreementError, eta_cross_check, to_json_rows
 from .numcore import Basis, parse_rational
 from .trimat import LowerTriMatrix, invert_series, invert_substitution
 from .zetadiff import (
+    DEFAULT_SAMPLES,
     Route,
     combination_matrix,
     hyper_poly_coeffs,
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
         "--samples",
-        default="0,1/2,1,2,7/3",
+        default=",".join(map(str, DEFAULT_SAMPLES)),
         help="comma-separated rationals; a list that starts with '-' must be "
         "joined to the flag with '=', as in --samples=-1/2,7/3",
     )

@@ -7,24 +7,21 @@ Conventions used throughout:
 * Stirling numbers of the first kind are the *signed* ones: the
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
 * All tables are built by integer recurrence; the Bernoulli and Stirling
-  ones grow as they are asked for. ``_tanh_power_row`` steps the
-  tanh-power triangle one row at a time; the combination-matrix table in
-  ``zetadiff`` keeps only the last row. An independent slow oracle for
-  each (series division, polynomial expansion, partition enumeration)
-  lives in the test suite, never here.
+  ones grow as they are asked for, under a lock, so threads may share
+  them. ``_tanh_power_row`` steps the tanh-power triangle one row at a
+  time; the combination-matrix table in ``zetadiff`` keeps only the last
+  row. An independent slow oracle for each (series division, polynomial
+  expansion, partition enumeration) lives in the test suite, never here.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from threading import Lock
 
-__all__ = [
-    "binomial",
-    "bernoulli_number",
-    "bernoulli_poly",
-    "stirling1",
-    "stirling2",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["combinat"]
 
 
 def binomial(n: int, k: int) -> int:
@@ -48,20 +45,25 @@ class _TangentTable:
     """
 
     def __init__(self) -> None:
+        # two threads growing at once would each append the same numbers; a
+        # row built twice is the same row, and reads of built values need no lock
+        self._lock = Lock()
         self._column: list[int] = []
         self._numbers = [Fraction(1), Fraction(-1, 2)]
         self._rows: dict[int, tuple[tuple[int, ...], int]] = {}
 
     def number(self, n: int) -> Fraction:
-        while len(self._numbers) <= n:
-            # a(j, j-1) is not stored; its factor is 0
-            j = len(self._column) + 1
-            column = [factorial(j - 1)]
-            for k, left in zip(range(2, j + 1), [*self._column[1:], 0]):
-                column.append((j - k) * left + (j - k + 2) * column[-1])
-            self._column = column
-            b_2j = Fraction((-1) ** (j - 1) * 2 * j * column[-1], (4**j - 1) << (2 * j))
-            self._numbers += [b_2j, Fraction(0)]
+        if n >= len(self._numbers):
+            with self._lock:
+                while len(self._numbers) <= n:
+                    # a(j, j-1) is not stored; its factor is 0
+                    j = len(self._column) + 1
+                    column = [factorial(j - 1)]
+                    for k, left in zip(range(2, j + 1), [*self._column[1:], 0]):
+                        column.append((j - k) * left + (j - k + 2) * column[-1])
+                    self._column = column
+                    b_2j = Fraction((-1) ** (j - 1) * 2 * j * column[-1], (4**j - 1) << (2 * j))
+                    self._numbers += [b_2j, Fraction(0)]
         return self._numbers[n]
 
     def row(self, n: int) -> tuple[tuple[int, ...], int]:
@@ -111,8 +113,10 @@ def bernoulli_poly(n: int, z) -> Fraction:
     return Fraction(acc, scale * q**n)
 
 
-# kind -> {n: row n}, seeded with row 0; rows are added as they are asked for
+# kind -> {n: row n}, seeded with row 0; rows are added as they are asked for,
+# under the lock, so that no thread scans a dict that another is growing
 _STIRLING_ROWS: dict[str, dict[int, tuple[int, ...]]] = {"first": {0: (1,)}, "second": {0: (1,)}}
+_STIRLING_LOCK = Lock()
 
 
 def _stirling_row(kind: str, n: int) -> tuple[int, ...]:
@@ -123,15 +127,16 @@ def _stirling_row(kind: str, n: int) -> tuple[int, ...]:
     rows = _STIRLING_ROWS[kind]
     if n in rows:
         return rows[n]
-    start = max(r for r in rows if r < n)
-    row = rows[start]
-    for r in range(start + 1, n + 1):
-        prev = row + (0,)
-        if kind == "first":
-            row = (0,) + tuple(prev[k - 1] - (r - 1) * prev[k] for k in range(1, r + 1))
-        else:
-            row = (0,) + tuple(prev[k - 1] + k * prev[k] for k in range(1, r + 1))
-    rows[n] = row
+    with _STIRLING_LOCK:
+        start = max(r for r in rows if r < n)
+        row = rows[start]
+        for r in range(start + 1, n + 1):
+            prev = row + (0,)
+            if kind == "first":
+                row = (0,) + tuple(prev[k - 1] - (r - 1) * prev[k] for k in range(1, r + 1))
+            else:
+                row = (0,) + tuple(prev[k - 1] + k * prev[k] for k in range(1, r + 1))
+        rows[n] = row
     return row
 
 

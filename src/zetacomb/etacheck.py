@@ -13,18 +13,11 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .combinat import bernoulli_poly, stirling2
 from .zetadiff import combination_matrix
 
-__all__ = [
-    "EtaTriple",
-    "RouteDisagreementError",
-    "eta_via_zeta",
-    "eta_via_coeff_row",
-    "eta_via_stirling2",
-    "eta_cross_check",
-    "to_json_rows",
-]
+__all__ = _EXPORTS["etacheck"]
 
 
 class RouteDisagreementError(ArithmeticError):

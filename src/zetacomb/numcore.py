@@ -20,13 +20,9 @@ import functools
 from fractions import Fraction
 from math import lcm
 
-__all__ = [
-    "Basis",
-    "Poly",
-    "ZeroDenominatorError",
-    "rational",
-    "parse_rational",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["numcore"]
 
 
 class ZeroDenominatorError(ValueError):

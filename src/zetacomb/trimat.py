@@ -24,16 +24,10 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
+from . import _EXPORTS
 from .numcore import _as_fraction, _Value
 
-__all__ = [
-    "LowerTriMatrix",
-    "DimensionMismatchError",
-    "SingularDiagonalError",
-    "mat_mul",
-    "invert_substitution",
-    "invert_series",
-]
+__all__ = _EXPORTS["trimat"]
 
 
 class DimensionMismatchError(ValueError):

@@ -22,8 +22,9 @@ whole construction is cross-checked against direct evaluation of F and
 G. Only ``combination_matrix`` is cached, on its arguments; each cached
 report keeps the answers read off it (``CoeffReport``), and the Riordan
 route reads its entries off one table that grows as larger m are asked
-for (``_RiordanTable``); ``combination_matrix.cache_clear`` empties both. The F and G tables cost O(m^2) and are rebuilt on request, and the
-paper routes never read the Riordan table, so they stay independent
+for (``_RiordanTable``); ``combination_matrix.cache_clear`` empties both.
+The F and G tables cost O(m^2) and are rebuilt on request, and the paper
+routes never read the Riordan table, so they stay independent
 cross-checks.
 
 Everything is exact; there is no floating point anywhere.
@@ -39,29 +40,12 @@ from operator import attrgetter, mul
 from threading import Lock
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .combinat import _TANGENT_TABLE, _tanh_power_row, bernoulli_number, binomial, stirling2
 from .numcore import Basis, Poly, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
-__all__ = [
-    "Route",
-    "CoeffReport",
-    "SignPatternFinding",
-    "SignViolation",
-    "ExpectedSign",
-    "CombinationViolation",
-    "VerificationReport",
-    "DEFAULT_SAMPLES",
-    "zeta_diff",
-    "hyper_poly",
-    "zeta_diff_coeffs",
-    "hyper_poly_coeffs",
-    "combination_matrix",
-    "verify_combination",
-    "verify_polynomial_forms",
-    "scan_sign_pattern",
-    "compare_stirling2_matrix",
-]
+__all__ = _EXPORTS["zetadiff"]
 
 #: Default sample points: integers, a dyadic, and a non-dyadic rational.
 DEFAULT_SAMPLES: tuple[Fraction, ...] = (

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import non_dyadic
+from zetacomb import combinat
 from zetacomb.combinat import (
     _TangentTable,
     _tanh_power_row,
@@ -18,6 +21,31 @@ from zetacomb.combinat import (
     stirling1,
     stirling2,
 )
+
+
+def _race(work):
+    """Run work(index) in four threads at a tiny switch interval; re-raise their errors."""
+    errors = []
+
+    def run(index):
+        try:
+            work(index)
+        except Exception as exc:  # a thread's error would otherwise only be printed
+            errors.append(exc)
+
+    pool = [threading.Thread(target=run, args=(index,)) for index in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+    if errors:
+        raise errors[0]
 
 
 def test_binomial_values():
@@ -59,6 +87,23 @@ def test_tangent_table_matches_series_oracle_across_extensions():
     assert b_200 < 0 and b_200.denominator == 2 * 3 * 5 * 11 * 41 * 101
     assert table.number(50) == expected[50]
     assert [table.number(n) for n in range(151)] == expected
+
+
+def test_tangent_table_grows_consistently_under_threads():
+    # each thread grows a fresh table to n = 400 and reads rows on the way; two
+    # unguarded growers would both append the same (B_2j, 0) pair
+    single = _TangentTable()
+    single.number(400)
+    table = _TangentTable()
+
+    def grow(index):
+        for n in range(index, 401, 40):
+            table.row(n)
+        table.number(400)
+
+    _race(grow)
+    assert table._numbers == single._numbers
+    assert table._rows == {n: single.row(n) for n in table._rows}
 
 
 def test_bernoulli_odd_vanishing():
@@ -149,6 +194,21 @@ def test_stirling2_counts_partitions():
     for n in range(10):
         for k in range(n + 1):
             assert stirling2(n, k) == oracles.count_partitions(n, k)
+
+
+def test_stirling_rows_grow_safely_under_threads(monkeypatch):
+    # four threads ask for interleaved rows of a fresh table; an unguarded scan
+    # for the highest stored row would meet a dict another thread is growing
+    monkeypatch.setattr(combinat, "_STIRLING_ROWS", {"first": {0: (1,)}, "second": {0: (1,)}})
+    seen = []
+
+    def ask(index):
+        seen.extend(stirling2(n, 1) for n in range(index + 1, 601, 4))
+
+    _race(ask)
+    assert seen == [1] * 600
+    rows = combinat._STIRLING_ROWS["second"]
+    assert [rows[n][2] for n in (2, 300, 600)] == [2**(n - 1) - 1 for n in (2, 300, 600)]
 
 
 def test_stirling1_large_n():

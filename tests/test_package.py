@@ -4,12 +4,17 @@
 module on first use. ``import zetacomb.cli`` loads all five homes, which
 ``perfbench/tracing.install`` relies on. The load-set tests run in fresh
 interpreters, because this process has long since imported everything.
+``zetacomb._EXPORTS`` is the one list of public names: each home's
+``__all__`` is its entry, and the entry lists every public name the home
+defines.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +25,11 @@ EXPORTS = """
     Basis Poly ZeroDenominatorError rational parse_rational
     binomial bernoulli_number bernoulli_poly stirling1 stirling2
     LowerTriMatrix DimensionMismatchError SingularDiagonalError mat_mul invert_substitution invert_series
-    Route CoeffReport SignPatternFinding SignViolation ExpectedSign VerificationReport DEFAULT_SAMPLES
-    zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix verify_combination
-    verify_polynomial_forms scan_sign_pattern compare_stirling2_matrix
+    Route CoeffReport SignPatternFinding SignViolation ExpectedSign CombinationViolation VerificationReport
+    DEFAULT_SAMPLES zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix
+    verify_combination verify_polynomial_forms scan_sign_pattern compare_stirling2_matrix
     EtaTriple RouteDisagreementError eta_via_zeta eta_via_coeff_row eta_via_stirling2 eta_cross_check
+    to_json_rows
 """.split()
 
 
@@ -45,6 +51,33 @@ def test_each_name_is_the_object_of_its_home(name):
     owners = [home for home in homes if name in home.__all__]
     assert len(owners) == 1
     assert getattr(zetacomb, name) is getattr(owners[0], name)
+
+
+def public_names_defined_in(module) -> set[str]:
+    """The top-level names the module's source defines without a leading underscore;
+    names it imports do not count."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("home", HOMES)
+def test_each_home_exports_its_table_entry(home):
+    module = importlib.import_module(f"zetacomb.{home}")
+    assert module.__all__ is zetacomb._EXPORTS[home]
+
+
+@pytest.mark.parametrize("home", HOMES)
+def test_the_table_lists_every_public_name_a_home_defines(home):
+    module = importlib.import_module(f"zetacomb.{home}")
+    entry = zetacomb._EXPORTS[home]
+    assert len(set(entry)) == len(entry)
+    assert set(entry) == public_names_defined_in(module)
 
 
 def test_star_import_binds_exactly_all():
