@@ -13,6 +13,7 @@ CSV header is the JSON keys.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from pathlib import Path
@@ -94,7 +95,7 @@ def cmd_coeffs(args: argparse.Namespace) -> _Result:
     if args.check_all_routes:
         if any(combination_matrix(args.m, r).matrix != report.matrix for r in Route):
             raise _CheckFailed(f"route disagreement at m={args.m}")
-        print(f"{len(Route)} routes agree", file=sys.stderr)
+        _note(f"{len(Route)} routes agree")
     header = f"combination matrix, m = {args.m}, route = {route.value}\n"
     return _Result(
         json=report.to_json_dict,
@@ -191,7 +192,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _note(line: str) -> None:
+    """Print a diagnostic line to stderr; drop it if fd 2 was closed at start-up."""
+    if sys.stderr is not None:  # else print would write it to stdout
+        print(line, file=sys.stderr)
+
+
 def _write(path: Path | None, text: str) -> None:
+    if path is None and sys.stdout is None:  # fd 1 was closed at start-up
+        raise _UnwritableOutputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
         if path is None:
             sys.stdout.write(text)
@@ -223,7 +232,7 @@ def _deliver(args: argparse.Namespace, result: _Result) -> None:
     files = result.files()
     for name, doc in files.items():
         _write(directory / name, _json_text(doc))
-    print(f"wrote {len(files)} fixture files to {directory}", file=sys.stderr)
+    _note(f"wrote {len(files)} fixture files to {directory}")
 
 
 def _subcommand(p: argparse.ArgumentParser, run: Callable, cap: int = DEFAULT_M_CAP) -> None:
@@ -330,10 +339,10 @@ def main(argv: list[str] | None = None) -> int:
             raise _CheckFailed(result.failure)
         return EXIT_OK
     except (_CheckFailed, RouteDisagreementError) as exc:
-        print(exc, file=sys.stderr)
+        _note(str(exc))
         return EXIT_CHECK_FAILED
     except _UnwritableOutputError as exc:
-        print(f"zetacomb: error: {exc}", file=sys.stderr)
+        _note(f"zetacomb: error: {exc}")
         return EXIT_USAGE
     finally:
         if limit:

@@ -24,10 +24,15 @@ from . import _EXPORTS
 __all__ = _EXPORTS["combinat"]
 
 
+def _require_nonnegative(value: int, name: str) -> None:
+    """The paper's domain: every size m, max_m or n is in N_0; raise otherwise."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), with 0 outside 0 <= k <= n. Requires n >= 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_nonnegative(n, "n")
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -85,8 +90,7 @@ def bernoulli_number(n: int) -> Fraction:
     >>> bernoulli_number(12)
     Fraction(-691, 2730)
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_nonnegative(n, "n")
     return _TANGENT_TABLE.number(n)
 
 
@@ -100,8 +104,7 @@ def bernoulli_poly(n: int, z) -> Fraction:
     which a homogeneous Horner pass over k sums with two integer products
     per step. One ``Fraction`` is built at the end.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_nonnegative(n, "n")
     zq = Fraction(z)
     p, q = zq.numerator, zq.denominator
     row, scale = _TANGENT_TABLE.row(n)
@@ -146,8 +149,7 @@ def stirling1(n: int, k: int) -> int:
     >>> stirling1(3, 2)
     -3
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_nonnegative(n, "n")
     if k < 0 or k > n:
         return 0
     return _stirling_row("first", n)[k]
@@ -159,8 +161,7 @@ def stirling2(n: int, k: int) -> int:
     >>> stirling2(4, 2)
     7
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    _require_nonnegative(n, "n")
     if k < 0 or k > n:
         return 0
     return _stirling_row("second", n)[k]

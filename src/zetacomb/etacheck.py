@@ -14,7 +14,7 @@ from math import factorial, lcm
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .combinat import bernoulli_poly, stirling2
+from .combinat import _require_nonnegative, bernoulli_poly, stirling2
 from .zetadiff import combination_matrix
 
 __all__ = _EXPORTS["etacheck"]
@@ -49,8 +49,7 @@ def eta_via_zeta(m: int) -> Fraction:
     Using the Bernoulli polynomial at 1 covers m = 0 with the same
     formula (eta(0) = 1/2 falls out, no special case).
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_nonnegative(m, "m")
     return bernoulli_poly(m + 1, 1) * Fraction(2 ** (m + 1) - 1, m + 1)
 
 
@@ -61,8 +60,6 @@ def eta_via_coeff_row(m: int) -> Fraction:
     report, so a repeat call returns the same object until
     ``combination_matrix.cache_clear``.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
     return combination_matrix(m)._answer(_eta_of_last_row)
 
 
@@ -85,8 +82,7 @@ def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
 
 def eta_via_stirling2(m: int) -> Fraction:
     """eta(-m) = sum_{j=0}^{m} (-1)^j / 2^{j+1} * S(m+1, j+1) * j!."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_nonnegative(m, "m")
     total = sum((-1) ** j * stirling2(m + 1, j + 1) * factorial(j) << (m - j) for j in range(m + 1))
     return Fraction(total, 1 << (m + 1))
 
@@ -97,8 +93,7 @@ def eta_cross_check(max_m: int) -> list[EtaTriple]:
     The coefficient-row route reads row m of the one matrix of size
     max_m: row m of the combination matrix does not depend on its size.
     """
-    if max_m < 0:
-        raise ValueError("max_m must be >= 0")
+    _require_nonnegative(max_m, "max_m")
     matrix = combination_matrix(max_m).matrix
     triples = []
     for m in range(max_m + 1):

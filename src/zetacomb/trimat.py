@@ -14,7 +14,8 @@ inverse never uses substitution, so the two check each other.
 
 The product and both inverses run on integers, not on ``Fraction``s.
 Each operand is scaled to an integer matrix by the lcm of its
-denominators; every intermediate is an integer matrix over one scale, and
+denominators, and the series inverse's N = D^{-1}L by one lcm, that of
+the diagonal; every intermediate is an integer matrix over one scale, and
 one ``Fraction`` is built per output entry.
 """
 from __future__ import annotations
@@ -205,17 +206,15 @@ def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
     After r factors, (I - N)(I + N^2)...(I + N^{2^{r-1}}) equals the sum
     over k < 2^r, so the loop squares the power and multiplies in one
     factor until 2^r >= dim, or stops early when the power is zero. Each
-    factor is a pair (integer rows R, scale s) standing for R/s; N starts
-    over the lcm of its own reduced denominators.
+    factor is a pair (integer rows R, scale s) standing for R/s; N and
+    I - N start over one scale, the lcm of the diagonal.
     """
     _require_invertible(m)
     n = m.dim
     rows, scale = _scaled_rows(m)
     diag = [row[-1] for row in rows]
-    # N = D^{-1} L and I - N, both over N's own scale p, the lcm of the
-    # reduced denominators of N (7 bits for G at dim 101, where lcm(diag) has 101)
-    p = lcm(*(d // gcd(v, d) for row, d in zip(rows, diag) for v in row[:-1]))
-    strict = [[v * p // d for v in row[:-1]] for row, d in zip(rows, diag)]
+    p = lcm(*diag)
+    strict = [[v * (p // d) for v in row[:-1]] for row, d in zip(rows, diag)]
     power = ([[*row, 0] for row in strict], p)
     total = ([[-v for v in row] + [p] for row in strict], p)
     terms = 2

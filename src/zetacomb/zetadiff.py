@@ -41,7 +41,7 @@ from threading import Lock
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .combinat import _TANGENT_TABLE, _tanh_power_row, bernoulli_number, binomial, stirling2
+from .combinat import _TANGENT_TABLE, _require_nonnegative, _tanh_power_row, bernoulli_number, binomial, stirling2
 from .numcore import Basis, Poly, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
@@ -72,8 +72,7 @@ def zeta_diff(m: int, x) -> Fraction:
     accepted; agreement with the Hurwitz-zeta definition is claimed only
     for x > -1, where both half-arguments stay positive.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_nonnegative(m, "m")
     xq = Fraction(x)
     p, q = xq.numerator, xq.denominator
     a, b, big_q = p + q, p + 2 * q, 2 * q
@@ -101,8 +100,7 @@ def hyper_poly(m: int, x) -> Fraction:
     of the b_k. A nonnegative integer x < m makes a_x = 0, which cuts the
     sum off there. One ``Fraction`` is built at the end.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_nonnegative(m, "m")
     xq = Fraction(x)
     p, q = xq.numerator, xq.denominator
     num = den = 1
@@ -129,8 +127,7 @@ def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     (DLMF 24.4; B_1 = -1/2 makes the first formula hold at n = 0 too).
     Each entry is one product; the diagonal is 1/2 in both bases.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_nonnegative(m, "m")
     # E_n(0)/2 for 0 <= n <= m
     halves = [-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)]
     if basis is Basis.MONOMIAL:
@@ -157,8 +154,7 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     form, entry(i, j) = sum_k 2^k (i-k)! C(i,k)^2 s(k+h, j+h) with h = 0
     resp. 1, is kept as the test oracle (``tests/oracles.py``).
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_nonnegative(m, "m")
     c = 1 if basis is Basis.MONOMIAL else -1
     prev: list[int] = []
     row = [1]
@@ -330,8 +326,7 @@ def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
 
 @lru_cache(maxsize=None)
 def _combination_matrix(m: int, route: Route) -> CoeffReport:
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    _require_nonnegative(m, "m")
     if route is Route.RIORDAN:
         # the table's entries are exact Fractions already: wrap a copy of them
         matrix = LowerTriMatrix._of_fractions(m + 1, tuple(_RIORDAN_TABLE.packed(m)))
@@ -545,8 +540,7 @@ def scan_sign_pattern(
     classified in full on every call; it must have dim max_m+1, or
     ``ValueError`` is raised.
     """
-    if max_m < 0:
-        raise ValueError("max_m must be >= 0")
+    _require_nonnegative(max_m, "max_m")
     if matrix is None:
         # the report is still built (and validated and cached) on a miss
         return combination_matrix(max_m)._answer(_scan_riordan_table)

@@ -1,15 +1,18 @@
 """CLI behavior, tested in-process through main(argv) for speed.
 
-Subprocess tests prove that the module entry point works and that a stdout
-that cannot be written exits 2; everything else captures stdout/stderr with
-capsys.
+Subprocess tests prove that the module entry point works, that a stdout
+that cannot be written exits 2, and that a closed stdout or stderr neither
+crashes the CLI nor mixes diagnostics into stdout; everything else captures
+stdout/stderr with capsys.
 """
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -331,6 +334,51 @@ def test_full_stdout_exits_2(argv):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("zetacomb: error: cannot write stdout: ")
+
+
+def run_with_closed_fd(fd, argv):
+    """Run the CLI in a child that starts with ``fd`` closed, so that its
+    ``sys.stdout`` (fd 1) or ``sys.stderr`` (fd 2) is None."""
+    return subprocess.run(
+        [sys.executable, "-m", "zetacomb", *argv],
+        stdout=subprocess.DEVNULL if fd == 1 else subprocess.PIPE,
+        stderr=subprocess.DEVNULL if fd == 2 else subprocess.PIPE,
+        preexec_fn=lambda: os.close(fd),
+        text=True,
+    )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor with preexec_fn")
+def test_closed_stdout_exits_2():
+    proc = run_with_closed_fd(1, ["coeffs", "--m", "1", "--format", "csv"])
+    assert proc.returncode == 2
+    assert proc.stderr == f"zetacomb: error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor with preexec_fn")
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["coeffs", "--m", "1", "--check-all-routes", "--format", "csv"], 0, "1/2,0\n0,1/4\n"),
+        (["coeffs", "--m", "1", "--out", "{tmp}/missing/x"], 2, ""),
+        (["matrices", "--m", "1", "--fixtures", "{tmp}/fixtures"], 0, ""),
+    ],
+    ids=["routes-agree", "unwritable-out", "fixtures-written"],
+)
+def test_closed_stderr_keeps_diagnostics_off_stdout(argv, code, stdout, tmp_path):
+    proc = run_with_closed_fd(2, [arg.format(tmp=tmp_path) for arg in argv])
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+
+
+def test_closed_stderr_keeps_the_exit_1_line_off_stdout(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", None)
+        code = main(["verify", "--m", "2", "--samples", "1/2"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "combination identity: PASS (m = 2, samples: 1/2)\npolynomial forms: FAIL\n"
+    )
 
 
 def test_module_entry_point():

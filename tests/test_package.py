@@ -6,7 +6,7 @@ module on first use. ``import zetacomb.cli`` loads all five homes, which
 interpreters, because this process has long since imported everything.
 ``zetacomb._EXPORTS`` is the one list of public names: each home's
 ``__all__`` is its entry, and the entry lists every public name the home
-defines.
+defines. Every public function that takes a size refuses a negative one.
 """
 from __future__ import annotations
 
@@ -98,6 +98,36 @@ def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match=r"^module 'zetacomb' has no attribute 'x'$"):
         zetacomb.x
     assert not hasattr(zetacomb, "format_rational")
+
+
+# every public function that takes a size (m, max_m or n), called at -1, and the
+# size it must name: the paper's identity holds for m in N_0
+NEGATIVE_SIZE_CALLS = [
+    ("binomial", (-1, 0), "n"),
+    ("bernoulli_number", (-1,), "n"),
+    ("bernoulli_poly", (-1, 0), "n"),
+    ("stirling1", (-1, 0), "n"),
+    ("stirling2", (-1, 0), "n"),
+    ("zeta_diff", (-1, 0), "m"),
+    ("hyper_poly", (-1, 0), "m"),
+    ("zeta_diff_coeffs", (-1,), "m"),
+    ("hyper_poly_coeffs", (-1,), "m"),
+    ("combination_matrix", (-1,), "m"),
+    ("verify_combination", (-1,), "m"),
+    ("verify_polynomial_forms", (-1,), "m"),
+    ("scan_sign_pattern", (-1,), "max_m"),
+    ("compare_stirling2_matrix", (-1,), "m"),
+    ("eta_via_zeta", (-1,), "m"),
+    ("eta_via_coeff_row", (-1,), "m"),
+    ("eta_via_stirling2", (-1,), "m"),
+    ("eta_cross_check", (-1,), "max_m"),
+]
+
+
+@pytest.mark.parametrize("name, args, size", NEGATIVE_SIZE_CALLS, ids=[c[0] for c in NEGATIVE_SIZE_CALLS])
+def test_a_negative_size_is_a_value_error(name, args, size):
+    with pytest.raises(ValueError, match=f"^{size} must be >= 0$"):
+        getattr(zetacomb, name)(*args)
 
 
 def test_cache_controls_work_through_the_package():

@@ -18,7 +18,7 @@ from strategies import non_dyadic
 from zetacomb import zetadiff
 from zetacomb.combinat import stirling2
 from zetacomb.etacheck import eta_via_coeff_row
-from zetacomb.numcore import Basis
+from zetacomb.numcore import Basis, Poly
 from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution
 from zetacomb.zetadiff import (
     DEFAULT_SAMPLES,
@@ -568,6 +568,11 @@ def test_verify_combination_rejects_wrong_dim():
         verify_combination(2, matrix=combination_matrix(5).matrix)
 
 
+def test_verify_combination_rejects_no_samples():
+    with pytest.raises(ValueError, match="^samples must be nonempty$"):
+        verify_combination(3, samples=())
+
+
 def test_verify_report_json_shape():
     doc = verify_combination(2).to_json_dict()
     assert set(doc) == {"m", "samples", "pass", "violations"}
@@ -612,6 +617,22 @@ def _form_tables(m):
         zeta_diff_coeffs(m, Basis.SHIFTED),
         hyper_poly_coeffs(m, Basis.SHIFTED),
     )
+
+
+def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f():
+    # F + 1 in both bases: each shifted row still rebases onto its monomial
+    # row, so only the point stage, where no row evaluates to F, can fail
+    m = 9
+    mats = list(_form_tables(m))
+    for position in (0, 2):
+        rows = [list(r) for r in mats[position].rows()]
+        for row in rows:
+            row[0] += 1
+        mats[position] = LowerTriMatrix.from_rows(rows)
+    for i in range(m + 1):
+        shifted = Poly(mats[2].row(i), Basis.SHIFTED)
+        assert shifted.rebase(Basis.MONOMIAL) == Poly(mats[0].row(i), Basis.MONOMIAL)
+    assert not verify_polynomial_forms(m, matrices=tuple(mats))
 
 
 def test_verify_polynomial_forms_rejects_wrong_dim():
