@@ -104,14 +104,7 @@ def eta_cross_check(max_m: int) -> list[EtaTriple]:
             via_stirling2=eta_via_stirling2(m),
         )
         if not triple.routes_agree:
-            raise RouteDisagreementError(
-                m,
-                {
-                    "via_zeta": triple.via_zeta,
-                    "via_coeff_rows": triple.via_coeff_rows,
-                    "via_stirling2": triple.via_stirling2,
-                },
-            )
+            raise RouteDisagreementError(m, dict(zip(EtaTriple._fields[1:], triple[1:])))
         triples.append(triple)
     return triples
 

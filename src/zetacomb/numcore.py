@@ -48,16 +48,12 @@ def parse_rational(text: str) -> Fraction:
     Denominator zero is rejected with :class:`ZeroDenominatorError` rather
     than ZeroDivisionError so the CLI can map it to a usage error.
     """
-    s = text.strip()
+    num, slash, den = text.strip().partition("/")
     try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return rational(int(num), int(den))
-        return Fraction(int(s))
+        num, den = int(num), int(den) if slash else 1
     except ValueError as exc:
-        if isinstance(exc, ZeroDenominatorError):
-            raise
         raise ValueError(f"not a rational: {text!r}") from exc
+    return rational(num, den)
 
 
 class Basis(enum.Enum):

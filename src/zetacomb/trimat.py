@@ -123,14 +123,6 @@ class LowerTriMatrix(_Value):
             "rows": [[str(e) for e in self.row(i)] for i in range(self.dim)],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> LowerTriMatrix:
-        rows = [tuple(Fraction(e) for e in row) for row in data["rows"]]
-        m = cls.from_rows(rows)
-        if m.dim != data["dim"]:
-            raise ValueError(f"dim field {data['dim']} does not match {m.dim} rows")
-        return m
-
     def to_csv(self) -> str:
         """Full square grid, explicit "0" above the diagonal, one row per line."""
         return "".join(
@@ -205,9 +197,9 @@ def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
     M^{-1} = (I + N)^{-1} D^{-1} and (I + N)^{-1} = sum_{k<dim} (-N)^k.
     After r factors, (I - N)(I + N^2)...(I + N^{2^{r-1}}) equals the sum
     over k < 2^r, so the loop squares the power and multiplies in one
-    factor until 2^r >= dim, or stops early when the power is zero. Each
-    factor is a pair (integer rows R, scale s) standing for R/s; N and
-    I - N start over one scale, the lcm of the diagonal.
+    factor until 2^r >= dim. Each factor is a pair (integer rows R, scale
+    s) standing for R/s; N and I - N start over one scale, the lcm of the
+    diagonal.
     """
     _require_invertible(m)
     n = m.dim
@@ -220,8 +212,6 @@ def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
     terms = 2
     while terms < n:
         power = _scaled_product(power, power)
-        if not any(map(any, power[0])):
-            break
         # I + N^k = (W + s I)/s for N^k = W/s
         w, s = power
         total = _scaled_product(total, ([[*row[:-1], s] for row in w], s))

@@ -234,14 +234,6 @@ class CoeffReport(_Value):
     def to_json_dict(self) -> dict:
         return {"m": self.m, "route": self.route.value, "matrix": self.matrix.to_json_dict()}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> CoeffReport:
-        return cls(
-            m=data["m"],
-            route=Route(data["route"]),
-            matrix=LowerTriMatrix.from_json_dict(data["matrix"]),
-        )
-
 
 _ZERO = Fraction(0)
 

@@ -88,6 +88,7 @@ def test_disagreement_raises(monkeypatch):
         eta_cross_check(2)
     err = info.value
     assert err.m == 0
+    assert err.values.keys() == {"via_zeta", "via_coeff_rows", "via_stirling2"}
     assert err.values["via_stirling2"] == Fraction(99)
     assert "via_stirling2=99" in str(err)
     assert "m=0" in str(err)

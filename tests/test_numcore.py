@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,8 @@ def test_zero_denominator_rejected():
         ("7", Fraction(7)),
         ("-7", Fraction(-7)),
         ("0", Fraction(0)),
+        (" 7/3 ", Fraction(7, 3)),
+        ("4/-6", Fraction(-2, 3)),
     ],
 )
 def test_parse_rational(text, expected):
@@ -60,8 +63,9 @@ def test_parse_rational(text, expected):
 
 
 def test_parse_rational_garbage():
-    with pytest.raises(ValueError):
-        parse_rational("one half")
+    for text in ("one half", "3/", "/3", "1/2/3", "", "1.5"):
+        with pytest.raises(ValueError, match=re.escape(f"not a rational: {text!r}")):
+            parse_rational(text)
 
 
 @given(rationals)

@@ -7,10 +7,12 @@ interpreters, because this process has long since imported everything.
 ``zetacomb._EXPORTS`` is the one list of public names: each home's
 ``__all__`` is its entry, and the entry lists every public name the home
 defines. Every public function that takes a size refuses a negative one.
+README's Library example runs as a doctest.
 """
 from __future__ import annotations
 
 import ast
+import doctest
 import importlib
 import subprocess
 import sys
@@ -159,3 +161,10 @@ def test_cli_import_loads_every_home():
         f"import zetacomb.cli no longer loads {sorted(missing)}: perfbench/tracing.install "
         "imports zetacomb.cli and then reads sys.modules for every home module"
     )
+
+
+def test_readme_library_example_holds():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    results = doctest.testfile(str(readme), module_relative=False)
+    assert results.attempted > 0
+    assert results.failed == 0
