@@ -10,8 +10,9 @@ every identity with exact rational arithmetic.
 first use (PEP 562): ``from zetacomb import X``, or ``zetacomb.X``, imports
 X's home module (the key of ``_EXPORTS`` that lists X) and what that home
 imports, and keeps X in the package namespace. ``zetacomb.zetadiff`` and
-the other homes load the same way. ``python -m zetacomb`` and
-``zetacomb.cli`` load every module.
+the other homes load the same way. ``zetacomb.cli`` loads every module;
+its ``run`` is the one program entry, behind ``python -m zetacomb`` and
+the ``zetacomb`` script.
 """
 
 __version__ = "0.1.0"

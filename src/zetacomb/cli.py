@@ -1,7 +1,12 @@
 """Command-line surface. All configuration is by flags; output is deterministic.
 
-Exit codes: 0 success, 1 mathematical-check failure, 2 usage error.
+Exit codes: 0 success, 1 mathematical-check failure, 2 usage error,
+3 a crash (an exception that escaped ``main``; its traceback goes to stderr).
 Results go to stdout (or --out); diagnostics go to stderr.
+
+``run`` is the program entry: ``python -m zetacomb``, the ``zetacomb``
+script and ``python -m zetacomb.cli`` all call it. ``main(argv)`` runs one
+request and returns its exit code; it is what tests and library callers use.
 
 Each ``cmd_*`` computes its result once and returns a ``_Result`` holding
 three deferred views of it: the JSON document, the CSV text and the pretty
@@ -14,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .combinat import bernoulli_number, stirling1, stirling2
 from .etacheck import RouteDisagreementError, eta_cross_check, to_json_rows
@@ -34,7 +40,7 @@ from .zetadiff import (
     zeta_diff_coeffs,
 )
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 DEFAULT_M_CAP = 64
 DEFAULT_N_CAP = 2000
@@ -42,6 +48,7 @@ DEFAULT_N_CAP = 2000
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_CRASH = 3
 
 
 class _Result(NamedTuple):
@@ -243,15 +250,7 @@ def _subcommand(p: argparse.ArgumentParser, run: Callable, cap: int = DEFAULT_M_
     p.set_defaults(run=run)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zetacomb",
-        description="Exact matrices linking Hurwitz zeta differences to "
-        "terminating hypergeometric polynomials.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="combination matrix for a given m")
+def _coeffs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
         "--route", choices=[r.value for r in Route], default=Route.RIORDAN.value
@@ -259,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-all-routes", action="store_true")
     _subcommand(p, cmd_coeffs)
 
-    p = sub.add_parser("verify", help="check the combination identity at sample points")
+
+def _verify_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
         "--samples",
@@ -269,25 +269,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _subcommand(p, cmd_verify)
 
-    p = sub.add_parser("eta", help="eta(-m) by three routes, cross-checked")
+
+def _eta_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max", type=int, required=True, dest="max_m")
     _subcommand(p, cmd_eta)
 
-    p = sub.add_parser("conjecture", help="scan the below-diagonal sign pattern")
+
+def _conjecture_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max", type=int, required=True, dest="max_m")
     _subcommand(p, cmd_conjecture)
 
-    p = sub.add_parser("bernoulli", help="a single Bernoulli number")
+
+def _bernoulli_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     _subcommand(p, cmd_bernoulli, cap=DEFAULT_N_CAP)
 
-    p = sub.add_parser("stirling", help="a single Stirling number")
+
+def _stirling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("first", "second"), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     _subcommand(p, cmd_stirling, cap=DEFAULT_N_CAP)
 
-    p = sub.add_parser("matrices", help="all coefficient matrices and inverses")
+
+def _matrices_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, required=True)
     p.add_argument(
         "--fixtures",
@@ -299,6 +304,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _subcommand(p, cmd_matrices)
 
+
+# command -> (its help line, the function that adds its flags), in usage order
+_COMMANDS = {
+    "coeffs": ("combination matrix for a given m", _coeffs_flags),
+    "verify": ("check the combination identity at sample points", _verify_flags),
+    "eta": ("eta(-m) by three routes, cross-checked", _eta_flags),
+    "conjecture": ("scan the below-diagonal sign pattern", _conjecture_flags),
+    "bernoulli": ("a single Bernoulli number", _bernoulli_flags),
+    "stirling": ("a single Stirling number", _stirling_flags),
+    "matrices": ("all coefficient matrices and inverses", _matrices_flags),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for ``argv``: when ``argv[0]`` names a command, only that
+    command's subparser is built, and the usage line still lists all seven;
+    otherwise (no argv, an option or an unknown word first) every one is."""
+    parser = argparse.ArgumentParser(
+        prog="zetacomb",
+        description="Exact matrices linking Hurwitz zeta differences to "
+        "terminating hypergeometric polynomials.",
+    )
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    # the metavar only when one subparser is built: it would also replace
+    # "argument command" in the missing- and invalid-command errors
+    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if named else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for command, (help_line, add_flags) in _COMMANDS.items():
+        if named in (None, command):
+            add_flags(sub.add_parser(command, help=help_line))
     return parser
 
 
@@ -323,7 +358,14 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one request; return its exit code, or raise SystemExit (a usage error, --help).
+
+    Freezes nothing, so library callers and tests may call it in a
+    long-lived process; ``run`` is the program entry.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     _validate(parser, args)
     # Results are exact integers of any size (s(1600, 1) has 4,431 digits), so
@@ -349,5 +391,31 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def run() -> NoReturn:
+    """The program entry: run ``main`` on ``sys.argv`` and exit with its code.
+
+    An exception that escapes ``main`` prints its traceback to stderr
+    (dropped if stderr is closed) and exits 3. On every path, argparse's
+    SystemExit included, ``gc.freeze()`` runs first, so the interpreter's
+    shutdown skips its full collections over objects the OS reclaims anyway.
+    That is safe: zetacomb has no ``__del__`` and no weakref callbacks, and
+    ``main`` has written, flushed and closed all output before it returns.
+    Atexit handlers and the final flush of the std streams still run
+    (``_write`` relies on the latter). ``main`` freezes nothing, because
+    frozen objects are never collected and its callers may live on.
+    """
+    try:
+        code = main()
+    except Exception:
+        if sys.stderr is not None:
+            import traceback
+
+            traceback.print_exc()
+        code = EXIT_CRASH
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

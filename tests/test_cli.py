@@ -1,14 +1,17 @@
 """CLI behavior, tested in-process through main(argv) for speed.
 
-Subprocess tests prove that the module entry point works, that a stdout
-that cannot be written exits 2, and that a closed stdout or stderr neither
-crashes the CLI nor mixes diagnostics into stdout; everything else captures
-stdout/stderr with capsys.
+Subprocess tests prove that the program entry (``cli.run``, behind
+``python -m zetacomb``) gives main's output and exit codes and exits 3 on a
+crash, that a stdout that cannot be written exits 2, and that a closed
+stdout or stderr neither crashes the CLI nor mixes diagnostics into stdout;
+everything else captures stdout/stderr with capsys. In-process tests also
+hold main to freezing nothing and the one-command parser to the full one.
 """
 from __future__ import annotations
 
 import contextlib
 import errno
+import gc
 import io
 import json
 import math
@@ -381,14 +384,141 @@ def test_closed_stderr_keeps_the_exit_1_line_off_stdout(monkeypatch, capsys):
     )
 
 
-def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "zetacomb", "coeffs", "--m", "0", "--format", "csv"],
-        capture_output=True,
-        text=True,
+def run_entry(argv):
+    """Run the CLI through ``python -m zetacomb``, that is through ``cli.run``."""
+    return subprocess.run(
+        [sys.executable, "-m", "zetacomb", *argv], capture_output=True, text=True
     )
+
+
+def test_module_entry_point():
+    proc = run_entry(["coeffs", "--m", "0", "--format", "csv"])
     assert proc.returncode == 0
     assert proc.stdout == "1/2\n"
+
+
+def test_module_entry_matches_main(capsys):
+    argv = ["coeffs", "--m", "3", "--format", "json"]
+    proc = run_entry(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(argv, capsys)
+
+
+def test_module_entry_help_exits_0():
+    proc = run_entry(["--help"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: zetacomb [-h]")
+
+
+def test_module_entry_usage_error_exits_2():
+    proc = run_entry(["coeffs", "--m", "-1"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    # argparse's usage, then its one error line, and no traceback
+    assert proc.stderr.startswith("usage: zetacomb [-h]")
+    assert [line for line in proc.stderr.splitlines() if not line.startswith(("usage:", " "))] == [
+        "zetacomb: error: --m must be >= 0"
+    ]
+
+
+def test_a_crash_exits_3_with_its_traceback():
+    planted = (
+        "from zetacomb import cli\n"
+        "def boom(args):\n"
+        "    raise ZeroDivisionError('planted')\n"
+        "cli.cmd_bernoulli = boom\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", planted, "bernoulli", "--n", "2"], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_CRASH, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("ZeroDivisionError: planted\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["bernoulli", "--n", "4"], 0),
+        (["verify", "--m", "2", "--samples", "1/2"], 1),
+        (["coeffs", "--m", "-1"], 2),
+    ],
+    ids=["success", "failed-check", "usage-error"],
+)
+def test_main_freezes_nothing(argv, code, monkeypatch, capsys):
+    # main runs in long-lived processes, where frozen garbage would never be freed
+    monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
+    before = gc.get_freeze_count()
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, gc.get_freeze_count()) == (code, before)
+
+
+# the parser built for one command must read every argv as the full parser does
+PARSER_ARGV = [
+    [],
+    ["-h"],
+    ["nonsense"],
+    ["--bogus", "coeffs", "--m", "1"],
+    ["coeffs"],
+    ["coeffs", "--m", "x"],
+    ["coeffs", "--m", "1", "extra"],
+    ["coeffs", "--m", "100"],
+    ["coeffs", "-h"],
+    ["coeffs", "--m", "3", "--route", "riordan", "--check-all-routes", "--format", "csv"],
+    ["verify", "--m", "1", "--samples", "a,b"],
+    ["verify", "--m", "2", "--samples=-1/2,7/3"],
+    ["eta", "--max", "3", "--format", "xml"],
+    ["conjecture", "--max", "-1"],
+    ["bernoulli", "--n", "2001"],
+    ["stirling", "--kind", "third", "--n", "3", "--k", "1"],
+    ["stirling", "--kind", "first", "--n", "5", "--k", "2", "--cap", "4"],
+    ["matrices", "--m", "2", "--fixtures", "D"],
+    ["matrices", "--m", "2", "--fixtures", "D", "--out", "O"],
+]
+
+
+def _parse(parser, argv):
+    """Exit code (None if parsing passed), parsed flags, stdout and stderr of
+    parsing and checking ``argv`` with ``parser``."""
+    out, err = io.StringIO(), io.StringIO()
+    code, flags = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+            cli._validate(parser, args)
+            flags = vars(args)
+        except SystemExit as exc:
+            code = exc.code
+    return code, flags, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_command_parser_reads_argv_as_the_full_parser(argv):
+    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_one_command_parser_builds_that_command_alone(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser(["coeffs"]).parse_args(["verify", "--m", "1"])
+    assert info.value.code == 2
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ([], "the following arguments are required: command"),
+        (["nonsense"], "argument command: invalid choice: 'nonsense' "),
+    ],
+)
+def test_a_missing_or_unknown_command_is_named_command(argv, error, capsys):
+    # argparse words the list of choices differently across versions
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"zetacomb: error: {error}")
 
 
 # --- golden output and the exit-1 contract ---------------------------------------------
