@@ -10,11 +10,12 @@ raised, never returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from typing import NamedTuple
 
 from . import _EXPORTS
 from .combinat import _require_nonnegative, bernoulli_poly, stirling2
+from .numcore import _over_lcm
 from .zetadiff import combination_matrix
 
 __all__ = _EXPORTS["etacheck"]
@@ -70,13 +71,13 @@ def _eta_of_last_row(report) -> Fraction:
 def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
     # sum_j a_j j! over the lcm of the denominators, with a running j!;
     # half of a row of (a_{i,j}) is zero and adds nothing
-    scale = lcm(*(a.denominator for a in row))
+    nums, scale = _over_lcm(row)
     total, j_factorial = 0, 1
-    for j, a in enumerate(row):
+    for j, c in enumerate(nums):
         if j:
             j_factorial *= j
-        if a.numerator:
-            total += a.numerator * (scale // a.denominator) * j_factorial
+        if c:
+            total += c * j_factorial
     return Fraction(total, scale)
 
 

@@ -16,7 +16,6 @@ CLI call about 20 ms.
 from __future__ import annotations
 
 import enum
-import functools
 from fractions import Fraction
 from math import lcm
 
@@ -65,6 +64,13 @@ class Basis(enum.Enum):
 
 def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+def _over_lcm(values) -> tuple[list[int], int]:
+    """(c, d) with values[k] = c[k]/d and d the lcm of the denominators;
+    ``([], 1)`` for no values. ``values`` is read twice: pass a sequence."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class _Value:
@@ -126,13 +132,6 @@ class Poly(_Value):
         """Degree of the leading term; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    @functools.cached_property
-    def _scaled(self) -> tuple[tuple[int, ...], int]:
-        # integer coefficients of d*p and the scale d, the lcm of the
-        # coefficient denominators; computed once per polynomial
-        scale = lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (scale // c.denominator) for c in self.coeffs), scale
-
     def eval(self, x) -> Fraction:
         """Exact value at x, honouring the basis tag.
 
@@ -154,7 +153,7 @@ class Poly(_Value):
             t = t + 1
         if not self.coeffs:
             return Fraction(0)
-        coeffs, scale = self._scaled
+        coeffs, scale = _over_lcm(self.coeffs)
         p, q = t.numerator, t.denominator
         acc = 0
         q_power = 1
@@ -168,14 +167,13 @@ class Poly(_Value):
 
         Writing p(x) = sum c_j x^j as sum d_j (x+1)^j amounts to a Taylor
         shift of the coefficient vector by -1 (and by +1 the other way).
-        It runs on the integer coefficients of d*p (``_scaled``) and
+        It runs on the integer coefficients of d*p (``_over_lcm``) and
         builds one ``Fraction`` per coefficient at the end.
         """
         if target is self.basis:
             return self
         shift = -1 if target is Basis.SHIFTED else 1
-        coeffs, scale = self._scaled
-        out = list(coeffs)
+        out, scale = _over_lcm(self.coeffs)
         n = len(out)
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):

@@ -26,7 +26,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
-from .numcore import _as_fraction, _Value
+from .numcore import _as_fraction, _over_lcm, _Value
 
 __all__ = _EXPORTS["trimat"]
 
@@ -133,9 +133,8 @@ class LowerTriMatrix(_Value):
 
 def _scaled_rows(m: LowerTriMatrix) -> tuple[list[list[int]], int]:
     """Integer rows of d*M and the scale d, the lcm of M's denominators."""
-    scale = lcm(*(e.denominator for e in m.entries))
-    rows = [[e.numerator * (scale // e.denominator) for e in m.row(i)] for i in range(m.dim)]
-    return rows, scale
+    flat, scale = _over_lcm(m.entries)
+    return [flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(m.dim)], scale
 
 
 def _scaled_product(a: tuple[list[list[int]], int], b: tuple[list[list[int]], int]):

@@ -35,14 +35,14 @@ import enum
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
-from operator import attrgetter, mul
+from math import factorial
+from operator import attrgetter, index, mul
 from threading import Lock
 from typing import NamedTuple
 
 from . import _EXPORTS
 from .combinat import _TANGENT_TABLE, _require_nonnegative, _tanh_power_row, bernoulli_number, binomial, stirling2
-from .numcore import Basis, Poly, _Value
+from .numcore import Basis, _over_lcm, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
 __all__ = _EXPORTS["zetadiff"]
@@ -312,7 +312,13 @@ def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
     larger one; the report is validated on every miss all the same. The
     table also keeps the sign watermark of ``scan_sign_pattern``.
     ``cache_clear`` empties the cache and that table, watermark included.
+    Before the lookup, m goes through ``operator.index`` (``True`` is 1,
+    ``2.0`` a ``TypeError``) and route through ``Route`` (``"bogus"`` is a ``ValueError``).
     """
+    if type(m) is not int:
+        m = index(m)
+    if type(route) is not Route:
+        route = Route(route)
     return _combination_matrix(m, route)
 
 
@@ -396,9 +402,8 @@ def verify_combination(
     rows, scale = _scaled_rows(mat)
     g_at = []
     for x in samples:
-        values = [hyper_poly(j, x) for j in range(mat.dim)]
-        den = lcm(*(v.denominator for v in values))
-        g_at.append(([v.numerator * (den // v.denominator) for v in values], scale * den))
+        g, den = _over_lcm([hyper_poly(j, x) for j in range(mat.dim)])
+        g_at.append((g, scale * den))
     violations = []
     for i, row in enumerate(rows):
         for x, (g, den) in zip(samples, g_at):
@@ -418,37 +423,30 @@ def verify_polynomial_forms(
     """Tie the closed-form coefficient rows to the direct evaluators.
 
     Checks, at 2m+3 distinct rational points: rows of the monomial-basis
-    matrices evaluate to F resp. G; same for the shifted-basis matrices;
-    and rebasing a shifted row reproduces the monomial row exactly.
+    matrices evaluate to F resp. G; same for the shifted-basis matrices.
     ``matrices`` may inject (F_mono, G_mono, F_shift, G_shift) tables,
     each of dim m+1 (otherwise ``ValueError``). At each x = p/3 the powers
-    p^j 3^{m-j} of x, and of x+1, are built once; a row c/d (``Poly._scaled``)
-    takes the value v iff sum_j c_j p^j 3^{m-j} den(v) = d 3^m num(v).
+    p^j 3^{m-j} of x, and of x+1, are built once; a row c/d of a table
+    (``_scaled_rows``) takes the value v iff sum_j c_j p^j 3^{m-j} den(v) = d 3^m num(v).
+    No rebase check is needed: a shifted row and its monomial row have degree
+    <= m and both equal F(i, .) (or G(i, .)) at 2m+3 > m points, so they are
+    the same polynomial.
     """
     if matrices is None:
-        matrices = (
-            zeta_diff_coeffs(m, Basis.MONOMIAL),
-            hyper_poly_coeffs(m, Basis.MONOMIAL),
-            zeta_diff_coeffs(m, Basis.SHIFTED),
-            hyper_poly_coeffs(m, Basis.SHIFTED),
-        )
+        matrices = [build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)]
     for matrix in matrices:
         _require_dim(m, matrix)
-    bases = (Basis.MONOMIAL, Basis.MONOMIAL, Basis.SHIFTED, Basis.SHIFTED)
-    fm, gm, fs, gs = ([Poly(t.row(i), b) for i in range(m + 1)] for t, b in zip(matrices, bases))
-    for i in range(m + 1):
-        if fs[i].rebase(Basis.MONOMIAL) != fm[i] or gs[i].rebase(Basis.MONOMIAL) != gm[i]:
-            return False
     q_powers = [3**k for k in range(m, -1, -1)]
+    # (integer rows, d 3^m) per table
+    fm, gm, fs, gs = ((rows, scale * q_powers[0]) for rows, scale in map(_scaled_rows, matrices))
     for p in range(-m - 1, m + 2):
         x = Fraction(p, 3)
         at_x = [p**j * qp for j, qp in enumerate(q_powers)]
         at_x1 = [(p + 3) ** j * qp for j, qp in enumerate(q_powers)]
         for i in range(m + 1):
             fx, gx = zeta_diff(i, x), hyper_poly(i, x)
-            for poly, w, v in zip((fm[i], fs[i], gm[i], gs[i]), (at_x, at_x1) * 2, (fx, fx, gx, gx)):
-                coeffs, scale = poly._scaled
-                if sum(map(mul, coeffs, w)) * v.denominator != scale * q_powers[0] * v.numerator:
+            for (rows, scale), w, v in zip((fm, fs, gm, gs), (at_x, at_x1) * 2, (fx, fx, gx, gx)):
+                if sum(map(mul, rows[i], w)) * v.denominator != scale * v.numerator:
                     return False
     return True
 

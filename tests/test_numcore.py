@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +15,7 @@ from zetacomb.numcore import (
     Basis,
     Poly,
     ZeroDenominatorError,
+    _over_lcm,
     parse_rational,
     rational,
 )
@@ -148,3 +151,15 @@ def test_rebase_matches_taylor_shift_oracle(coeffs, basis):
     target, shift = (Basis.SHIFTED, -1) if basis is Basis.MONOMIAL else (Basis.MONOMIAL, 1)
     expected = Poly(oracles.taylor_shift(coeffs, shift), target)
     assert Poly(tuple(coeffs), basis).rebase(target) == expected
+
+
+@given(st.lists(st.one_of(rationals, non_dyadic, st.just(Fraction(0))), max_size=20))
+@example([])
+@example([Fraction(0), Fraction(-3, 4), Fraction(5, 6), Fraction(-7)])
+def test_over_lcm_puts_values_over_the_lcm_of_their_denominators(values):
+    nums, scale = _over_lcm(values)
+    if not values:
+        assert (nums, scale) == ([], 1)
+    assert scale == reduce(lambda a, b: a * b // gcd(a, b), (v.denominator for v in values), 1)
+    assert all(type(c) is int for c in nums)
+    assert [Fraction(c, scale) for c in nums] == values

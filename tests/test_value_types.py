@@ -162,13 +162,6 @@ def test_validating_types_are_not_sequences():
         len(M1)
 
 
-def test_poly_scaled_is_computed_once():
-    p = Poly((1, HALF))
-    assert p.eval(1) == Fraction(3, 2)
-    assert p.__dict__["_scaled"] == ((2, 1), 2)
-    assert p._scaled is p.__dict__["_scaled"]
-
-
 def test_cli_import_loads_no_dataclasses_or_inspect():
     code = "import sys, zetacomb.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -217,6 +217,33 @@ def test_combination_matrix_cache_keys_on_value_not_spelling():
     assert reports[0] is reports[1] is reports[2]
 
 
+def test_combination_matrix_makes_m_an_int_before_the_cache():
+    combination_matrix.cache_clear()
+    report = combination_matrix(True)
+    assert report.m == 1 and type(report.m) is int
+    assert combination_matrix(1) is report
+    assert json.dumps(combination_matrix(1).to_json_dict()).startswith('{"m": 1, ')
+
+
+def test_combination_matrix_reads_a_route_by_its_value():
+    assert combination_matrix(3, "riordan") is combination_matrix(3, Route.RIORDAN)
+    assert combination_matrix(3, "shifted-series") is combination_matrix(3, Route.SHIFTED_SERIES)
+
+
+def test_combination_matrix_rejects_an_unknown_route():
+    with pytest.raises(ValueError, match="'bogus' is not a valid Route"):
+        combination_matrix(3, "bogus")
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_combination_matrix_rejects_a_float_m(warm):
+    combination_matrix.cache_clear()
+    if warm:
+        combination_matrix(2)
+    with pytest.raises(TypeError):
+        combination_matrix(2.0)
+
+
 @functools.cache
 def _tanh_powers():
     # V(n, k) = n! [s^n] tanh(s)^k by power-series products; rows 0..49 cover m <= 48
@@ -590,8 +617,17 @@ def test_verify_polynomial_forms_fixture_matrices():
     assert verify_polynomial_forms(9, matrices=mats)
 
 
-@pytest.mark.parametrize("position", range(4))
-def test_verify_polynomial_forms_rejects_wrong_table(position):
+def _planted_cells():
+    # first and last row, first column and diagonal; the (5, 2) cases keep
+    # the bare table position as their id
+    for position in range(4):
+        for cell in ((5, 2), (0, 0), (9, 0), (9, 9)):
+            name = str(position) if cell == (5, 2) else f"{position}-at-{cell[0]}-{cell[1]}"
+            yield pytest.param(position, cell, id=name)
+
+
+@pytest.mark.parametrize(("position", "cell"), _planted_cells())
+def test_verify_polynomial_forms_rejects_wrong_table(position, cell):
     mats = [
         tables.matrix(tables.A10),
         tables.matrix(tables.B10),
@@ -599,7 +635,8 @@ def test_verify_polynomial_forms_rejects_wrong_table(position):
         tables.matrix(tables.B10_SHIFTED),
     ]
     rows = [list(r) for r in mats[position].rows()]
-    rows[5][2] += Fraction(1, 3)
+    i, j = cell
+    rows[i][j] += Fraction(1, 3)
     mats[position] = LowerTriMatrix.from_rows(rows)
     assert not verify_polynomial_forms(9, matrices=tuple(mats))
 
@@ -615,7 +652,7 @@ def _form_tables(m):
 
 def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f():
     # F + 1 in both bases: each shifted row still rebases onto its monomial
-    # row, so only the point stage, where no row evaluates to F, can fail
+    # row, yet no row evaluates to F
     m = 9
     mats = list(_form_tables(m))
     for position in (0, 2):
@@ -627,6 +664,15 @@ def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f():
         shifted = Poly(mats[2].row(i), Basis.SHIFTED)
         assert shifted.rebase(Basis.MONOMIAL) == Poly(mats[0].row(i), Basis.MONOMIAL)
     assert not verify_polynomial_forms(m, matrices=tuple(mats))
+
+
+@pytest.mark.parametrize("build", [zeta_diff_coeffs, hyper_poly_coeffs])
+def test_shifted_rows_rebase_onto_monomial_rows(build):
+    # the identity the forms check implies through its points, checked directly
+    m = 30
+    shifted, monomial = build(m, Basis.SHIFTED), build(m, Basis.MONOMIAL)
+    for i in range(m + 1):
+        assert Poly(shifted.row(i), Basis.SHIFTED).rebase(Basis.MONOMIAL) == Poly(monomial.row(i)), i
 
 
 def test_verify_polynomial_forms_rejects_wrong_dim():
