@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import index
 from threading import Lock
 
 from . import _EXPORTS
@@ -24,15 +25,20 @@ from . import _EXPORTS
 __all__ = _EXPORTS["combinat"]
 
 
-def _require_nonnegative(value: int, name: str) -> None:
-    """The paper's domain: every size m, max_m or n is in N_0; raise otherwise."""
+def _require_nonnegative(value: int, name: str) -> int:
+    """The paper's domain: every size m, max_m or n is in N_0. Returns the size
+    as an ``int``, through ``operator.index`` if it is not one (``True`` is 1,
+    ``2.0`` a ``TypeError``); a negative size is a ``ValueError``."""
+    if type(value) is not int:
+        value = index(value)
     if value < 0:
         raise ValueError(f"{name} must be >= 0")
+    return value
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), with 0 outside 0 <= k <= n. Requires n >= 0."""
-    _require_nonnegative(n, "n")
+    n = _require_nonnegative(n, "n")
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -90,7 +96,7 @@ def bernoulli_number(n: int) -> Fraction:
     >>> bernoulli_number(12)
     Fraction(-691, 2730)
     """
-    _require_nonnegative(n, "n")
+    n = _require_nonnegative(n, "n")
     return _TANGENT_TABLE.number(n)
 
 
@@ -104,7 +110,7 @@ def bernoulli_poly(n: int, z) -> Fraction:
     which a homogeneous Horner pass over k sums with two integer products
     per step. One ``Fraction`` is built at the end.
     """
-    _require_nonnegative(n, "n")
+    n = _require_nonnegative(n, "n")
     zq = Fraction(z)
     p, q = zq.numerator, zq.denominator
     row, scale = _TANGENT_TABLE.row(n)
@@ -149,7 +155,7 @@ def stirling1(n: int, k: int) -> int:
     >>> stirling1(3, 2)
     -3
     """
-    _require_nonnegative(n, "n")
+    n = _require_nonnegative(n, "n")
     if k < 0 or k > n:
         return 0
     return _stirling_row("first", n)[k]
@@ -161,7 +167,7 @@ def stirling2(n: int, k: int) -> int:
     >>> stirling2(4, 2)
     7
     """
-    _require_nonnegative(n, "n")
+    n = _require_nonnegative(n, "n")
     if k < 0 or k > n:
         return 0
     return _stirling_row("second", n)[k]

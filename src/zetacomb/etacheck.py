@@ -50,7 +50,7 @@ def eta_via_zeta(m: int) -> Fraction:
     Using the Bernoulli polynomial at 1 covers m = 0 with the same
     formula (eta(0) = 1/2 falls out, no special case).
     """
-    _require_nonnegative(m, "m")
+    m = _require_nonnegative(m, "m")
     return bernoulli_poly(m + 1, 1) * Fraction(2 ** (m + 1) - 1, m + 1)
 
 
@@ -83,7 +83,7 @@ def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
 
 def eta_via_stirling2(m: int) -> Fraction:
     """eta(-m) = sum_{j=0}^{m} (-1)^j / 2^{j+1} * S(m+1, j+1) * j!."""
-    _require_nonnegative(m, "m")
+    m = _require_nonnegative(m, "m")
     total = sum((-1) ** j * stirling2(m + 1, j + 1) * factorial(j) << (m - j) for j in range(m + 1))
     return Fraction(total, 1 << (m + 1))
 
@@ -94,7 +94,7 @@ def eta_cross_check(max_m: int) -> list[EtaTriple]:
     The coefficient-row route reads row m of the one matrix of size
     max_m: row m of the combination matrix does not depend on its size.
     """
-    _require_nonnegative(max_m, "max_m")
+    max_m = _require_nonnegative(max_m, "max_m")
     matrix = combination_matrix(max_m).matrix
     triples = []
     for m in range(max_m + 1):

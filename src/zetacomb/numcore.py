@@ -24,35 +24,20 @@ from . import _EXPORTS
 __all__ = _EXPORTS["numcore"]
 
 
-class ZeroDenominatorError(ValueError):
-    """Raised when a rational is constructed with denominator zero."""
-
-
-def rational(num: int, den: int = 1) -> Fraction:
-    """Reduced fraction num/den; the sign ends up on the numerator.
-
-    >>> rational(6, 4)
-    Fraction(3, 2)
-    >>> rational(0, -7)
-    Fraction(0, 1)
-    """
-    if den == 0:
-        raise ZeroDenominatorError(f"denominator must be nonzero (got {num}/0)")
-    return Fraction(num, den)
-
-
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p", with an optional leading minus.
+    """Parse "p/q" or "p", with an optional leading minus, into a reduced ``Fraction``.
 
-    Denominator zero is rejected with :class:`ZeroDenominatorError` rather
-    than ZeroDivisionError so the CLI can map it to a usage error.
+    Anything else, a zero denominator included, is one ``ValueError``
+    (``not a rational: '5/0'``), which the CLI maps to a usage error.
+
+    >>> parse_rational("6/-4")
+    Fraction(-3, 2)
     """
     num, slash, den = text.strip().partition("/")
     try:
-        num, den = int(num), int(den) if slash else 1
-    except ValueError as exc:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
-    return rational(num, den)
 
 
 class Basis(enum.Enum):
@@ -125,7 +110,7 @@ class Poly(_Value):
         while end > 0 and cs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", cs[:end])
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", Basis(basis))
 
     @property
     def degree(self) -> int:
@@ -170,6 +155,7 @@ class Poly(_Value):
         It runs on the integer coefficients of d*p (``_over_lcm``) and
         builds one ``Fraction`` per coefficient at the end.
         """
+        target = Basis(target)
         if target is self.basis:
             return self
         shift = -1 if target is Basis.SHIFTED else 1

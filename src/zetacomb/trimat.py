@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
@@ -56,6 +56,7 @@ class LowerTriMatrix(_Value):
     entries: tuple[Fraction, ...]
 
     def __init__(self, dim: int, entries: Iterable) -> None:
+        dim = index(dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
         packed = tuple(entries)

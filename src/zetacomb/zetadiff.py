@@ -36,7 +36,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import attrgetter, index, mul
+from operator import attrgetter, mul
 from threading import Lock
 from typing import NamedTuple
 
@@ -57,10 +57,12 @@ DEFAULT_SAMPLES: tuple[Fraction, ...] = (
 )
 
 
-def _require_dim(m: int, matrix: LowerTriMatrix) -> None:
-    # an injected table must be the (m+1)-square one the report describes
+def _require_dim(m: int, matrix: LowerTriMatrix, name: str = "m") -> int:
+    # an injected table must be the (m+1)-square one the report describes; m as an int
+    m = _require_nonnegative(m, name)
     if matrix.dim != m + 1:
         raise ValueError(f"matrix has dim {matrix.dim}, expected m + 1 = {m + 1}")
+    return m
 
 
 def zeta_diff(m: int, x) -> Fraction:
@@ -72,7 +74,7 @@ def zeta_diff(m: int, x) -> Fraction:
     accepted; agreement with the Hurwitz-zeta definition is claimed only
     for x > -1, where both half-arguments stay positive.
     """
-    _require_nonnegative(m, "m")
+    m = _require_nonnegative(m, "m")
     xq = Fraction(x)
     p, q = xq.numerator, xq.denominator
     a, b, big_q = p + q, p + 2 * q, 2 * q
@@ -100,7 +102,7 @@ def hyper_poly(m: int, x) -> Fraction:
     of the b_k. A nonnegative integer x < m makes a_x = 0, which cuts the
     sum off there. One ``Fraction`` is built at the end.
     """
-    _require_nonnegative(m, "m")
+    m = _require_nonnegative(m, "m")
     xq = Fraction(x)
     p, q = xq.numerator, xq.denominator
     num = den = 1
@@ -127,7 +129,8 @@ def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     (DLMF 24.4; B_1 = -1/2 makes the first formula hold at n = 0 too).
     Each entry is one product; the diagonal is 1/2 in both bases.
     """
-    _require_nonnegative(m, "m")
+    m = _require_nonnegative(m, "m")
+    basis = Basis(basis)
     # E_n(0)/2 for 0 <= n <= m
     halves = [-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)]
     if basis is Basis.MONOMIAL:
@@ -154,8 +157,8 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     form, entry(i, j) = sum_k 2^k (i-k)! C(i,k)^2 s(k+h, j+h) with h = 0
     resp. 1, is kept as the test oracle (``tests/oracles.py``).
     """
-    _require_nonnegative(m, "m")
-    c = 1 if basis is Basis.MONOMIAL else -1
+    m = _require_nonnegative(m, "m")
+    c = 1 if Basis(basis) is Basis.MONOMIAL else -1
     prev: list[int] = []
     row = [1]
     packed = [1]
@@ -211,14 +214,14 @@ class CoeffReport(_Value):
     matrix: LowerTriMatrix
 
     def __init__(self, m: int, route: Route, matrix: LowerTriMatrix) -> None:
-        _require_dim(m, matrix)
+        m = _require_dim(m, matrix)
         entries = matrix.entries
         for i in range(m + 1):
             d = entries[i * (i + 3) // 2]  # the (i, i) entry
             if not (d.numerator == 1 and d.denominator == 1 << (i + 1)):
                 raise ValueError(f"diagonal entry {i} must be 1/2^{i + 1}")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "route", Route(route))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_answers", {})
 
@@ -312,11 +315,13 @@ def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
     larger one; the report is validated on every miss all the same. The
     table also keeps the sign watermark of ``scan_sign_pattern``.
     ``cache_clear`` empties the cache and that table, watermark included.
-    Before the lookup, m goes through ``operator.index`` (``True`` is 1,
-    ``2.0`` a ``TypeError``) and route through ``Route`` (``"bogus"`` is a ``ValueError``).
+    Before the lookup, an m that is not an ``int`` goes through
+    ``combinat._require_nonnegative`` (``True`` is 1, ``2.0`` a ``TypeError``)
+    and a route that is not a ``Route`` through ``Route`` (``"bogus"`` is a
+    ``ValueError``); an ``int`` m is checked on a miss only.
     """
     if type(m) is not int:
-        m = index(m)
+        m = _require_nonnegative(m, "m")
     if type(route) is not Route:
         route = Route(route)
     return _combination_matrix(m, route)
@@ -398,7 +403,7 @@ def verify_combination(
         raise ValueError("samples must be nonempty")
     samples = tuple(Fraction(s) for s in samples)
     mat = matrix if matrix is not None else combination_matrix(m).matrix
-    _require_dim(m, mat)
+    m = _require_dim(m, mat)
     rows, scale = _scaled_rows(mat)
     g_at = []
     for x in samples:
@@ -435,7 +440,7 @@ def verify_polynomial_forms(
     if matrices is None:
         matrices = [build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)]
     for matrix in matrices:
-        _require_dim(m, matrix)
+        m = _require_dim(m, matrix)
     q_powers = [3**k for k in range(m, -1, -1)]
     # (integer rows, d 3^m) per table
     fm, gm, fs, gs = ((rows, scale * q_powers[0]) for rows, scale in map(_scaled_rows, matrices))
@@ -530,11 +535,10 @@ def scan_sign_pattern(
     classified in full on every call; it must have dim max_m+1, or
     ``ValueError`` is raised.
     """
-    _require_nonnegative(max_m, "max_m")
     if matrix is None:
         # the report is still built (and validated and cached) on a miss
-        return combination_matrix(max_m)._answer(_scan_riordan_table)
-    _require_dim(max_m, matrix)
+        return combination_matrix(_require_nonnegative(max_m, "max_m"))._answer(_scan_riordan_table)
+    max_m = _require_dim(max_m, matrix, "max_m")
     return _finding(max_m, _sign_violations(matrix.entries, 0, matrix.dim))
 
 

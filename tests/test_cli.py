@@ -247,6 +247,12 @@ def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+    if argv[-1] == "1/0":
+        # a zero denominator is the same usage error as any other unparseable sample
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("zetacomb: error: ")] == [
+            "zetacomb: error: --samples must be comma-separated rationals, got '1/0'"
+        ]
 
 
 def test_cap_can_be_raised(capsys):

@@ -6,14 +6,17 @@ module on first use. ``import zetacomb.cli`` loads all five homes, which
 interpreters, because this process has long since imported everything.
 ``zetacomb._EXPORTS`` is the one list of public names: each home's
 ``__all__`` is its entry, and the entry lists every public name the home
-defines. Every public function that takes a size refuses a negative one.
-README's Library example runs as a doctest.
+defines. Every public function that takes a size reads it by one rule: it
+is made an ``int`` (``True`` is 1, ``2.0`` a ``TypeError``) and a negative
+one is refused. A basis or a route is read by its enum, so its string value
+works too. README's Library example runs as a doctest.
 """
 from __future__ import annotations
 
 import ast
 import doctest
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +27,7 @@ import zetacomb
 
 HOMES = ("numcore", "combinat", "trimat", "zetadiff", "etacheck")
 EXPORTS = """
-    Basis Poly ZeroDenominatorError rational parse_rational
+    Basis Poly parse_rational
     binomial bernoulli_number bernoulli_poly stirling1 stirling2
     LowerTriMatrix DimensionMismatchError SingularDiagonalError mat_mul invert_substitution invert_series
     Route CoeffReport SignPatternFinding SignViolation ExpectedSign CombinationViolation VerificationReport
@@ -130,6 +133,91 @@ NEGATIVE_SIZE_CALLS = [
 def test_a_negative_size_is_a_value_error(name, args, size):
     with pytest.raises(ValueError, match=f"^{size} must be >= 0$"):
         getattr(zetacomb, name)(*args)
+
+
+@pytest.mark.parametrize("name, args, size", NEGATIVE_SIZE_CALLS, ids=[c[0] for c in NEGATIVE_SIZE_CALLS])
+def test_a_float_size_is_a_type_error_after_the_int_has_run(name, args, size):
+    function = getattr(zetacomb, name)
+    function(2, *args[1:])  # fills whatever table or cache the size 2 reads
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        function(2.0, *args[1:])
+
+
+def _m1_matrix():
+    return zetacomb.combination_matrix(1).matrix
+
+
+# results that carry the size they were given; for True each must carry the int 1,
+# which JSON prints as 1, not as true
+TRUE_SIZE_CALLS = {
+    "verify_combination": lambda m: zetacomb.verify_combination(m),
+    "verify_combination-matrix": lambda m: zetacomb.verify_combination(m, matrix=_m1_matrix()),
+    "scan_sign_pattern-matrix": lambda m: zetacomb.scan_sign_pattern(m, _m1_matrix()),
+    "CoeffReport": lambda m: zetacomb.CoeffReport(m, zetacomb.Route.RIORDAN, _m1_matrix()),
+}
+
+
+@pytest.mark.parametrize("call", TRUE_SIZE_CALLS.values(), ids=TRUE_SIZE_CALLS)
+def test_a_size_of_true_is_the_int_1(call):
+    result = call(True)
+    assert result == call(1)
+    assert json.dumps(result.to_json_dict()) == json.dumps(call(1).to_json_dict())
+
+
+# a function given tables checks the size before it compares the tables' dim with it
+INJECTED_NEGATIVE_CALLS = {
+    "verify_combination": (lambda: zetacomb.verify_combination(-1, matrix=_m1_matrix()), "m"),
+    "verify_polynomial_forms": (
+        lambda: zetacomb.verify_polynomial_forms(-1, [zetacomb.zeta_diff_coeffs(1)] * 4),
+        "m",
+    ),
+    "scan_sign_pattern": (lambda: zetacomb.scan_sign_pattern(-1, _m1_matrix()), "max_m"),
+}
+
+
+@pytest.mark.parametrize("call, size", INJECTED_NEGATIVE_CALLS.values(), ids=INJECTED_NEGATIVE_CALLS)
+def test_a_negative_size_with_tables_is_a_value_error(call, size):
+    with pytest.raises(ValueError, match=f"^{size} must be >= 0$"):
+        call()
+
+
+@pytest.mark.parametrize("build", ["zeta_diff_coeffs", "hyper_poly_coeffs"])
+@pytest.mark.parametrize("basis", list(zetacomb.Basis), ids=lambda basis: basis.value)
+def test_a_coefficient_table_reads_its_basis_by_value(build, basis):
+    build = getattr(zetacomb, build)
+    assert build(6, basis.value) == build(6, basis)
+
+
+@pytest.mark.parametrize("build", ["zeta_diff_coeffs", "hyper_poly_coeffs"])
+def test_a_coefficient_table_rejects_an_unknown_basis(build):
+    with pytest.raises(ValueError, match="'bogus' is not a valid Basis"):
+        getattr(zetacomb, build)(6, "bogus")
+
+
+def test_a_poly_reads_its_basis_by_value():
+    assert zetacomb.Poly((1, 2), "shifted") == zetacomb.Poly((1, 2), zetacomb.Basis.SHIFTED)
+    assert zetacomb.Poly((1, 2), "shifted").eval(0) == 3
+    # x = (x + 1) - 1, so x is (-1, 1) in powers of x + 1
+    assert zetacomb.Poly((0, 1)).rebase("shifted") == zetacomb.Poly((-1, 1), zetacomb.Basis.SHIFTED)
+    with pytest.raises(ValueError, match="'bogus' is not a valid Basis"):
+        zetacomb.Poly((1, 2), "bogus")
+    with pytest.raises(ValueError, match="'bogus' is not a valid Basis"):
+        zetacomb.Poly((1, 2)).rebase("bogus")
+
+
+def test_a_coeff_report_reads_its_route_by_value():
+    report = zetacomb.CoeffReport(0, "riordan", zetacomb.combination_matrix(0).matrix)
+    assert report.route is zetacomb.Route.RIORDAN
+    assert report.to_json_dict()["route"] == "riordan"
+    with pytest.raises(ValueError, match="'bogus' is not a valid Route"):
+        zetacomb.CoeffReport(0, "bogus", zetacomb.combination_matrix(0).matrix)
+
+
+def test_a_matrix_dim_is_an_int():
+    dim = zetacomb.LowerTriMatrix(True, [1]).to_json_dict()["dim"]
+    assert type(dim) is int and dim == 1
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        zetacomb.LowerTriMatrix(2.0, [1, 2, 3])
 
 
 def test_cache_controls_work_through_the_package():
