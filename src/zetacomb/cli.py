@@ -242,78 +242,44 @@ def _deliver(args: argparse.Namespace, result: _Result) -> None:
     _note(f"wrote {len(files)} fixture files to {directory}")
 
 
-def _subcommand(p: argparse.ArgumentParser, run: Callable, cap: int = DEFAULT_M_CAP) -> None:
-    """The flags every subcommand shares, after its own; ``run`` computes its result."""
-    p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--cap", type=int, default=cap)
-    p.set_defaults(run=run)
+# the size flags several commands share, each as (flag, argparse keywords)
+_M = ("--m", {"type": int, "required": True})
+_MAX = ("--max", {"type": int, "required": True, "dest": "max_m"})
+_N = ("--n", {"type": int, "required": True})
 
-
-def _coeffs_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--route", choices=[r.value for r in Route], default=Route.RIORDAN.value
-    )
-    p.add_argument("--check-all-routes", action="store_true")
-    _subcommand(p, cmd_coeffs)
-
-
-def _verify_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--samples",
-        default=",".join(map(str, DEFAULT_SAMPLES)),
-        help="comma-separated rationals; a list that starts with '-' must be "
-        "joined to the flag with '=', as in --samples=-1/2,7/3",
-    )
-    _subcommand(p, cmd_verify)
-
-
-def _eta_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max", type=int, required=True, dest="max_m")
-    _subcommand(p, cmd_eta)
-
-
-def _conjecture_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max", type=int, required=True, dest="max_m")
-    _subcommand(p, cmd_conjecture)
-
-
-def _bernoulli_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True)
-    _subcommand(p, cmd_bernoulli, cap=DEFAULT_N_CAP)
-
-
-def _stirling_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", choices=("first", "second"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _subcommand(p, cmd_stirling, cap=DEFAULT_N_CAP)
-
-
-def _matrices_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument(
-        "--fixtures",
-        type=Path,
-        default=None,
-        dest="fixtures_dir",
-        help="write one JSON file per matrix into this directory; the files "
-        "are always JSON, so --format does not apply, and --out is refused",
-    )
-    _subcommand(p, cmd_matrices)
-
-
-# command -> (its help line, the function that adds its flags), in usage order
+# command -> (its help line, the function that computes its result, its size
+# cap, its own flags as (flag, argparse keywords) pairs), in usage order;
+# build_parser adds --format, --out and --cap after the command's own flags
 _COMMANDS = {
-    "coeffs": ("combination matrix for a given m", _coeffs_flags),
-    "verify": ("check the combination identity at sample points", _verify_flags),
-    "eta": ("eta(-m) by three routes, cross-checked", _eta_flags),
-    "conjecture": ("scan the below-diagonal sign pattern", _conjecture_flags),
-    "bernoulli": ("a single Bernoulli number", _bernoulli_flags),
-    "stirling": ("a single Stirling number", _stirling_flags),
-    "matrices": ("all coefficient matrices and inverses", _matrices_flags),
+    "coeffs": ("combination matrix for a given m", cmd_coeffs, DEFAULT_M_CAP, (
+        _M,
+        ("--route", {"choices": [r.value for r in Route], "default": Route.RIORDAN.value}),
+        ("--check-all-routes", {"action": "store_true"}),
+    )),
+    "verify": ("check the combination identity at sample points", cmd_verify, DEFAULT_M_CAP, (
+        _M,
+        ("--samples", {
+            "default": ",".join(map(str, DEFAULT_SAMPLES)),
+            "help": "comma-separated rationals; a list that starts with '-' must be "
+            "joined to the flag with '=', as in --samples=-1/2,7/3",
+        }),
+    )),
+    "eta": ("eta(-m) by three routes, cross-checked", cmd_eta, DEFAULT_M_CAP, (_MAX,)),
+    "conjecture": ("scan the below-diagonal sign pattern", cmd_conjecture, DEFAULT_M_CAP, (_MAX,)),
+    "bernoulli": ("a single Bernoulli number", cmd_bernoulli, DEFAULT_N_CAP, (_N,)),
+    "stirling": ("a single Stirling number", cmd_stirling, DEFAULT_N_CAP, (
+        ("--kind", {"choices": ("first", "second"), "required": True}),
+        _N,
+        ("--k", {"type": int, "required": True}),
+    )),
+    "matrices": ("all coefficient matrices and inverses", cmd_matrices, DEFAULT_M_CAP, (
+        _M,
+        ("--fixtures", {
+            "type": Path, "default": None, "dest": "fixtures_dir",
+            "help": "write one JSON file per matrix into this directory; the files "
+            "are always JSON, so --format does not apply, and --out is refused",
+        }),
+    )),
 }
 
 
@@ -331,9 +297,15 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     # "argument command" in the missing- and invalid-command errors
     metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if named else {}
     sub = parser.add_subparsers(dest="command", required=True, **metavar)
-    for command, (help_line, add_flags) in _COMMANDS.items():
+    for command, (help_line, compute, cap, flags) in _COMMANDS.items():
         if named in (None, command):
-            add_flags(sub.add_parser(command, help=help_line))
+            p = sub.add_parser(command, help=help_line)
+            for flag, keywords in flags:
+                p.add_argument(flag, **keywords)
+            p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+            p.add_argument("--out", type=Path, default=None)
+            p.add_argument("--cap", type=int, default=cap)
+            p.set_defaults(run=compute)
     return parser
 
 

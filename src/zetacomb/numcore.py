@@ -16,6 +16,7 @@ CLI call about 20 ms.
 from __future__ import annotations
 
 import enum
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -25,19 +26,23 @@ __all__ = _EXPORTS["numcore"]
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p", with an optional leading minus, into a reduced ``Fraction``.
+    """Parse "p/q" or "p" into a reduced ``Fraction``.
 
-    Anything else, a zero denominator included, is one ``ValueError``
-    (``not a rational: '5/0'``), which the CLI maps to a usage error.
+    p and q are ASCII digits, each with an optional leading minus;
+    surrounding whitespace is ignored. Anything else, a zero denominator
+    included, is one ``ValueError`` (``not a rational: '5/0'``), which the
+    CLI maps to a usage error.
 
     >>> parse_rational("6/-4")
     Fraction(-3, 2)
     """
-    num, slash, den = text.strip().partition("/")
-    try:
-        return Fraction(int(num), int(den) if slash else 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    match = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", text.strip())
+    if match:
+        try:
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
+            pass
+    raise ValueError(f"not a rational: {text!r}")
 
 
 class Basis(enum.Enum):
@@ -45,10 +50,6 @@ class Basis(enum.Enum):
 
     MONOMIAL = "monomial"        # powers of x
     SHIFTED = "shifted"          # powers of (x + 1)
-
-
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _over_lcm(values) -> tuple[list[int], int]:
@@ -105,7 +106,7 @@ class Poly(_Value):
     basis: Basis
 
     def __init__(self, coeffs, basis: Basis = Basis.MONOMIAL) -> None:
-        cs = tuple(_as_fraction(c) for c in coeffs)
+        cs = tuple(map(Fraction, coeffs))
         end = len(cs)
         while end > 0 and cs[end - 1] == 0:
             end -= 1
@@ -133,7 +134,7 @@ class Poly(_Value):
         >>> Poly((1, 2), Basis.SHIFTED).eval(0)
         Fraction(3, 1)
         """
-        t = _as_fraction(x)
+        t = Fraction(x)
         if self.basis is Basis.SHIFTED:
             t = t + 1
         if not self.coeffs:

@@ -26,7 +26,7 @@ from operator import index, mul
 from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
-from .numcore import _as_fraction, _over_lcm, _Value
+from .numcore import _over_lcm, _Value
 
 __all__ = _EXPORTS["trimat"]
 
@@ -60,9 +60,10 @@ class LowerTriMatrix(_Value):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         packed = tuple(entries)
-        # one C-level pass; a table of exact Fractions is kept as it is
+        # one C-level pass; a table of exact Fractions is kept as it is, and
+        # so is each Fraction (a subclass too) among entries of other types
         if not {Fraction}.issuperset(map(type, packed)):
-            packed = tuple(map(_as_fraction, packed))
+            packed = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in packed)
         if len(packed) != dim * (dim + 1) // 2:
             raise ValueError(f"need {dim * (dim + 1) // 2} packed entries, got {len(packed)}")
         object.__setattr__(self, "dim", dim)

@@ -9,6 +9,7 @@ hold main to freezing nothing and the one-command parser to the full one.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import errno
 import gc
@@ -241,17 +242,22 @@ def test_matrices_fixture_dump(tmp_path, capsys):
         ["verify", "--m", "1", "--samples", "a,b"],  # unparseable rationals
         ["verify", "--m", "1", "--samples", "1/0"],  # zero denominator
         ["nonsense"],  # unknown command
+        # int() reads each of these, but none is "p/q" or "p" in ASCII digits
+        ["verify", "--m", "2", "--samples", "\u0661/\u0663"],  # Arabic-Indic 1/3
+        ["verify", "--m", "2", "--samples", "1_0/3"],
+        ["verify", "--m", "2", "--samples", "+3"],
+        ["verify", "--m", "2", "--samples", "1 /3"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    if argv[-1] == "1/0":
+    if "--samples" in argv:
         # a zero denominator is the same usage error as any other unparseable sample
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("zetacomb: error: ")] == [
-            "zetacomb: error: --samples must be comma-separated rationals, got '1/0'"
+            f"zetacomb: error: --samples must be comma-separated rationals, got {argv[-1]!r}"
         ]
 
 
@@ -428,9 +434,9 @@ def test_module_entry_usage_error_exits_2():
 def test_a_crash_exits_3_with_its_traceback():
     planted = (
         "from zetacomb import cli\n"
-        "def boom(args):\n"
+        "def boom(n):\n"
         "    raise ZeroDivisionError('planted')\n"
-        "cli.cmd_bernoulli = boom\n"
+        "cli.bernoulli_number = boom\n"
         "cli.run()\n"
     )
     proc = subprocess.run(
@@ -503,6 +509,31 @@ def _parse(parser, argv):
 @pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_one_command_parser_reads_argv_as_the_full_parser(argv):
     assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
+
+
+# per command, its own flags in order and its --cap default
+COMMAND_FLAGS = {
+    "coeffs": (("--m", "--route", "--check-all-routes"), 64),
+    "verify": (("--m", "--samples"), 64),
+    "eta": (("--max",), 64),
+    "conjecture": (("--max",), 64),
+    "bernoulli": (("--n",), 2000),
+    "stirling": (("--kind", "--n", "--k"), 2000),
+    "matrices": (("--m", "--fixtures"), 64),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_each_command_takes_its_own_flags_then_the_shared_ones(command):
+    own, cap = COMMAND_FLAGS[command]
+    for parser in (cli.build_parser([command]), cli.build_parser()):
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        sub = commands.choices[command]
+        assert tuple(a.option_strings[0] for a in sub._actions) == (
+            "-h", *own, "--format", "--out", "--cap"
+        )
+        assert sub.get_default("cap") == cap
+        assert sub.get_default("run") is getattr(cli, f"cmd_{command}")
 
 
 def test_one_command_parser_builds_that_command_alone(capsys):

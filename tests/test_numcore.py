@@ -59,7 +59,7 @@ def test_parse_rational(text, expected):
 
 
 def test_parse_rational_garbage():
-    for text in ("one half", "3/", "/3", "1/2/3", "", "1.5"):
+    for text in ("one half", "3/", "/3", "1/2/3", "", "1.5", "+3", "1_0/3", "1 /3", "\u0661/\u0663"):
         with pytest.raises(ValueError, match=re.escape(f"not a rational: {text!r}")):
             parse_rational(text)
 
