@@ -254,7 +254,7 @@ def test_usage_errors_exit_2(argv, capsys):
         main(argv)
     assert info.value.code == 2
     if "--samples" in argv:
-        # a zero denominator is the same usage error as any other unparseable sample
+        # every unparseable sample, a zero denominator too, gives the one error line
         err = capsys.readouterr().err.splitlines()
         assert [line for line in err if line.startswith("zetacomb: error: ")] == [
             f"zetacomb: error: --samples must be comma-separated rationals, got {argv[-1]!r}"
