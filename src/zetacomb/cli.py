@@ -28,7 +28,7 @@ from typing import Callable, Iterable, NamedTuple, NoReturn
 from .combinat import bernoulli_number, stirling1, stirling2
 from .etacheck import RouteDisagreementError, eta_cross_check, to_json_rows
 from .numcore import Basis, parse_rational
-from .trimat import LowerTriMatrix, invert_series, invert_substitution
+from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 from .zetadiff import (
     DEFAULT_SAMPLES,
     Route,
@@ -54,15 +54,13 @@ EXIT_CRASH = 3
 class _Result(NamedTuple):
     """A command's result: three deferred views, of which ``main`` builds one.
 
-    ``files`` is the view ``--fixtures`` picks: file names mapped to JSON
-    documents. ``failure`` is the stderr line of a check that failed once
-    the result was computed; it follows the output, and the exit code is 1.
+    ``failure`` is the stderr line of a check that failed once the result
+    was computed; it follows the output, and the exit code is 1.
     """
 
     json: Callable[[], object]
     csv: Callable[[], str]
     pretty: Callable[[], str]
-    files: Callable[[], dict[str, object]] | None = None
     failure: str | None = None
 
 
@@ -71,7 +69,7 @@ class _CheckFailed(Exception):
 
 
 class _UnwritableOutputError(Exception):
-    """Stdout or an --out or --fixtures path could not be written; a usage error."""
+    """Stdout or an --out path could not be written; a usage error."""
 
 
 def _grid(matrix: LowerTriMatrix) -> str:
@@ -97,13 +95,12 @@ def _records_csv(fields: tuple[str, ...], records: Iterable[dict]) -> str:
 
 
 def cmd_coeffs(args: argparse.Namespace) -> _Result:
-    route = Route(args.route)
-    report = combination_matrix(args.m, route)
+    report = combination_matrix(args.m)
     if args.check_all_routes:
         if any(combination_matrix(args.m, r).matrix != report.matrix for r in Route):
             raise _CheckFailed(f"route disagreement at m={args.m}")
         _note(f"{len(Route)} routes agree")
-    header = f"combination matrix, m = {args.m}, route = {route.value}\n"
+    header = f"combination matrix, m = {args.m}, route = {report.route.value}\n"
     return _Result(
         json=report.to_json_dict,
         csv=report.matrix.to_csv,
@@ -173,15 +170,16 @@ def cmd_stirling(args: argparse.Namespace) -> _Result:
 
 
 def cmd_matrices(args: argparse.Namespace) -> _Result:
-    b, b_sh = hyper_poly_coeffs(args.m, Basis.MONOMIAL), hyper_poly_coeffs(args.m, Basis.SHIFTED)
+    a, b = zeta_diff_coeffs(args.m, Basis.MONOMIAL), hyper_poly_coeffs(args.m, Basis.MONOMIAL)
+    b_inv, b_sh = invert_substitution(b), hyper_poly_coeffs(args.m, Basis.SHIFTED)
     suite = {
-        "A": zeta_diff_coeffs(args.m, Basis.MONOMIAL),
+        "A": a,
         "B": b,
-        "B_inv": invert_substitution(b),
+        "B_inv": b_inv,
         "A_shifted": zeta_diff_coeffs(args.m, Basis.SHIFTED),
         "B_shifted": b_sh,
         "B_shifted_inv": invert_series(b_sh),
-        "product": combination_matrix(args.m).matrix,
+        "product": mat_mul(a, b_inv),  # the paper's construction, from the A and B_inv printed
     }
     return _Result(
         json=lambda: {"m": args.m, **{name: matrix.to_json_dict() for name, matrix in suite.items()}},
@@ -189,7 +187,6 @@ def cmd_matrices(args: argparse.Namespace) -> _Result:
         pretty=lambda: "\n".join(
             f"{name} (m = {args.m})\n{_grid(matrix)}" for name, matrix in suite.items()
         ),
-        files=lambda: {f"{name}.json": matrix.to_json_dict() for name, matrix in suite.items()},
     )
 
 
@@ -224,24 +221,6 @@ def _write(path: Path | None, text: str) -> None:
         raise _UnwritableOutputError(f"cannot write {path or 'stdout'}: {exc.strerror}") from exc
 
 
-def _deliver(args: argparse.Namespace, result: _Result) -> None:
-    """The one place command output is written: the files view to --fixtures,
-    or else the view --format picks, to --out or stdout."""
-    directory = getattr(args, "fixtures_dir", None)
-    if directory is None:
-        view = getattr(result, args.format)()
-        _write(args.out, _json_text(view) if args.format == "json" else view)
-        return
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _UnwritableOutputError(f"cannot create {directory}: {exc.strerror}") from exc
-    files = result.files()
-    for name, doc in files.items():
-        _write(directory / name, _json_text(doc))
-    _note(f"wrote {len(files)} fixture files to {directory}")
-
-
 # the size flags several commands share, each as (flag, argparse keywords)
 _M = ("--m", {"type": int, "required": True})
 _MAX = ("--max", {"type": int, "required": True, "dest": "max_m"})
@@ -253,7 +232,6 @@ _N = ("--n", {"type": int, "required": True})
 _COMMANDS = {
     "coeffs": ("combination matrix for a given m", cmd_coeffs, DEFAULT_M_CAP, (
         _M,
-        ("--route", {"choices": [r.value for r in Route], "default": Route.RIORDAN.value}),
         ("--check-all-routes", {"action": "store_true"}),
     )),
     "verify": ("check the combination identity at sample points", cmd_verify, DEFAULT_M_CAP, (
@@ -272,14 +250,7 @@ _COMMANDS = {
         _N,
         ("--k", {"type": int, "required": True}),
     )),
-    "matrices": ("all coefficient matrices and inverses", cmd_matrices, DEFAULT_M_CAP, (
-        _M,
-        ("--fixtures", {
-            "type": Path, "default": None, "dest": "fixtures_dir",
-            "help": "write one JSON file per matrix into this directory; the files "
-            "are always JSON, so --format does not apply, and --out is refused",
-        }),
-    )),
+    "matrices": ("all coefficient matrices and inverses", cmd_matrices, DEFAULT_M_CAP, (_M,)),
 }
 
 
@@ -324,9 +295,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             parser.error(f"--{flag} must be >= 0")
         if value > args.cap:
             parser.error(f"{symbol} = {value} exceeds the cap {args.cap} (raise with --cap)")
-    if getattr(args, "fixtures_dir", None) is not None and args.out is not None:
-        # one line, as an unwritable --out or --fixtures path gives
-        parser.exit(EXIT_USAGE, "zetacomb: error: --fixtures writes JSON files; it takes no --out\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -348,7 +316,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         result = args.run(args)
-        _deliver(args, result)
+        view = getattr(result, args.format)()
+        _write(args.out, _json_text(view) if args.format == "json" else view)
         if result.failure is not None:
             raise _CheckFailed(result.failure)
         return EXIT_OK

@@ -30,7 +30,8 @@ import _tables_m9 as tables
 from zetacomb import cli
 from zetacomb.cli import main
 from zetacomb.etacheck import RouteDisagreementError
-from zetacomb.trimat import LowerTriMatrix
+from zetacomb.numcore import Basis
+from zetacomb.trimat import LowerTriMatrix, mat_mul
 from zetacomb.zetadiff import (
     CoeffReport,
     CombinationViolation,
@@ -39,6 +40,9 @@ from zetacomb.zetadiff import (
     SignPatternFinding,
     SignViolation,
     VerificationReport,
+    combination_matrix,
+    hyper_poly_coeffs,
+    zeta_diff_coeffs,
 )
 
 
@@ -78,14 +82,6 @@ def test_coeffs_m9_json(capsys):
     assert doc["m"] == 9
     assert doc["route"] == "riordan"
     assert doc["matrix"] == tables.matrix(tables.PRODUCT10).to_json_dict()
-
-
-def test_coeffs_route_flag(capsys):
-    base = run(["coeffs", "--m", "6", "--format", "csv"], capsys)[1]
-    for route in ("monomial", "shifted", "monomial-series", "shifted-series"):
-        code, out, _ = run(["coeffs", "--m", "6", "--route", route, "--format", "csv"], capsys)
-        assert code == 0
-        assert out == base
 
 
 def test_coeffs_check_all_routes(capsys):
@@ -209,24 +205,39 @@ def test_matrices_json_inverse_row_pinned(capsys):
     assert set(doc) == {"m", "A", "B", "B_inv", "A_shifted", "B_shifted", "B_shifted_inv", "product"}
 
 
-def test_matrices_fixture_dump(tmp_path, capsys):
-    code, out, err = run(["matrices", "--m", "9", "--fixtures", str(tmp_path)], capsys)
-    assert code == 0
-    assert out == ""
-    assert "7 fixture files" in err
+def test_matrices_fixture_dump(capsys):
+    code, out, err = run(["matrices", "--m", "9", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
     expected = {
-        "A.json": tables.A10,
-        "B.json": tables.B10,
-        "B_inv.json": tables.B10_INV,
-        "A_shifted.json": tables.A10_SHIFTED,
-        "B_shifted.json": tables.B10_SHIFTED,
-        "B_shifted_inv.json": tables.B10_SHIFTED_INV,
-        "product.json": tables.PRODUCT10,
+        "A": tables.A10,
+        "B": tables.B10,
+        "B_inv": tables.B10_INV,
+        "A_shifted": tables.A10_SHIFTED,
+        "B_shifted": tables.B10_SHIFTED,
+        "B_shifted_inv": tables.B10_SHIFTED_INV,
+        "product": tables.PRODUCT10,
     }
-    assert {p.name for p in tmp_path.iterdir()} == set(expected)
-    for name, table in expected.items():
-        doc = json.loads((tmp_path / name).read_text())
-        assert doc == tables.matrix(table).to_json_dict(), name
+    doc = json.loads(out)
+    assert doc.pop("m") == 9
+    assert doc == {name: tables.matrix(table).to_json_dict() for name, table in expected.items()}
+
+
+def test_matrices_product_is_a_times_the_printed_inverse(monkeypatch, capsys):
+    # the product is computed from the printed A and B_inv, not read off another route
+    real = cli.invert_substitution
+
+    def doctored(matrix):
+        inverse = real(matrix)
+        return LowerTriMatrix(inverse.dim, (inverse.entries[0] + 1, *inverse.entries[1:]))
+
+    monkeypatch.setattr(cli, "invert_substitution", doctored)
+    code, out, _ = run(["matrices", "--m", "3", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    b_inv = doctored(hyper_poly_coeffs(3, Basis.MONOMIAL))
+    assert doc["B_inv"] == b_inv.to_json_dict()
+    assert doc["product"] == mat_mul(zeta_diff_coeffs(3, Basis.MONOMIAL), b_inv).to_json_dict()
+    assert doc["product"] != combination_matrix(3).matrix.to_json_dict()
 
 
 # --- flags, exit codes, determinism ----------------------------------------------------
@@ -305,13 +316,10 @@ def test_out_flag_matches_stdout(tmp_path, capsys):
     assert target.read_text() == streamed
 
 
-@pytest.mark.parametrize("flag", ["--out", "--fixtures"])
+@pytest.mark.parametrize("flag", ["--out"])  # the one flag that names an output path
 def test_unwritable_output_exits_2(flag, tmp_path, capsys):
-    command = "coeffs" if flag == "--out" else "matrices"
     target = tmp_path / "missing" / "x"
-    if flag == "--fixtures":
-        (tmp_path / "missing").write_text("a file, not a directory")
-    code, out, err = run([command, "--m", "3", flag, str(target)], capsys)
+    code, out, err = run(["coeffs", "--m", "3", flag, str(target)], capsys)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
@@ -319,23 +327,21 @@ def test_unwritable_output_exits_2(flag, tmp_path, capsys):
     assert str(tmp_path / "missing") in err
 
 
-def test_fixtures_refuse_out(tmp_path, capsys):
-    target = tmp_path / "O"
+@pytest.mark.parametrize(
+    "argv",
+    [["coeffs", "--m", "1", "--route", "riordan"], ["matrices", "--m", "1", "--fixtures", "{tmp}/D"]],
+    ids=["coeffs-route", "matrices-fixtures"],
+)
+def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
+    # coeffs prints the one production matrix; --check-all-routes compares the routes
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as info:
-        main(["matrices", "--m", "9", "--fixtures", str(tmp_path / "D"), "--out", str(target)])
+        main(argv)
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "zetacomb: error: --fixtures writes JSON files; it takes no --out\n"
-    assert not target.exists()
+    assert err.splitlines()[-1] == f"zetacomb: error: unrecognized arguments: {' '.join(argv[3:])}"
     assert not (tmp_path / "D").exists()
-
-
-def test_fixtures_help_says_format_does_not_apply(capsys):
-    with pytest.raises(SystemExit):
-        main(["matrices", "--help"])
-    help_text = " ".join(capsys.readouterr().out.split())
-    assert "always JSON, so --format does not apply" in help_text
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
@@ -376,9 +382,8 @@ def test_closed_stdout_exits_2():
     [
         (["coeffs", "--m", "1", "--check-all-routes", "--format", "csv"], 0, "1/2,0\n0,1/4\n"),
         (["coeffs", "--m", "1", "--out", "{tmp}/missing/x"], 2, ""),
-        (["matrices", "--m", "1", "--fixtures", "{tmp}/fixtures"], 0, ""),
     ],
-    ids=["routes-agree", "unwritable-out", "fixtures-written"],
+    ids=["routes-agree", "unwritable-out"],
 )
 def test_closed_stderr_keeps_diagnostics_off_stdout(argv, code, stdout, tmp_path):
     proc = run_with_closed_fd(2, [arg.format(tmp=tmp_path) for arg in argv])
@@ -513,13 +518,13 @@ def test_one_command_parser_reads_argv_as_the_full_parser(argv):
 
 # per command, its own flags in order and its --cap default
 COMMAND_FLAGS = {
-    "coeffs": (("--m", "--route", "--check-all-routes"), 64),
+    "coeffs": (("--m", "--check-all-routes"), 64),
     "verify": (("--m", "--samples"), 64),
     "eta": (("--max",), 64),
     "conjecture": (("--max",), 64),
     "bernoulli": (("--n",), 2000),
     "stirling": (("--kind", "--n", "--k"), 2000),
-    "matrices": (("--m", "--fixtures"), 64),
+    "matrices": (("--m",), 64),
 }
 
 
@@ -572,7 +577,7 @@ def test_golden_output(entry, capsys):
 def test_route_disagreement_exits_1(monkeypatch, capsys):
     real = cli.combination_matrix
 
-    def skewed(m, route=Route.MONOMIAL):
+    def skewed(m, route=Route.RIORDAN):
         report = real(m, route)
         if route is Route.SHIFTED_SERIES:
             entries = list(report.matrix.entries)
@@ -720,10 +725,7 @@ _SIZE = {
     "stirling": ("--n", 50),
 }
 _FLAGS = {
-    "coeffs": [
-        [None, *(["--route", r] for r in (*(r.value for r in Route), "tanh"))],
-        [None, ["--check-all-routes"]],
-    ],
+    "coeffs": [[None, ["--check-all-routes"]]],
     "verify": [
         [None, *(["--samples", s] for s in ("0,1/2", "7/3", "-1/2", "a,b", "1/0", "")), ["--samples=-1/2,7/3"]],
     ],

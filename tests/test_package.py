@@ -9,7 +9,8 @@ interpreters, because this process has long since imported everything.
 defines. Every public function that takes a size reads it by one rule: it
 is made an ``int`` (``True`` is 1, ``2.0`` a ``TypeError``) and a negative
 one is refused. A basis or a route is read by its enum, so its string value
-works too. README's Library example runs as a doctest.
+works too. README's Library example runs as a doctest, and each command of
+its command-line session prints what the session shows.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import ast
 import doctest
 import importlib
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +26,9 @@ from pathlib import Path
 import pytest
 
 import zetacomb
+from zetacomb import cli
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 HOMES = ("numcore", "combinat", "trimat", "zetadiff", "etacheck")
 EXPORTS = """
     Basis Poly parse_rational
@@ -252,7 +256,26 @@ def test_cli_import_loads_every_home():
 
 
 def test_readme_library_example_holds():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    results = doctest.testfile(str(readme), module_relative=False)
+    results = doctest.testfile(str(README), module_relative=False)
     assert results.attempted > 0
     assert results.failed == 0
+
+
+def _readme_session() -> dict[str, str]:
+    """Each ``$`` line of README's command-line session, mapped to the output shown under it."""
+    block = README.read_text().split("## Command line\n\n```text\n", 1)[1].split("```", 1)[0]
+    examples = [example.partition("\n") for example in block.split("$ ")[1:]]
+    return {command: shown.rstrip("\n") + "\n" for command, _, shown in examples}
+
+
+SESSION = _readme_session()
+
+
+@pytest.mark.parametrize("command", SESSION)
+def test_readme_command_line_session_holds(command, capsys):
+    line, _, tail = command.partition(" | tail -")
+    program, *argv = shlex.split(line)
+    assert program == "zetacomb"
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "".join(out.splitlines(keepends=True)[-int(tail or 0):]) == SESSION[command]  # [-0:] keeps all

@@ -56,10 +56,13 @@ def tri_pairs(draw, dims=st.integers(1, 8)):
 
 
 def test_from_rows_shape_checked():
-    with pytest.raises(ValueError):
-        LowerTriMatrix.from_rows([[1, 2]])
-    with pytest.raises(ValueError):
-        LowerTriMatrix.from_rows([[1], [2]])
+    for rows, message in (
+        ([[1, 2]], "row 0 must have 1 entries, got 2"),
+        ([[1], [2]], "row 1 must have 2 entries, got 1"),
+        ([[1], [2, 3, 4]], "row 1 must have 2 entries, got 3"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LowerTriMatrix.from_rows(rows)
 
 
 def test_entries_length_checked():

@@ -85,8 +85,7 @@ CASES = {
     "_Result": (
         lambda: _Result(json=dict, csv=str, pretty=str),
         lambda: _Result(json=dict, csv=str, pretty=str, failure="check failed"),
-        "_Result(json=<class 'dict'>, csv=<class 'str'>, pretty=<class 'str'>,"
-        " files=None, failure=None)",
+        "_Result(json=<class 'dict'>, csv=<class 'str'>, pretty=<class 'str'>, failure=None)",
     ),
 }
 FIELDS = {
@@ -98,7 +97,7 @@ FIELDS = {
     "SignViolation": ("i", "j", "value", "expected"),
     "SignPatternFinding": ("max_m", "checked", "violations"),
     "EtaTriple": ("m", "via_zeta", "via_coeff_rows", "via_stirling2"),
-    "_Result": ("json", "csv", "pretty", "files", "failure"),
+    "_Result": ("json", "csv", "pretty", "failure"),
 }
 VALIDATING = ("Poly", "LowerTriMatrix", "CoeffReport")
 
@@ -141,8 +140,7 @@ def test_copies_and_pickles_equal(name):
 
 def test_defaults():
     assert Poly((1,)).basis is Basis.MONOMIAL
-    result = _Result(json=dict, csv=str, pretty=str)
-    assert (result.files, result.failure) == (None, None)
+    assert _Result(json=dict, csv=str, pretty=str).failure is None
 
 
 @pytest.mark.parametrize("name", VALIDATING)

@@ -666,6 +666,25 @@ def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f():
     assert not verify_polynomial_forms(m, matrices=tuple(mats))
 
 
+@pytest.mark.parametrize(
+    ("m", "row"),
+    [
+        # F(0, x) = 1/2; the wrong constant agrees with it nowhere
+        (0, [Fraction(3, 2)]),
+        # F(1, x) = 1/4 + x/2; the wrong row agrees with it at x = -2/3 alone
+        (1, [Fraction(1, 4) + Fraction(2, 3), Fraction(3, 2)]),
+    ],
+    ids=["m0-constant", "m1-one-common-point"],
+)
+def test_verify_polynomial_forms_checks_every_point(m, row):
+    # caught only if the check visits some point at m = 0, and one besides x = -2/3 at m = 1
+    mats = list(_form_tables(m))
+    rows = [list(r) for r in mats[0].rows()]
+    rows[m] = row
+    mats[0] = LowerTriMatrix.from_rows(rows)
+    assert not verify_polynomial_forms(m, matrices=tuple(mats))
+
+
 @pytest.mark.parametrize("build", [zeta_diff_coeffs, hyper_poly_coeffs])
 def test_shifted_rows_rebase_onto_monomial_rows(build):
     # the identity the forms check implies through its points, checked directly
