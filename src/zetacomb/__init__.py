@@ -50,13 +50,11 @@ _EXPORTS = {
         "compare_stirling2_matrix",
     ),
     "etacheck": (
-        "EtaTriple",
         "RouteDisagreementError",
         "eta_via_zeta",
         "eta_via_coeff_row",
         "eta_via_stirling2",
         "eta_cross_check",
-        "to_json_rows",
     ),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]

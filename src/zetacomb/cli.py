@@ -8,25 +8,29 @@ Results go to stdout (or --out); diagnostics go to stderr.
 script and ``python -m zetacomb.cli`` all call it. ``main(argv)`` runs one
 request and returns its exit code; it is what tests and library callers use.
 
+This is the one module that formats output; the library returns values.
 Each ``cmd_*`` computes its result once and returns a ``_Result`` holding
-three deferred views of it: the JSON document, the CSV text and the pretty
-text. ``main`` alone picks the view that --format names (only that one is
-built), writes it, and maps failures to exit codes. Record-shaped CSVs come
-from ``_records_csv`` over the same dicts the JSON view carries, so the
-CSV header is the JSON keys.
+three deferred views of it: the value to print as JSON, the CSV text and
+the pretty text. ``main`` alone picks the view that --format names (only
+that one is built), writes it, and maps failures to exit codes. JSON
+comes from ``_document``, a matrix grid from ``_cells``, and a record CSV
+from ``_records_csv`` over the records' documents, so its header is the
+JSON keys.
 """
 from __future__ import annotations
 
 import argparse
+import enum
 import errno
 import gc
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .combinat import bernoulli_number, stirling1, stirling2
-from .etacheck import RouteDisagreementError, eta_cross_check, to_json_rows
+from .etacheck import RouteDisagreementError, eta_cross_check
 from .numcore import Basis, parse_rational
 from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 from .zetadiff import (
@@ -54,6 +58,8 @@ EXIT_CRASH = 3
 class _Result(NamedTuple):
     """A command's result: three deferred views, of which ``main`` builds one.
 
+    ``json`` returns a value for ``_document``; ``csv`` and ``pretty`` return text.
+
     ``failure`` is the stderr line of a check that failed once the result
     was computed; it follows the output, and the exit code is 1.
     """
@@ -72,23 +78,49 @@ class _UnwritableOutputError(Exception):
     """Stdout or an --out path could not be written; a usage error."""
 
 
+def _cells(matrix: LowerTriMatrix) -> list[list[str]]:
+    """The full square grid of ``matrix`` as strings, "0" above the diagonal."""
+    return [[*map(str, matrix.row(i)), *["0"] * (matrix.dim - 1 - i)] for i in range(matrix.dim)]
+
+
 def _grid(matrix: LowerTriMatrix) -> str:
-    # full square, right-aligned columns
-    cells = [[*map(str, matrix.row(i)), *["0"] * (matrix.dim - 1 - i)] for i in range(matrix.dim)]
+    # right-aligned columns
+    cells = _cells(matrix)
     widths = [max(len(row[j]) for row in cells) for j in range(matrix.dim)]
-    lines = [
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in cells
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join("  ".join(cell.rjust(w) for cell, w in zip(row, widths)) + "\n" for row in cells)
 
 
-def _records_csv(fields: tuple[str, ...], records: Iterable[dict]) -> str:
-    """Header ``fields``, then one line per record; cells are JSON scalars, unquoted."""
+def _csv_grid(matrix: LowerTriMatrix) -> str:
+    return "".join(",".join(row) + "\n" for row in _cells(matrix))
+
+
+def _document(value):
+    """The JSON form of a result: a ``LowerTriMatrix`` as {"dim", "rows"}, a
+    record as a dict by its ``_fields``, a ``Fraction`` as "p/q", an enum by
+    its value; dicts, lists and tuples item by item, anything else as it is."""
+    if isinstance(value, LowerTriMatrix):
+        return {"dim": value.dim, "rows": [[str(e) for e in row] for row in value.rows()]}
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if hasattr(value, "_fields"):
+        return {field: _document(getattr(value, field)) for field in value._fields}
+    if isinstance(value, dict):
+        return {key: _document(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_document(item) for item in value]
+    return value
+
+
+def _records_csv(fields: tuple[str, ...], records: Iterable) -> str:
+    """Header ``fields``, then one line per record's ``_document``; cells are
+    JSON scalars, unquoted."""
     import json  # here, not at the top: a pretty request never needs it
 
     lines = [",".join(fields)]
     lines += [
-        ",".join(v if isinstance(v, str) else json.dumps(v) for v in map(r.get, fields))
+        ",".join(v if isinstance(v, str) else json.dumps(v) for v in map(_document(r).get, fields))
         for r in records
     ]
     return "\n".join(lines) + "\n"
@@ -102,8 +134,8 @@ def cmd_coeffs(args: argparse.Namespace) -> _Result:
         _note(f"{len(Route)} routes agree")
     header = f"combination matrix, m = {args.m}, route = {report.route.value}\n"
     return _Result(
-        json=report.to_json_dict,
-        csv=report.matrix.to_csv,
+        json=lambda: report,
+        csv=lambda: _csv_grid(report.matrix),
         pretty=lambda: header + _grid(report.matrix),
     )
 
@@ -118,8 +150,10 @@ def cmd_verify(args: argparse.Namespace) -> _Result:
     elif not forms_ok:
         failure = f"polynomial forms check failed at m={args.m}"
     return _Result(
-        json=lambda: {**report.to_json_dict(), "polynomial_forms_pass": forms_ok},
-        csv=lambda: _records_csv(("row", "sample", "residual"), report.to_json_dict()["violations"]),
+        # "pass", not the field name "passed"
+        json=lambda: {"m": report.m, "samples": report.samples, "pass": report.passed,
+                      "violations": report.violations, "polynomial_forms_pass": forms_ok},
+        csv=lambda: _records_csv(("row", "sample", "residual"), report.violations),
         pretty=lambda: (
             f"combination identity: {'PASS' if report.passed else 'FAIL'}"
             f" (m = {args.m}, samples: {', '.join(str(s) for s in report.samples)})\n"
@@ -130,11 +164,12 @@ def cmd_verify(args: argparse.Namespace) -> _Result:
 
 
 def cmd_eta(args: argparse.Namespace) -> _Result:
-    triples = eta_cross_check(args.max_m)
+    etas = eta_cross_check(args.max_m)  # raises unless the three routes agree on every m
+    rows = [{"m": m, "eta": eta, "routes_agree": True} for m, eta in enumerate(etas)]
     return _Result(
-        json=lambda: to_json_rows(triples),
-        csv=lambda: _records_csv(("m", "eta", "routes_agree"), to_json_rows(triples)),
-        pretty=lambda: "".join(f"eta({-t.m}) = {t.via_zeta}\n" for t in triples),
+        json=lambda: rows,
+        csv=lambda: _records_csv(("m", "eta", "routes_agree"), rows),
+        pretty=lambda: "".join(f"eta({-m}) = {eta}\n" for m, eta in enumerate(etas)),
     )
 
 
@@ -145,8 +180,8 @@ def cmd_conjecture(args: argparse.Namespace) -> _Result:
         f" {finding.checked} entries checked, {len(finding.violations)} violations\n"
     )
     return _Result(
-        json=finding.to_json_dict,
-        csv=lambda: _records_csv(("i", "j", "value", "expected"), finding.to_json_dict()["violations"]),
+        json=lambda: finding,
+        csv=lambda: _records_csv(("i", "j", "value", "expected"), finding.violations),
         pretty=lambda: header + "".join(
             f"  ({v.i}, {v.j}) = {v.value}, expected {v.expected.value}\n" for v in finding.violations
         ),
@@ -159,7 +194,7 @@ def _scalar(doc: dict, pretty: str) -> _Result:
 
 def cmd_bernoulli(args: argparse.Namespace) -> _Result:
     value = bernoulli_number(args.n)
-    return _scalar({"n": args.n, "value": str(value)}, f"B({args.n}) = {value}\n")
+    return _scalar({"n": args.n, "value": value}, f"B({args.n}) = {value}\n")
 
 
 def cmd_stirling(args: argparse.Namespace) -> _Result:
@@ -182,18 +217,18 @@ def cmd_matrices(args: argparse.Namespace) -> _Result:
         "product": mat_mul(a, b_inv),  # the paper's construction, from the A and B_inv printed
     }
     return _Result(
-        json=lambda: {"m": args.m, **{name: matrix.to_json_dict() for name, matrix in suite.items()}},
-        csv=lambda: "\n".join(f"{name}\n{matrix.to_csv()}" for name, matrix in suite.items()),
+        json=lambda: {"m": args.m, **suite},
+        csv=lambda: "\n".join(f"{name}\n{_csv_grid(matrix)}" for name, matrix in suite.items()),
         pretty=lambda: "\n".join(
             f"{name} (m = {args.m})\n{_grid(matrix)}" for name, matrix in suite.items()
         ),
     )
 
 
-def _json_text(obj) -> str:
+def _json_text(value) -> str:
     import json
 
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(_document(value), indent=2) + "\n"
 
 
 def _note(line: str) -> None:

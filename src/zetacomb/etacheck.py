@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
 
 from . import _EXPORTS
 from .combinat import _require_nonnegative, bernoulli_poly, stirling2
@@ -29,19 +28,6 @@ class RouteDisagreementError(ArithmeticError):
         self.values = values
         detail = ", ".join(f"{name}={value}" for name, value in sorted(values.items()))
         super().__init__(f"eta routes disagree at m={m}: {detail}")
-
-
-class EtaTriple(NamedTuple):
-    """eta(-m) computed three ways; agreement is the whole point."""
-
-    m: int
-    via_zeta: Fraction
-    via_coeff_rows: Fraction
-    via_stirling2: Fraction
-
-    @property
-    def routes_agree(self) -> bool:
-        return self.via_zeta == self.via_coeff_rows == self.via_stirling2
 
 
 def eta_via_zeta(m: int) -> Fraction:
@@ -88,31 +74,22 @@ def eta_via_stirling2(m: int) -> Fraction:
     return Fraction(total, 1 << (m + 1))
 
 
-def eta_cross_check(max_m: int) -> list[EtaTriple]:
-    """Triples for 0 <= m <= max_m; raises on any route disagreement.
+def eta_cross_check(max_m: int) -> list[Fraction]:
+    """[eta(0), eta(-1), ..., eta(-max_m)]; raises on any route disagreement.
 
     The coefficient-row route reads row m of the one matrix of size
     max_m: row m of the combination matrix does not depend on its size.
     """
     max_m = _require_nonnegative(max_m, "max_m")
     matrix = combination_matrix(max_m).matrix
-    triples = []
+    etas = []
     for m in range(max_m + 1):
-        triple = EtaTriple(
-            m=m,
-            via_zeta=eta_via_zeta(m),
-            via_coeff_rows=_weighted_row_sum(matrix.row(m)),
-            via_stirling2=eta_via_stirling2(m),
-        )
-        if not triple.routes_agree:
-            raise RouteDisagreementError(m, dict(zip(EtaTriple._fields[1:], triple[1:])))
-        triples.append(triple)
-    return triples
-
-
-def to_json_rows(triples: list[EtaTriple]) -> list[dict]:
-    """[{"m": m, "eta": "p/q", "routes_agree": true}, ...] for export."""
-    return [
-        {"m": t.m, "eta": str(t.via_zeta), "routes_agree": t.routes_agree}
-        for t in triples
-    ]
+        values = {
+            "via_zeta": eta_via_zeta(m),
+            "via_coeff_rows": _weighted_row_sum(matrix.row(m)),
+            "via_stirling2": eta_via_stirling2(m),
+        }
+        if len(set(values.values())) != 1:
+            raise RouteDisagreementError(m, values)
+        etas.append(values["via_zeta"])
+    return etas

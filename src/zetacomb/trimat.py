@@ -118,20 +118,6 @@ class LowerTriMatrix(_Value):
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
 
-    def to_json_dict(self) -> dict:
-        """{"dim": n, "rows": [...]} with entries as "p/q" strings."""
-        return {
-            "dim": self.dim,
-            "rows": [[str(e) for e in self.row(i)] for i in range(self.dim)],
-        }
-
-    def to_csv(self) -> str:
-        """Full square grid, explicit "0" above the diagonal, one row per line."""
-        return "".join(
-            ",".join([*map(str, self.row(i)), *["0"] * (self.dim - 1 - i)]) + "\n"
-            for i in range(self.dim)
-        )
-
 
 def _scaled_rows(m: LowerTriMatrix) -> tuple[list[list[int]], int]:
     """Integer rows of d*M and the scale d, the lcm of M's denominators."""

@@ -38,7 +38,7 @@ from functools import lru_cache
 from math import factorial
 from operator import attrgetter, mul
 from threading import Lock
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import _EXPORTS
 from .combinat import _TANGENT_TABLE, _require_nonnegative, _tanh_power_row, bernoulli_number, binomial, stirling2
@@ -205,7 +205,7 @@ class CoeffReport(_Value):
     (``_answer``): the eta row sum, the default sign scan and the Stirling
     comparison at its m are each computed on the first call and returned
     as the same object after that. The store is not a field, so it plays
-    no part in ``==``, ``hash``, ``repr`` or ``to_json_dict``.
+    no part in ``==``, ``hash`` or ``repr``.
     """
 
     _fields = ("m", "route", "matrix")
@@ -233,9 +233,6 @@ class CoeffReport(_Value):
         except KeyError:
             # two threads may both compute it; both return the one kept
             return answers.setdefault(compute, compute(self))
-
-    def to_json_dict(self) -> dict:
-        return {"m": self.m, "route": self.route.value, "matrix": self.matrix.to_json_dict()}
 
 
 _ZERO = Fraction(0)
@@ -372,17 +369,6 @@ class VerificationReport(NamedTuple):
     passed: bool
     violations: tuple[CombinationViolation, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "samples": [str(s) for s in self.samples],
-            "pass": self.passed,
-            "violations": [
-                {"row": v.row, "sample": str(v.sample), "residual": str(v.residual)}
-                for v in self.violations
-            ],
-        }
-
 
 def verify_combination(
     m: int,
@@ -423,22 +409,26 @@ def verify_combination(
 
 def verify_polynomial_forms(
     m: int,
-    matrices: tuple[LowerTriMatrix, LowerTriMatrix, LowerTriMatrix, LowerTriMatrix] | None = None,
+    matrices: Iterable[LowerTriMatrix] | None = None,
 ) -> bool:
     """Tie the closed-form coefficient rows to the direct evaluators.
 
     Checks, at 2m+3 distinct rational points: rows of the monomial-basis
     matrices evaluate to F resp. G; same for the shifted-basis matrices.
-    ``matrices`` may inject (F_mono, G_mono, F_shift, G_shift) tables,
-    each of dim m+1 (otherwise ``ValueError``). At each x = p/3 the powers
-    p^j 3^{m-j} of x, and of x+1, are built once; a row c/d of a table
-    (``_scaled_rows``) takes the value v iff sum_j c_j p^j 3^{m-j} den(v) = d 3^m num(v).
+    ``matrices`` may inject the four (F_mono, G_mono, F_shift, G_shift)
+    tables, as any iterable, each of dim m+1 (otherwise ``ValueError``).
+    At each x = p/3 the powers p^j 3^{m-j} of x, and of x+1, are built
+    once; a row c/d of a table (``_scaled_rows``) takes the value v iff
+    sum_j c_j p^j 3^{m-j} den(v) = d 3^m num(v).
     No rebase check is needed: a shifted row and its monomial row have degree
     <= m and both equal F(i, .) (or G(i, .)) at 2m+3 > m points, so they are
     the same polynomial.
     """
     if matrices is None:
         matrices = [build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)]
+    matrices = tuple(matrices)  # an iterator is read once
+    if len(matrices) != 4:
+        raise ValueError(f"need the four tables (F_mono, G_mono, F_shift, G_shift), got {len(matrices)}")
     for matrix in matrices:
         m = _require_dim(m, matrix)
     q_powers = [3**k for k in range(m, -1, -1)]
@@ -486,16 +476,6 @@ class SignPatternFinding(NamedTuple):
     max_m: int
     checked: int
     violations: tuple[SignViolation, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "max_m": self.max_m,
-            "checked": self.checked,
-            "violations": [
-                {"i": v.i, "j": v.j, "value": str(v.value), "expected": v.expected.value}
-                for v in self.violations
-            ],
-        }
 
 
 # by (i - j) % 4: the sign of the numerator of a_{i,j}, and its name

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 import _tables_m9 as tables
+from zetacomb import cli
 from zetacomb.combinat import bernoulli_number, binomial, stirling1, stirling2
 from zetacomb.etacheck import eta_cross_check, eta_via_coeff_row, eta_via_stirling2
 from zetacomb.numcore import Basis
@@ -97,16 +98,13 @@ def test_criterion_3_combination_identity(acceptance):
 
 def test_criterion_4_eta_block(acceptance):
     failures = []
-    triples = eta_cross_check(30)
-    expected = tables.eta_values()
-    for triple in triples[:10]:
-        if (triple.via_zeta, triple.via_coeff_rows, triple.via_stirling2) != (
-            expected[triple.m],
-        ) * 3:
-            failures.append(f"m={triple.m} block mismatch")
-    for triple in triples:
-        if triple.m >= 2 and triple.m % 2 == 0 and triple.via_zeta != 0:
-            failures.append(f"eta(-{triple.m}) nonzero")
+    etas = eta_cross_check(30)  # raises unless its three routes agree on every value
+    for m, (eta, expected) in enumerate(zip(etas, tables.eta_values())):
+        if eta != expected:
+            failures.append(f"m={m} block mismatch")
+    for m, eta in enumerate(etas):
+        if m >= 2 and m % 2 == 0 and eta != 0:
+            failures.append(f"eta(-{m}) nonzero")
     acceptance(
         4,
         "eta(-m) block reproduced for m <= 9; even-m values vanish through m = 30",
@@ -195,7 +193,7 @@ def test_criterion_7_sign_pattern(acceptance):
     verified = scan_sign_pattern(9)
     exploratory = scan_sign_pattern(40)
     print("exploratory sign-pattern scan to m = 40:")
-    print(json.dumps(exploratory.to_json_dict()))
+    print(json.dumps(cli._document(exploratory)))
     acceptance(
         7,
         "sign pattern clean through m = 9; exploratory scan to m = 40 completed",

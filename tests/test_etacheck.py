@@ -16,7 +16,6 @@ from zetacomb.etacheck import (
     eta_via_coeff_row,
     eta_via_stirling2,
     eta_via_zeta,
-    to_json_rows,
 )
 from zetacomb.zetadiff import (
     combination_matrix,
@@ -50,13 +49,8 @@ def test_coeff_row_route_is_function_at_zero():
 
 
 def test_cross_check_matches_fixture():
-    triples = eta_cross_check(9)
-    assert [t.m for t in triples] == list(range(10))
-    for triple, expected in zip(triples, tables.eta_values()):
-        assert triple.via_zeta == expected
-        assert triple.via_coeff_rows == expected
-        assert triple.via_stirling2 == expected
-        assert triple.routes_agree
+    # it returns only values on which all three routes agreed
+    assert eta_cross_check(9) == tables.eta_values()
 
 
 def test_cross_check_builds_one_matrix(monkeypatch):
@@ -67,19 +61,19 @@ def test_cross_check_builds_one_matrix(monkeypatch):
         return combination_matrix(m)
 
     monkeypatch.setattr(etacheck, "combination_matrix", counting)
-    triples = eta_cross_check(12)
+    etas = eta_cross_check(12)
     assert sizes == [12]
-    assert [t.via_coeff_rows for t in triples] == [eta_via_coeff_row(m) for m in range(13)]
+    assert etas == [eta_via_coeff_row(m) for m in range(13)]
 
 
 def test_even_positive_m_vanishes_odd_does_not():
-    for triple in eta_cross_check(20):
-        if triple.m == 0:
+    for m, eta in enumerate(eta_cross_check(20)):
+        if m == 0:
             continue
-        if triple.m % 2 == 0:
-            assert triple.via_zeta == 0
+        if m % 2 == 0:
+            assert eta == 0
         else:
-            assert triple.via_zeta != 0
+            assert eta != 0
 
 
 def test_disagreement_raises(monkeypatch):
@@ -92,16 +86,6 @@ def test_disagreement_raises(monkeypatch):
     assert err.values["via_stirling2"] == Fraction(99)
     assert "via_stirling2=99" in str(err)
     assert "m=0" in str(err)
-
-
-def test_to_json_rows():
-    rows = to_json_rows(eta_cross_check(3))
-    assert rows == [
-        {"m": 0, "eta": "1/2", "routes_agree": True},
-        {"m": 1, "eta": "1/4", "routes_agree": True},
-        {"m": 2, "eta": "0", "routes_agree": True},
-        {"m": 3, "eta": "-1/8", "routes_agree": True},
-    ]
 
 
 def test_eta_via_coeff_row_repeat_returns_the_kept_value():

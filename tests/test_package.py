@@ -37,8 +37,7 @@ EXPORTS = """
     Route CoeffReport SignPatternFinding SignViolation ExpectedSign CombinationViolation VerificationReport
     DEFAULT_SAMPLES zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix
     verify_combination verify_polynomial_forms scan_sign_pattern compare_stirling2_matrix
-    EtaTriple RouteDisagreementError eta_via_zeta eta_via_coeff_row eta_via_stirling2 eta_cross_check
-    to_json_rows
+    RouteDisagreementError eta_via_zeta eta_via_coeff_row eta_via_stirling2 eta_cross_check
 """.split()
 
 
@@ -165,7 +164,7 @@ TRUE_SIZE_CALLS = {
 def test_a_size_of_true_is_the_int_1(call):
     result = call(True)
     assert result == call(1)
-    assert json.dumps(result.to_json_dict()) == json.dumps(call(1).to_json_dict())
+    assert json.dumps(cli._document(result)) == json.dumps(cli._document(call(1)))
 
 
 # a function given tables checks the size before it compares the tables' dim with it
@@ -212,13 +211,13 @@ def test_a_poly_reads_its_basis_by_value():
 def test_a_coeff_report_reads_its_route_by_value():
     report = zetacomb.CoeffReport(0, "riordan", zetacomb.combination_matrix(0).matrix)
     assert report.route is zetacomb.Route.RIORDAN
-    assert report.to_json_dict()["route"] == "riordan"
+    assert cli._document(report)["route"] == "riordan"
     with pytest.raises(ValueError, match="'bogus' is not a valid Route"):
         zetacomb.CoeffReport(0, "bogus", zetacomb.combination_matrix(0).matrix)
 
 
 def test_a_matrix_dim_is_an_int():
-    dim = zetacomb.LowerTriMatrix(True, [1]).to_json_dict()["dim"]
+    dim = zetacomb.LowerTriMatrix(True, [1]).dim
     assert type(dim) is int and dim == 1
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         zetacomb.LowerTriMatrix(2.0, [1, 2, 3])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import _tables_m9 as tables
 import oracles
+from zetacomb import cli
 from zetacomb.numcore import Basis
 from zetacomb.trimat import (
     DimensionMismatchError,
@@ -304,12 +305,12 @@ def test_inverse_round_trips(m):
     assert mat_mul(inv, m) == eye
 
 
-# --- serialization ------------------------------------------------------------
+# --- rendering, which the CLI alone does ----------------------------------------
 
 
 def test_json_round_trip():
     b = tables.matrix(tables.B10_INV)
-    doc = b.to_json_dict()
+    doc = cli._document(b)
     assert doc["dim"] == 10
     assert doc["rows"][3] == ["1/4", "-1/4", "-3/8", "1/8"]
     assert json.loads(json.dumps(doc)) == doc
@@ -317,4 +318,4 @@ def test_json_round_trip():
 
 def test_csv_has_explicit_zeros():
     m = LowerTriMatrix.from_rows([[Fraction(1, 2)], [0, 2]])
-    assert m.to_csv() == "1/2,0\n0,2\n"
+    assert cli._csv_grid(m) == "1/2,0\n0,2\n"

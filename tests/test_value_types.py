@@ -18,7 +18,6 @@ from fractions import Fraction
 import pytest
 
 from zetacomb.cli import _Result
-from zetacomb.etacheck import EtaTriple
 from zetacomb.numcore import Basis, Poly
 from zetacomb.trimat import LowerTriMatrix
 from zetacomb.zetadiff import (
@@ -76,12 +75,6 @@ CASES = {
         "SignPatternFinding(max_m=3, checked=6, violations=(SignViolation(i=2, j=0, "
         "value=Fraction(1, 4), expected=<ExpectedSign.NEGATIVE: 'negative'>),))",
     ),
-    "EtaTriple": (
-        lambda: EtaTriple(m=1, via_zeta=QUARTER, via_coeff_rows=QUARTER, via_stirling2=QUARTER),
-        lambda: EtaTriple(m=1, via_zeta=QUARTER, via_coeff_rows=HALF, via_stirling2=QUARTER),
-        "EtaTriple(m=1, via_zeta=Fraction(1, 4), via_coeff_rows=Fraction(1, 4),"
-        " via_stirling2=Fraction(1, 4))",
-    ),
     "_Result": (
         lambda: _Result(json=dict, csv=str, pretty=str),
         lambda: _Result(json=dict, csv=str, pretty=str, failure="check failed"),
@@ -96,7 +89,6 @@ FIELDS = {
     "VerificationReport": ("m", "samples", "passed", "violations"),
     "SignViolation": ("i", "j", "value", "expected"),
     "SignPatternFinding": ("max_m", "checked", "violations"),
-    "EtaTriple": ("m", "via_zeta", "via_coeff_rows", "via_stirling2"),
     "_Result": ("json", "csv", "pretty", "failure"),
 }
 VALIDATING = ("Poly", "LowerTriMatrix", "CoeffReport")

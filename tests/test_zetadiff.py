@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import _tables_m9 as tables
 import oracles
 from strategies import non_dyadic
-from zetacomb import zetadiff
+from zetacomb import cli, zetadiff
 from zetacomb.combinat import stirling2
 from zetacomb.etacheck import eta_via_coeff_row
 from zetacomb.numcore import Basis, Poly
@@ -222,7 +222,7 @@ def test_combination_matrix_makes_m_an_int_before_the_cache():
     report = combination_matrix(True)
     assert report.m == 1 and type(report.m) is int
     assert combination_matrix(1) is report
-    assert json.dumps(combination_matrix(1).to_json_dict()).startswith('{"m": 1, ')
+    assert json.dumps(cli._document(combination_matrix(1))).startswith('{"m": 1, ')
 
 
 def test_combination_matrix_reads_a_route_by_its_value():
@@ -496,7 +496,7 @@ def test_kept_answers_do_not_change_the_report_value():
     assert len(filled._answers) == 3 and empty._answers == {}
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
-    assert filled.to_json_dict() == empty.to_json_dict()
+    assert cli._document(filled) == cli._document(empty)
 
 
 @pytest.mark.parametrize("m", [0, 1, 5, 20, 40])
@@ -520,11 +520,11 @@ def test_combination_matrix_rejects_negative_m():
 
 def test_coeff_report_json_round_trip():
     report = combination_matrix(5, Route.SHIFTED_SERIES)
-    doc = json.loads(json.dumps(report.to_json_dict()))
+    doc = json.loads(json.dumps(cli._document(report)))
     assert doc["m"] == 5
     assert doc["route"] == "shifted-series"
-    assert doc == report.to_json_dict()
-    assert doc["matrix"] == combination_matrix(5).matrix.to_json_dict()
+    assert doc == cli._document(report)
+    assert doc["matrix"] == cli._document(combination_matrix(5).matrix)
 
 
 def test_coeff_report_rejects_wrong_size():
@@ -584,6 +584,32 @@ def test_verify_combination_detects_tampering():
     )
 
 
+def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find():
+    # P(x) = prod (x - s) over the five default samples has degree 5 < 6, so adding
+    # its G-expansion to row 6 of A moves F(6, .) - sum_j a_6j G(j, .) by -P: zero
+    # at every default sample, and the row is decided only by m + 2 = 8 points
+    m = 6
+    poly = [Fraction(1)]  # monomial coefficients of P, lowest first
+    for s in DEFAULT_SAMPLES:
+        poly = [lower - s * c for lower, c in zip([0, *poly], [*poly, 0])]
+    # x^k = sum_j B_inv[k][j] G(j, x), with B the monomial G table
+    b_inv = invert_substitution(hyper_poly_coeffs(m, Basis.MONOMIAL))
+    expansion = [sum(c * b_inv.get(k, j) for k, c in enumerate(poly)) for j in range(m + 1)]
+    assert expansion[m] == 0  # the diagonal stays 1/2^7
+    rows = [list(r) for r in combination_matrix(m).matrix.rows()]
+    rows[m] = [a + c for a, c in zip(rows[m], expansion)]
+    doctored = LowerTriMatrix.from_rows(rows)
+    assert doctored != combination_matrix(m).matrix
+    assert verify_combination(m, matrix=doctored).passed
+    eight = tuple(Fraction(p, 3) for p in range(-3, 5))
+    report = verify_combination(m, samples=eight, matrix=doctored)
+    assert not report.passed
+    p_at = lambda x: math.prod(x - s for s in DEFAULT_SAMPLES)  # noqa: E731
+    assert report.violations == tuple(
+        CombinationViolation(m, x, -p_at(x)) for x in eight if x not in DEFAULT_SAMPLES
+    )
+
+
 def test_verify_combination_rejects_wrong_dim():
     with pytest.raises(ValueError, match="dim 6"):
         verify_combination(2, matrix=combination_matrix(5).matrix)
@@ -594,9 +620,10 @@ def test_verify_combination_rejects_no_samples():
         verify_combination(3, samples=())
 
 
-def test_verify_report_json_shape():
-    doc = verify_combination(2).to_json_dict()
-    assert set(doc) == {"m", "samples", "pass", "violations"}
+def test_verify_report_json_shape(capsys):
+    assert cli.main(["verify", "--m", "2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"m", "samples", "pass", "violations", "polynomial_forms_pass"}
     assert doc["pass"] is True
     assert doc["violations"] == []
 
@@ -707,6 +734,23 @@ def test_verify_polynomial_forms_rejects_one_wrong_dim(position):
         verify_polynomial_forms(2, tuple(mats))
 
 
+def test_verify_polynomial_forms_reads_an_iterator_of_tables():
+    assert verify_polynomial_forms(4, iter(_form_tables(4)))
+    wrong = list(_form_tables(4))
+    wrong[1] = wrong[3]  # the shifted G table where the monomial one belongs
+    assert not verify_polynomial_forms(4, iter(wrong))
+
+
+@pytest.mark.parametrize("count", [0, 3, 5])
+def test_verify_polynomial_forms_rejects_a_count_other_than_four(count):
+    tables_ = (_form_tables(2) * 2)[:count]
+    expected = rf"^need the four tables \(F_mono, G_mono, F_shift, G_shift\), got {count}$"
+    with pytest.raises(ValueError, match=expected):
+        verify_polynomial_forms(2, tables_)
+    with pytest.raises(ValueError, match=expected):
+        verify_polynomial_forms(2, iter(tables_))
+
+
 # --- sign pattern scan ----------------------------------------------------------------
 
 
@@ -745,7 +789,7 @@ def test_scan_sign_pattern_rejects_wrong_dim():
 
 
 def test_sign_finding_json():
-    doc = scan_sign_pattern(3).to_json_dict()
+    doc = cli._document(scan_sign_pattern(3))
     assert doc == {"max_m": 3, "checked": 6, "violations": []}
 
 
