@@ -44,6 +44,7 @@ _EXPORTS = {
         "zeta_diff_coeffs",
         "hyper_poly_coeffs",
         "combination_matrix",
+        "paper_matrix",
         "verify_combination",
         "verify_polynomial_forms",
         "scan_sign_pattern",

@@ -38,6 +38,7 @@ from .zetadiff import (
     Route,
     combination_matrix,
     hyper_poly_coeffs,
+    paper_matrix,
     scan_sign_pattern,
     verify_combination,
     verify_polynomial_forms,
@@ -129,10 +130,10 @@ def _records_csv(fields: tuple[str, ...], records: Iterable) -> str:
 def cmd_coeffs(args: argparse.Namespace) -> _Result:
     report = combination_matrix(args.m)
     if args.check_all_routes:
-        if any(combination_matrix(args.m, r).matrix != report.matrix for r in Route):
+        if any(paper_matrix(args.m, r) != report.matrix for r in Route):
             raise _CheckFailed(f"route disagreement at m={args.m}")
-        _note(f"{len(Route)} routes agree")
-    header = f"combination matrix, m = {args.m}, route = {report.route.value}\n"
+        _note(f"{len(Route) + 1} routes agree")  # the paper's four and the production one
+    header = f"combination matrix, m = {args.m}\n"
     return _Result(
         json=lambda: report,
         csv=lambda: _csv_grid(report.matrix),
@@ -165,10 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> _Result:
 
 def cmd_eta(args: argparse.Namespace) -> _Result:
     etas = eta_cross_check(args.max_m)  # raises unless the three routes agree on every m
-    rows = [{"m": m, "eta": eta, "routes_agree": True} for m, eta in enumerate(etas)]
+    rows = [{"m": m, "eta": eta} for m, eta in enumerate(etas)]
     return _Result(
         json=lambda: rows,
-        csv=lambda: _records_csv(("m", "eta", "routes_agree"), rows),
+        csv=lambda: _records_csv(("m", "eta"), rows),
         pretty=lambda: "".join(f"eta({-m}) = {eta}\n" for m, eta in enumerate(etas)),
     )
 

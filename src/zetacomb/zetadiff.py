@@ -7,25 +7,22 @@ The two families of functions:
 
 Both are degree-m polynomials in x, so there is a unique lower-triangular
 coefficient matrix (a_{i,j}) with F(i, .) = sum_j a_{i,j} G(j, .) and
-diagonal a_{i,i} = 1/2^{i+1}. The production route reads (a_{i,j}) in
-closed form off the integer triangle V(n, k) = n! [s^n] tanh(s)^k:
+diagonal a_{i,i} = 1/2^{i+1}. The production matrix is read in closed
+form off the integer triangle V(n, k) = n! [s^n] tanh(s)^k:
 
     a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}),
 
 because the matrix is the exponential Riordan array
-[2e^s/(e^s+1)^2, tanh(s/2)] (see ``Route``). The paper's construction,
-A = F G^{-1}, stays as four cross-check routes: this module builds the
-row-coefficient matrices of F (from the Euler form) and of G (by its
-three-term recurrence in m) in two bases (powers of x, powers of x+1) and
-inverts G by two algorithms. All five routes must agree exactly, and the
-whole construction is cross-checked against direct evaluation of F and
-G. Only ``combination_matrix`` is cached, on its arguments; each cached
-report keeps the answers read off it (``CoeffReport``), and the Riordan
-route reads its entries off one table that grows as larger m are asked
-for (``_RiordanTable``); ``combination_matrix.cache_clear`` empties both.
-The F and G tables cost O(m^2) and are rebuilt on request, and the paper
-routes never read the Riordan table, so they stay independent
-cross-checks.
+[2e^s/(e^s+1)^2, tanh(s/2)] (see ``combination_matrix``, the one cached
+function; each report keeps the answers read off it, ``CoeffReport``).
+The paper's construction, A = F G^{-1}, stays as four cross-check routes
+(``paper_matrix``): the row-coefficient matrices of F (from the Euler
+form) and of G (by its three-term recurrence in m) in two bases (powers
+of x, powers of x+1), with G inverted by two algorithms. They are rebuilt
+on every call and never read the Riordan table, so they stay independent
+cross-checks; all four must agree with the production matrix exactly, and
+the whole construction is cross-checked against direct evaluation of F
+and G.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -173,25 +170,11 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
 
 
 class Route(enum.Enum):
-    """How the combination matrix is assembled.
+    """The paper's four routes to A = F G^{-1} (``paper_matrix``). The first
+    word names the basis pair; a "-series" suffix means the G-coefficient
+    matrix is inverted by the finite Neumann series instead of forward
+    substitution."""
 
-    RIORDAN, the default, is the closed form. With the exponential Riordan
-    array [g, h], entry(n, k) = n!/k! [s^n] g(s) h(s)^k (Shapiro et al.,
-    "The Riordan group", 1991), the F table in powers of x is
-    [e^t/(e^t+1), t] (Appell, DLMF 24.2) and the G table is
-    [1/(1-t), 2 artanh t] (Delannoy), so A = F G^{-1} =
-    [2e^s/(e^s+1)^2, tanh(s/2)]. Since g = h', entry (i, j) is
-    (i+1)!/(j+1)! [s^{i+1}] tanh(s/2)^{j+1} = V(i+1, j+1)/((j+1)! 2^{i+1})
-    with V stepped row by row (``combinat._tanh_power_row``): O(m^2)
-    integer steps and one ``Fraction`` per entry.
-
-    The other four are the paper's A = F G^{-1}, kept as cross-checks. The
-    first word names the basis pair; a "-series" suffix means the
-    G-coefficient matrix is inverted by the finite Neumann series instead
-    of forward substitution. All five routes must agree exactly.
-    """
-
-    RIORDAN = "riordan"
     MONOMIAL = "monomial"
     SHIFTED = "shifted"
     MONOMIAL_SERIES = "monomial-series"
@@ -199,7 +182,7 @@ class Route(enum.Enum):
 
 
 class CoeffReport(_Value):
-    """The combination matrix plus which route produced it.
+    """The combination matrix at m.
 
     A report also keeps the answers read off its matrix so far
     (``_answer``): the eta row sum, the default sign scan and the Stirling
@@ -208,12 +191,11 @@ class CoeffReport(_Value):
     no part in ``==``, ``hash`` or ``repr``.
     """
 
-    _fields = ("m", "route", "matrix")
+    _fields = ("m", "matrix")
     m: int
-    route: Route
     matrix: LowerTriMatrix
 
-    def __init__(self, m: int, route: Route, matrix: LowerTriMatrix) -> None:
+    def __init__(self, m: int, matrix: LowerTriMatrix) -> None:
         m = _require_dim(m, matrix)
         entries = matrix.entries
         for i in range(m + 1):
@@ -221,7 +203,6 @@ class CoeffReport(_Value):
             if not (d.numerator == 1 and d.denominator == 1 << (i + 1)):
                 raise ValueError(f"diagonal entry {i} must be 1/2^{i + 1}")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "route", Route(route))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_answers", {})
 
@@ -242,10 +223,10 @@ class _RiordanTable:
     """The packed entries of (a_{i,j}), grown row by row as they are asked for,
     and the sign violations among them, classified once.
 
-    a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}) (see ``Route``) does not depend
-    on m, so the matrix at m is the leading block of the matrix at any
-    larger m, and its packed row-major entries are the first (m+1)(m+2)/2
-    of the table. Only the last V row is kept; a larger m steps it on
+    a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}) (see ``combination_matrix``)
+    does not depend on m, so the matrix at m is the leading block of the
+    matrix at any larger m, and its packed row-major entries are the first
+    (m+1)(m+2)/2 of the table. Only the last V row is kept; a larger m steps it on
     (``_tanh_power_row``) for the new rows alone, which are published by
     one ``extend`` of a finished list. V(n, k) vanishes when n - k is odd,
     so half the entries are zero; they all share ``_ZERO`` rather than each
@@ -300,50 +281,37 @@ class _RiordanTable:
 _RIORDAN_TABLE = _RiordanTable()
 
 
-def combination_matrix(m: int, route: Route = Route.RIORDAN) -> CoeffReport:
+def combination_matrix(m: int) -> CoeffReport:
     """The unique (a_{i,j}) with F(i, .) = sum_j a_{i,j} G(j, .), dim m+1.
 
-    Cached on the value of the arguments, however they are spelled:
-    ``combination_matrix(9)``, ``combination_matrix(9, Route.RIORDAN)`` and
-    ``combination_matrix(m=9)`` share one entry. ``cache_info`` is that of
-    the cache. A miss on the Riordan route slices its entries off one table
-    that keeps the largest matrix built so far and grows by the new rows
-    only, so the entries of a smaller matrix are the very objects of the
-    larger one; the report is validated on every miss all the same. The
-    table also keeps the sign watermark of ``scan_sign_pattern``.
-    ``cache_clear`` empties the cache and that table, watermark included.
-    Before the lookup, an m that is not an ``int`` goes through
-    ``combinat._require_nonnegative`` (``True`` is 1, ``2.0`` a ``TypeError``)
-    and a route that is not a ``Route`` through ``Route`` (``"bogus"`` is a
-    ``ValueError``); an ``int`` m is checked on a miss only.
+    Read in closed form. With the exponential Riordan array [g, h],
+    entry(n, k) = n!/k! [s^n] g(s) h(s)^k (Shapiro et al., "The Riordan
+    group", 1991), the F table in powers of x is [e^t/(e^t+1), t] (Appell,
+    DLMF 24.2) and the G table is [1/(1-t), 2 artanh t] (Delannoy), so
+    A = F G^{-1} = [2e^s/(e^s+1)^2, tanh(s/2)]. Since g = h', entry (i, j)
+    is (i+1)!/(j+1)! [s^{i+1}] tanh(s/2)^{j+1} = V(i+1, j+1)/((j+1)! 2^{i+1})
+    with V stepped row by row (``combinat._tanh_power_row``): O(m^2)
+    integer steps and one ``Fraction`` per entry.
+
+    Cached on the value of m: ``combination_matrix(9)`` and
+    ``combination_matrix(m=9)`` share one entry, and an m that is not an
+    ``int`` goes through ``combinat._require_nonnegative`` before the lookup
+    (``True`` is 1, ``2.0`` a ``TypeError``; an ``int`` is checked on a miss).
+    A miss slices its entries off one table (``_RiordanTable``), so a smaller
+    matrix shares the very entries of a larger one, and validates the report
+    all the same. ``cache_clear`` empties the cache and that table, with the
+    sign watermark of ``scan_sign_pattern``.
     """
     if type(m) is not int:
         m = _require_nonnegative(m, "m")
-    if type(route) is not Route:
-        route = Route(route)
-    return _combination_matrix(m, route)
+    return _combination_matrix(m)
 
 
 @lru_cache(maxsize=None)
-def _combination_matrix(m: int, route: Route) -> CoeffReport:
+def _combination_matrix(m: int) -> CoeffReport:
     _require_nonnegative(m, "m")
-    if route is Route.RIORDAN:
-        # the table's entries are exact Fractions already: wrap a copy of them
-        matrix = LowerTriMatrix._of_fractions(m + 1, tuple(_RIORDAN_TABLE.packed(m)))
-        return CoeffReport(m=m, route=route, matrix=matrix)
-    basis = (
-        Basis.MONOMIAL
-        if route in (Route.MONOMIAL, Route.MONOMIAL_SERIES)
-        else Basis.SHIFTED
-    )
-    invert = (
-        invert_series
-        if route in (Route.MONOMIAL_SERIES, Route.SHIFTED_SERIES)
-        else invert_substitution
-    )
-    f_rows = zeta_diff_coeffs(m, basis)
-    g_rows = hyper_poly_coeffs(m, basis)
-    return CoeffReport(m=m, route=route, matrix=mat_mul(f_rows, invert(g_rows)))
+    # the table's entries are exact Fractions already: wrap a copy of them
+    return CoeffReport(m, LowerTriMatrix._of_fractions(m + 1, tuple(_RIORDAN_TABLE.packed(m))))
 
 
 def _cache_clear() -> None:
@@ -353,6 +321,17 @@ def _cache_clear() -> None:
 
 combination_matrix.cache_info = _combination_matrix.cache_info
 combination_matrix.cache_clear = _cache_clear
+
+
+def paper_matrix(m: int, route: Route) -> LowerTriMatrix:
+    """The paper's A = F G^{-1}, dim m+1, from the F and G tables in the
+    route's basis, built afresh on every call: an independent cross-check of
+    ``combination_matrix``. A route is read by its value (``"bogus"`` is a
+    ``ValueError``)."""
+    basis, _, series = Route(route).value.partition("-")
+    basis = Basis(basis)
+    inverse = (invert_series if series else invert_substitution)(hyper_poly_coeffs(m, basis))
+    return mat_mul(zeta_diff_coeffs(m, basis), inverse)
 
 
 class CombinationViolation(NamedTuple):
@@ -380,7 +359,7 @@ def verify_combination(
     F and G are evaluated directly (Bernoulli closed form, terminating
     hypergeometric sum), independently of how the matrix was built. Pass
     means every residual is exactly zero. A matrix may be injected to
-    check external tables; by default the Riordan route is used. An
+    check external tables; by default ``combination_matrix(m)`` is. An
     injected matrix must have dim m+1, or ``ValueError`` is raised. Each
     residual is an integer dot product, a ``Fraction`` only when nonzero;
     violations come row by row, samples in the order given.
@@ -411,10 +390,13 @@ def verify_polynomial_forms(
     m: int,
     matrices: Iterable[LowerTriMatrix] | None = None,
 ) -> bool:
-    """Tie the closed-form coefficient rows to the direct evaluators.
+    """Tie the coefficient tables and the combination matrix to the direct evaluators.
 
     Checks, at 2m+3 distinct rational points: rows of the monomial-basis
     matrices evaluate to F resp. G; same for the shifted-basis matrices.
+    Also checks the exact product A G_mono = F_mono, with A the matrix of
+    ``combination_matrix(m)``: once the monomial tables are F and G, it
+    proves F(i, x) = sum_j a_{i,j} G(j, x) at every x, not only at samples.
     ``matrices`` may inject the four (F_mono, G_mono, F_shift, G_shift)
     tables, as any iterable, each of dim m+1 (otherwise ``ValueError``).
     At each x = p/3 the powers p^j 3^{m-j} of x, and of x+1, are built
@@ -431,6 +413,8 @@ def verify_polynomial_forms(
         raise ValueError(f"need the four tables (F_mono, G_mono, F_shift, G_shift), got {len(matrices)}")
     for matrix in matrices:
         m = _require_dim(m, matrix)
+    if mat_mul(combination_matrix(m).matrix, matrices[1]) != matrices[0]:
+        return False
     q_powers = [3**k for k in range(m, -1, -1)]
     # (integer rows, d 3^m) per table
     fm, gm, fs, gs = ((rows, scale * q_powers[0]) for rows, scale in map(_scaled_rows, matrices))
@@ -465,8 +449,8 @@ class SignPatternFinding(NamedTuple):
     The pattern, by d = i-j: zero when d is odd, negative when d = 2 mod 4,
     positive when d = 0 mod 4. It is a theorem. The entries are
     a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}) with V(n, k) = n! [u^n]
-    tanh(u)^k (see ``Route``), and tanh(u)^k = (-I)^k tan(I u)^k with
-    I^2 = -1. The odd coefficients of tan are positive, so n! [u^n] tan^k
+    tanh(u)^k (see ``combination_matrix``), and tanh(u)^k =
+    (-I)^k tan(I u)^k with I^2 = -1. The odd coefficients of tan are positive, so n! [u^n] tan^k
     = T(n, k) is positive when n >= k and n - k is even, and 0 otherwise.
     Hence V(n, k) = I^{n-k} T(n, k): sign (-1)^{(n-k)/2} when n - k is
     even, 0 when n - k is odd, and sign a_{i,j} = (-1)^{(i-j)/2}. The scan

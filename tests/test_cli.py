@@ -27,16 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _tables_m9 as tables
-from zetacomb import cli
+from zetacomb import cli, zetadiff
 from zetacomb.cli import main
 from zetacomb.etacheck import RouteDisagreementError
 from zetacomb.numcore import Basis
 from zetacomb.trimat import LowerTriMatrix, mat_mul
 from zetacomb.zetadiff import (
-    CoeffReport,
     CombinationViolation,
     ExpectedSign,
-    Route,
     SignPatternFinding,
     SignViolation,
     VerificationReport,
@@ -64,7 +62,7 @@ def test_coeffs_m0_csv(capsys):
 def test_coeffs_m0_pretty(capsys):
     code, out, _ = run(["coeffs", "--m", "0"], capsys)
     assert code == 0
-    assert out.splitlines() == ["combination matrix, m = 0, route = riordan", "1/2"]
+    assert out.splitlines() == ["combination matrix, m = 0", "1/2"]
 
 
 def test_coeffs_m9_csv_bottom_row(capsys):
@@ -79,8 +77,8 @@ def test_coeffs_m9_json(capsys):
     code, out, _ = run(["coeffs", "--m", "9", "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
+    assert list(doc) == ["m", "matrix"]
     assert doc["m"] == 9
-    assert doc["route"] == "riordan"
     assert doc["matrix"] == cli._document(tables.matrix(tables.PRODUCT10))
 
 
@@ -141,13 +139,13 @@ def test_eta_json(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [r["eta"] for r in rows] == tables.ETA10
-    assert all(r["routes_agree"] for r in rows)
+    assert all(list(r) == ["m", "eta"] for r in rows)
 
 
 def test_eta_csv(capsys):
     code, out, _ = run(["eta", "--max", "2", "--format", "csv"], capsys)
     assert code == 0
-    assert out.splitlines() == ["m,eta,routes_agree", "0,1/2,true", "1,1/4,true", "2,0,true"]
+    assert out.splitlines() == ["m,eta", "0,1/2", "1,1/4", "2,0"]
 
 
 # --- conjecture -----------------------------------------------------------------
@@ -567,19 +565,19 @@ def test_golden_output(entry, capsys):
 
 
 def test_route_disagreement_exits_1(monkeypatch, capsys):
-    real = cli.combination_matrix
+    real = zetadiff.invert_series
 
-    def skewed(m, route=Route.RIORDAN):
-        report = real(m, route)
-        if route is Route.SHIFTED_SERIES:
-            entries = list(report.matrix.entries)
-            entries[m * (m + 1) // 2] += 1  # entry (m, 0)
-            return CoeffReport(m=report.m, route=report.route, matrix=LowerTriMatrix(m + 1, entries))
-        return report
+    def skewed(matrix):
+        # double the last diagonal entry: the product's (m, m) entry is then 1/2^m
+        inverse = real(matrix)
+        return LowerTriMatrix(inverse.dim, [*inverse.entries[:-1], 2 * inverse.entries[-1]])
 
-    monkeypatch.setattr(cli, "combination_matrix", skewed)
+    monkeypatch.setattr(zetadiff, "invert_series", skewed)
+    combination_matrix.cache_clear()
     code, out, err = run(["coeffs", "--m", "3", "--check-all-routes"], capsys)
     assert (code, out, err) == (1, "", "route disagreement at m=3\n")
+    # the paper's routes are built afresh; only the production matrix is cached
+    assert combination_matrix.cache_info().currsize == 1
 
 
 def test_eta_route_disagreement_exits_1(monkeypatch, capsys):

@@ -35,7 +35,7 @@ EXPORTS = """
     binomial bernoulli_number bernoulli_poly stirling1 stirling2
     LowerTriMatrix DimensionMismatchError SingularDiagonalError mat_mul invert_substitution invert_series
     Route CoeffReport SignPatternFinding SignViolation ExpectedSign CombinationViolation VerificationReport
-    DEFAULT_SAMPLES zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix
+    DEFAULT_SAMPLES zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix paper_matrix
     verify_combination verify_polynomial_forms scan_sign_pattern compare_stirling2_matrix
     RouteDisagreementError eta_via_zeta eta_via_coeff_row eta_via_stirling2 eta_cross_check
 """.split()
@@ -121,6 +121,7 @@ NEGATIVE_SIZE_CALLS = [
     ("zeta_diff_coeffs", (-1,), "m"),
     ("hyper_poly_coeffs", (-1,), "m"),
     ("combination_matrix", (-1,), "m"),
+    ("paper_matrix", (-1, "monomial"), "m"),
     ("verify_combination", (-1,), "m"),
     ("verify_polynomial_forms", (-1,), "m"),
     ("scan_sign_pattern", (-1,), "max_m"),
@@ -156,7 +157,7 @@ TRUE_SIZE_CALLS = {
     "verify_combination": lambda m: zetacomb.verify_combination(m),
     "verify_combination-matrix": lambda m: zetacomb.verify_combination(m, matrix=_m1_matrix()),
     "scan_sign_pattern-matrix": lambda m: zetacomb.scan_sign_pattern(m, _m1_matrix()),
-    "CoeffReport": lambda m: zetacomb.CoeffReport(m, zetacomb.Route.RIORDAN, _m1_matrix()),
+    "CoeffReport": lambda m: zetacomb.CoeffReport(m, _m1_matrix()),
 }
 
 
@@ -208,12 +209,16 @@ def test_a_poly_reads_its_basis_by_value():
         zetacomb.Poly((1, 2)).rebase("bogus")
 
 
-def test_a_coeff_report_reads_its_route_by_value():
-    report = zetacomb.CoeffReport(0, "riordan", zetacomb.combination_matrix(0).matrix)
-    assert report.route is zetacomb.Route.RIORDAN
-    assert cli._document(report)["route"] == "riordan"
-    with pytest.raises(ValueError, match="'bogus' is not a valid Route"):
-        zetacomb.CoeffReport(0, "bogus", zetacomb.combination_matrix(0).matrix)
+def test_paper_matrix_reads_its_route_by_value():
+    for route in zetacomb.Route:
+        assert zetacomb.paper_matrix(4, route.value) == zetacomb.paper_matrix(4, route)
+
+
+def test_paper_matrix_rejects_riordan_and_an_unknown_route():
+    # the production matrix is combination_matrix's alone
+    for route in ("riordan", "bogus"):
+        with pytest.raises(ValueError, match=f"'{route}' is not a valid Route"):
+            zetacomb.paper_matrix(4, route)
 
 
 def test_a_matrix_dim_is_an_int():

@@ -24,7 +24,6 @@ from zetacomb.zetadiff import (
     CoeffReport,
     CombinationViolation,
     ExpectedSign,
-    Route,
     SignPatternFinding,
     SignViolation,
     VerificationReport,
@@ -49,9 +48,9 @@ CASES = {
         M1_REPR,
     ),
     "CoeffReport": (
-        lambda: CoeffReport(m=1, route=Route.RIORDAN, matrix=M1),
-        lambda: CoeffReport(m=1, route=Route.MONOMIAL, matrix=M1),
-        f"CoeffReport(m=1, route=<Route.RIORDAN: 'riordan'>, matrix={M1_REPR})",
+        lambda: CoeffReport(m=1, matrix=M1),
+        lambda: CoeffReport(m=1, matrix=LowerTriMatrix(dim=2, entries=(HALF, 1, QUARTER))),
+        f"CoeffReport(m=1, matrix={M1_REPR})",
     ),
     "CombinationViolation": (
         lambda: CombinationViolation(row=1, sample=HALF, residual=Fraction(-3, 4)),
@@ -84,7 +83,7 @@ CASES = {
 FIELDS = {
     "Poly": ("coeffs", "basis"),
     "LowerTriMatrix": ("dim", "entries"),
-    "CoeffReport": ("m", "route", "matrix"),
+    "CoeffReport": ("m", "matrix"),
     "CombinationViolation": ("row", "sample", "residual"),
     "VerificationReport": ("m", "samples", "passed", "violations"),
     "SignViolation": ("i", "j", "value", "expected"),

@@ -31,6 +31,7 @@ from zetacomb.zetadiff import (
     compare_stirling2_matrix,
     hyper_poly,
     hyper_poly_coeffs,
+    paper_matrix,
     scan_sign_pattern,
     verify_combination,
     verify_polynomial_forms,
@@ -194,24 +195,30 @@ def test_combination_matrix_diagonal():
 
 def test_routes_agree():
     for m in range(9):
-        reports = [combination_matrix(m, route) for route in Route]
-        assert all(r.matrix == reports[0].matrix for r in reports)
-        assert {r.route for r in reports} == set(Route)
+        assert all(paper_matrix(m, route) == combination_matrix(m).matrix for route in Route), m
 
 
 def test_riordan_route_matches_paper_route_to_64():
     for m in range(65):
-        paper = combination_matrix(m, Route.MONOMIAL).matrix
-        assert combination_matrix(m, Route.RIORDAN).matrix == paper, m
+        assert combination_matrix(m).matrix == paper_matrix(m, Route.MONOMIAL), m
 
 
-def test_riordan_is_the_default_route():
-    assert combination_matrix(4).route is Route.RIORDAN
+def test_route_names_the_four_paper_routes():
+    assert [route.value for route in Route] == ["monomial", "shifted", "monomial-series", "shifted-series"]
+
+
+def test_paper_matrix_is_built_afresh_and_adds_no_cache_entry():
+    combination_matrix.cache_clear()
+    first = paper_matrix(5, Route.SHIFTED_SERIES)
+    again = paper_matrix(5, Route.SHIFTED_SERIES)
+    assert first == again and first is not again
+    assert combination_matrix.cache_info().currsize == 0
+    assert zetadiff._RIORDAN_TABLE._entries == []
 
 
 def test_combination_matrix_cache_keys_on_value_not_spelling():
     combination_matrix.cache_clear()
-    reports = [combination_matrix(13), combination_matrix(13, Route.RIORDAN), combination_matrix(m=13)]
+    reports = [combination_matrix(13), combination_matrix(m=13), combination_matrix(13)]
     info = combination_matrix.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     assert reports[0] is reports[1] is reports[2]
@@ -223,16 +230,6 @@ def test_combination_matrix_makes_m_an_int_before_the_cache():
     assert report.m == 1 and type(report.m) is int
     assert combination_matrix(1) is report
     assert json.dumps(cli._document(combination_matrix(1))).startswith('{"m": 1, ')
-
-
-def test_combination_matrix_reads_a_route_by_its_value():
-    assert combination_matrix(3, "riordan") is combination_matrix(3, Route.RIORDAN)
-    assert combination_matrix(3, "shifted-series") is combination_matrix(3, Route.SHIFTED_SERIES)
-
-
-def test_combination_matrix_rejects_an_unknown_route():
-    with pytest.raises(ValueError, match="'bogus' is not a valid Route"):
-        combination_matrix(3, "bogus")
 
 
 @pytest.mark.parametrize("warm", [False, True])
@@ -492,7 +489,7 @@ def test_kept_answers_do_not_change_the_report_value():
     combination_matrix.cache_clear()
     filled = combination_matrix(9)
     _kept_answers(9)
-    empty = CoeffReport(m=9, route=Route.RIORDAN, matrix=filled.matrix)
+    empty = CoeffReport(m=9, matrix=filled.matrix)
     assert len(filled._answers) == 3 and empty._answers == {}
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
@@ -513,29 +510,31 @@ def test_g_inverse_matches_tanh_closed_form(m):
 
 
 def test_combination_matrix_rejects_negative_m():
+    with pytest.raises(ValueError):
+        combination_matrix(-1)
     for route in Route:
         with pytest.raises(ValueError):
-            combination_matrix(-1, route)
+            paper_matrix(-1, route)
 
 
 def test_coeff_report_json_round_trip():
-    report = combination_matrix(5, Route.SHIFTED_SERIES)
+    report = combination_matrix(5)
     doc = json.loads(json.dumps(cli._document(report)))
+    assert list(doc) == ["m", "matrix"]
     assert doc["m"] == 5
-    assert doc["route"] == "shifted-series"
     assert doc == cli._document(report)
-    assert doc["matrix"] == cli._document(combination_matrix(5).matrix)
+    assert doc["matrix"] == cli._document(paper_matrix(5, Route.SHIFTED_SERIES))
 
 
 def test_coeff_report_rejects_wrong_size():
     with pytest.raises(ValueError, match=r"matrix has dim 3, expected m \+ 1 = 8"):
-        CoeffReport(m=7, route=Route.RIORDAN, matrix=combination_matrix(2).matrix)
+        CoeffReport(m=7, matrix=combination_matrix(2).matrix)
 
 
 def test_coeff_report_rejects_bad_diagonal():
     wrong = LowerTriMatrix.identity(3)
     with pytest.raises(ValueError):
-        CoeffReport(m=2, route=Route.MONOMIAL, matrix=wrong)
+        CoeffReport(m=2, matrix=wrong)
 
 
 @pytest.mark.parametrize("wrong", [Fraction(-1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1, 8), 0])
@@ -543,9 +542,9 @@ def test_coeff_report_rejects_a_wrong_diagonal_entry(wrong):
     rows = [list(row) for row in combination_matrix(3).matrix.rows()]
     rows[1][1] = wrong
     with pytest.raises(ValueError, match=r"^diagonal entry 1 must be 1/2\^2$"):
-        CoeffReport(m=3, route=Route.RIORDAN, matrix=LowerTriMatrix.from_rows(rows))
+        CoeffReport(m=3, matrix=LowerTriMatrix.from_rows(rows))
     rows[1][1] = "2/8"  # the right value, spelled unreduced
-    report = CoeffReport(m=3, route=Route.RIORDAN, matrix=LowerTriMatrix.from_rows(rows))
+    report = CoeffReport(m=3, matrix=LowerTriMatrix.from_rows(rows))
     assert report.matrix.get(1, 1) == Fraction(1, 4)
 
 
@@ -584,7 +583,7 @@ def test_verify_combination_detects_tampering():
     )
 
 
-def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find():
+def _five_sample_blind_matrix():
     # P(x) = prod (x - s) over the five default samples has degree 5 < 6, so adding
     # its G-expansion to row 6 of A moves F(6, .) - sum_j a_6j G(j, .) by -P: zero
     # at every default sample, and the row is decided only by m + 2 = 8 points
@@ -598,7 +597,12 @@ def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find():
     assert expansion[m] == 0  # the diagonal stays 1/2^7
     rows = [list(r) for r in combination_matrix(m).matrix.rows()]
     rows[m] = [a + c for a, c in zip(rows[m], expansion)]
-    doctored = LowerTriMatrix.from_rows(rows)
+    return LowerTriMatrix.from_rows(rows)
+
+
+def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find():
+    m = 6
+    doctored = _five_sample_blind_matrix()
     assert doctored != combination_matrix(m).matrix
     assert verify_combination(m, matrix=doctored).passed
     eight = tuple(Fraction(p, 3) for p in range(-3, 5))
@@ -607,6 +611,18 @@ def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find():
     p_at = lambda x: math.prod(x - s for s in DEFAULT_SAMPLES)  # noqa: E731
     assert report.violations == tuple(
         CombinationViolation(m, x, -p_at(x)) for x in eight if x not in DEFAULT_SAMPLES
+    )
+
+
+def test_verify_fails_a_matrix_that_five_samples_miss(monkeypatch, capsys):
+    # the exact product A G_mono = F_mono in the forms check decides every x
+    doctored = CoeffReport(6, _five_sample_blind_matrix())
+    monkeypatch.setattr(zetadiff, "combination_matrix", lambda m: doctored)
+    assert verify_combination(6).passed
+    assert cli.main(["verify", "--m", "6"]) == 1
+    assert capsys.readouterr() == (
+        "combination identity: PASS (m = 6, samples: 0, 1/2, 1, 2, 7/3)\npolynomial forms: FAIL\n",
+        "polynomial forms check failed at m=6\n",
     )
 
 
@@ -698,17 +714,21 @@ def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f():
     [
         # F(0, x) = 1/2; the wrong constant agrees with it nowhere
         (0, [Fraction(3, 2)]),
-        # F(1, x) = 1/4 + x/2; the wrong row agrees with it at x = -2/3 alone
-        (1, [Fraction(1, 4) + Fraction(2, 3), Fraction(3, 2)]),
+        # F(1, x) = -1/4 + (x+1)/2; the wrong row, -7/12 + 3(x+1)/2, agrees with it
+        # at x = -2/3 alone
+        (1, [Fraction(-7, 12), Fraction(3, 2)]),
     ],
     ids=["m0-constant", "m1-one-common-point"],
 )
 def test_verify_polynomial_forms_checks_every_point(m, row):
-    # caught only if the check visits some point at m = 0, and one besides x = -2/3 at m = 1
+    # the fault sits in the shifted F table, which the product A G_mono = F_mono
+    # does not read: caught only if the check visits some point at m = 0, and one
+    # besides x = -2/3 at m = 1
     mats = list(_form_tables(m))
-    rows = [list(r) for r in mats[0].rows()]
+    rows = [list(r) for r in mats[2].rows()]
+    assert rows[m] != row
     rows[m] = row
-    mats[0] = LowerTriMatrix.from_rows(rows)
+    mats[2] = LowerTriMatrix.from_rows(rows)
     assert not verify_polynomial_forms(m, matrices=tuple(mats))
 
 
