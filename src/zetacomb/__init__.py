@@ -31,7 +31,6 @@ _EXPORTS = {
         "invert_series",
     ),
     "zetadiff": (
-        "Route",
         "CoeffReport",
         "SignPatternFinding",
         "SignViolation",
@@ -44,7 +43,7 @@ _EXPORTS = {
         "zeta_diff_coeffs",
         "hyper_poly_coeffs",
         "combination_matrix",
-        "paper_matrix",
+        "paper_matrices",
         "verify_combination",
         "verify_polynomial_forms",
         "scan_sign_pattern",

@@ -35,10 +35,9 @@ from .numcore import Basis, parse_rational
 from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 from .zetadiff import (
     DEFAULT_SAMPLES,
-    Route,
     combination_matrix,
     hyper_poly_coeffs,
-    paper_matrix,
+    paper_matrices,
     scan_sign_pattern,
     verify_combination,
     verify_polynomial_forms,
@@ -130,9 +129,10 @@ def _records_csv(fields: tuple[str, ...], records: Iterable) -> str:
 def cmd_coeffs(args: argparse.Namespace) -> _Result:
     report = combination_matrix(args.m)
     if args.check_all_routes:
-        if any(paper_matrix(args.m, r) != report.matrix for r in Route):
+        routes = paper_matrices(args.m)
+        if any(matrix != report.matrix for matrix in routes.values()):
             raise _CheckFailed(f"route disagreement at m={args.m}")
-        _note(f"{len(Route) + 1} routes agree")  # the paper's four and the production one
+        _note(f"{len(routes) + 1} routes agree")  # the paper's four and the production one
     header = f"combination matrix, m = {args.m}\n"
     return _Result(
         json=lambda: report,

@@ -15,14 +15,14 @@ form off the integer triangle V(n, k) = n! [s^n] tanh(s)^k:
 because the matrix is the exponential Riordan array
 [2e^s/(e^s+1)^2, tanh(s/2)] (see ``combination_matrix``, the one cached
 function; each report keeps the answers read off it, ``CoeffReport``).
-The paper's construction, A = F G^{-1}, stays as four cross-check routes
-(``paper_matrix``): the row-coefficient matrices of F (from the Euler
-form) and of G (by its three-term recurrence in m) in two bases (powers
-of x, powers of x+1), with G inverted by two algorithms. They are rebuilt
-on every call and never read the Riordan table, so they stay independent
-cross-checks; all four must agree with the production matrix exactly, and
-the whole construction is cross-checked against direct evaluation of F
-and G.
+The paper's construction, A = F G^{-1}, stays as four cross-check routes,
+built in one call (``paper_matrices``): the row-coefficient matrices of F
+(from the Euler form) and of G (by its three-term recurrence in m) in two
+bases (powers of x, powers of x+1), with G inverted by two algorithms.
+They are rebuilt on every call and never read the Riordan table, so they
+stay independent cross-checks; all four must agree with the production
+matrix exactly, and the whole construction is cross-checked against
+direct evaluation of F and G.
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -169,18 +169,6 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     return LowerTriMatrix(m + 1, tuple(packed))
 
 
-class Route(enum.Enum):
-    """The paper's four routes to A = F G^{-1} (``paper_matrix``). The first
-    word names the basis pair; a "-series" suffix means the G-coefficient
-    matrix is inverted by the finite Neumann series instead of forward
-    substitution."""
-
-    MONOMIAL = "monomial"
-    SHIFTED = "shifted"
-    MONOMIAL_SERIES = "monomial-series"
-    SHIFTED_SERIES = "shifted-series"
-
-
 class CoeffReport(_Value):
     """The combination matrix at m.
 
@@ -323,15 +311,18 @@ combination_matrix.cache_info = _combination_matrix.cache_info
 combination_matrix.cache_clear = _cache_clear
 
 
-def paper_matrix(m: int, route: Route) -> LowerTriMatrix:
-    """The paper's A = F G^{-1}, dim m+1, from the F and G tables in the
-    route's basis, built afresh on every call: an independent cross-check of
-    ``combination_matrix``. A route is read by its value (``"bogus"`` is a
-    ``ValueError``)."""
-    basis, _, series = Route(route).value.partition("-")
-    basis = Basis(basis)
-    inverse = (invert_series if series else invert_substitution)(hyper_poly_coeffs(m, basis))
-    return mat_mul(zeta_diff_coeffs(m, basis), inverse)
+def paper_matrices(m: int) -> dict[str, LowerTriMatrix]:
+    """The paper's A = F G^{-1}, dim m+1, by its four routes: keyed by each
+    basis's value with G inverted by forward substitution, and by that value
+    with a ``"-series"`` suffix by the finite Neumann series. Each basis's F
+    and G tables are built afresh, once per call, and the Riordan table is
+    never read: independent cross-checks of ``combination_matrix``."""
+    routes = {}
+    for basis in Basis:
+        f, g = zeta_diff_coeffs(m, basis), hyper_poly_coeffs(m, basis)
+        routes[basis.value] = mat_mul(f, invert_substitution(g))
+        routes[f"{basis.value}-series"] = mat_mul(f, invert_series(g))
+    return routes
 
 
 class CombinationViolation(NamedTuple):
@@ -364,9 +355,9 @@ def verify_combination(
     residual is an integer dot product, a ``Fraction`` only when nonzero;
     violations come row by row, samples in the order given.
     """
+    samples = tuple(Fraction(s) for s in samples)  # an iterator is read once
     if not samples:
         raise ValueError("samples must be nonempty")
-    samples = tuple(Fraction(s) for s in samples)
     mat = matrix if matrix is not None else combination_matrix(m).matrix
     m = _require_dim(m, mat)
     rows, scale = _scaled_rows(mat)

@@ -580,6 +580,23 @@ def test_route_disagreement_exits_1(monkeypatch, capsys):
     assert combination_matrix.cache_info().currsize == 1
 
 
+def test_a_wrong_shifted_g_table_is_a_route_disagreement(monkeypatch, capsys):
+    real = zetadiff.hyper_poly_coeffs
+
+    def faulty(m, basis):
+        # one off-diagonal entry, (1, 0), is off by one in the shifted G table
+        table = real(m, basis)
+        if Basis(basis) is Basis.SHIFTED:
+            table = LowerTriMatrix(table.dim, [table.entries[0], table.entries[1] + 1, *table.entries[2:]])
+        return table
+
+    monkeypatch.setattr(zetadiff, "hyper_poly_coeffs", faulty)
+    combination_matrix.cache_clear()
+    code, out, err = run(["coeffs", "--m", "3", "--check-all-routes"], capsys)
+    assert (code, out, err) == (1, "", "route disagreement at m=3\n")
+    assert combination_matrix.cache_info().currsize == 1
+
+
 def test_eta_route_disagreement_exits_1(monkeypatch, capsys):
     def disagree(max_m):
         raise RouteDisagreementError(2, {"via_zeta": Fraction(0), "via_stirling2": Fraction(1)})

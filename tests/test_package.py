@@ -8,8 +8,8 @@ interpreters, because this process has long since imported everything.
 ``__all__`` is its entry, and the entry lists every public name the home
 defines. Every public function that takes a size reads it by one rule: it
 is made an ``int`` (``True`` is 1, ``2.0`` a ``TypeError``) and a negative
-one is refused. A basis or a route is read by its enum, so its string value
-works too. README's Library example runs as a doctest, and each command of
+one is refused. A basis is read by its enum, so its string value works
+too. README's Library example runs as a doctest, and each command of
 its command-line session prints what the session shows.
 """
 from __future__ import annotations
@@ -34,8 +34,8 @@ EXPORTS = """
     Basis Poly parse_rational
     binomial bernoulli_number bernoulli_poly stirling1 stirling2
     LowerTriMatrix DimensionMismatchError SingularDiagonalError mat_mul invert_substitution invert_series
-    Route CoeffReport SignPatternFinding SignViolation ExpectedSign CombinationViolation VerificationReport
-    DEFAULT_SAMPLES zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix paper_matrix
+    CoeffReport SignPatternFinding SignViolation ExpectedSign CombinationViolation VerificationReport
+    DEFAULT_SAMPLES zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix paper_matrices
     verify_combination verify_polynomial_forms scan_sign_pattern compare_stirling2_matrix
     RouteDisagreementError eta_via_zeta eta_via_coeff_row eta_via_stirling2 eta_cross_check
 """.split()
@@ -121,7 +121,7 @@ NEGATIVE_SIZE_CALLS = [
     ("zeta_diff_coeffs", (-1,), "m"),
     ("hyper_poly_coeffs", (-1,), "m"),
     ("combination_matrix", (-1,), "m"),
-    ("paper_matrix", (-1, "monomial"), "m"),
+    ("paper_matrices", (-1,), "m"),
     ("verify_combination", (-1,), "m"),
     ("verify_polynomial_forms", (-1,), "m"),
     ("scan_sign_pattern", (-1,), "max_m"),
@@ -207,18 +207,6 @@ def test_a_poly_reads_its_basis_by_value():
         zetacomb.Poly((1, 2), "bogus")
     with pytest.raises(ValueError, match="'bogus' is not a valid Basis"):
         zetacomb.Poly((1, 2)).rebase("bogus")
-
-
-def test_paper_matrix_reads_its_route_by_value():
-    for route in zetacomb.Route:
-        assert zetacomb.paper_matrix(4, route.value) == zetacomb.paper_matrix(4, route)
-
-
-def test_paper_matrix_rejects_riordan_and_an_unknown_route():
-    # the production matrix is combination_matrix's alone
-    for route in ("riordan", "bogus"):
-        with pytest.raises(ValueError, match=f"'{route}' is not a valid Route"):
-            zetacomb.paper_matrix(4, route)
 
 
 def test_a_matrix_dim_is_an_int():

@@ -25,13 +25,12 @@ from zetacomb.zetadiff import (
     CoeffReport,
     CombinationViolation,
     ExpectedSign,
-    Route,
     SignViolation,
     combination_matrix,
     compare_stirling2_matrix,
     hyper_poly,
     hyper_poly_coeffs,
-    paper_matrix,
+    paper_matrices,
     scan_sign_pattern,
     verify_combination,
     verify_polynomial_forms,
@@ -195,25 +194,55 @@ def test_combination_matrix_diagonal():
 
 def test_routes_agree():
     for m in range(9):
-        assert all(paper_matrix(m, route) == combination_matrix(m).matrix for route in Route), m
+        assert all(route == combination_matrix(m).matrix for route in paper_matrices(m).values()), m
 
 
 def test_riordan_route_matches_paper_route_to_64():
+    routes = paper_matrices(64).values()
     for m in range(65):
-        assert combination_matrix(m).matrix == paper_matrix(m, Route.MONOMIAL), m
+        # every table, inverse and product is lower-triangular, so a route's matrix
+        # at m is the leading block of its matrix at 64: the first entries, packed
+        size = (m + 1) * (m + 2) // 2
+        production = combination_matrix(m).matrix.entries
+        assert all(route.entries[:size] == production for route in routes), m
 
 
 def test_route_names_the_four_paper_routes():
-    assert [route.value for route in Route] == ["monomial", "shifted", "monomial-series", "shifted-series"]
+    assert list(paper_matrices(3)) == ["monomial", "monomial-series", "shifted", "shifted-series"]
 
 
 def test_paper_matrix_is_built_afresh_and_adds_no_cache_entry():
     combination_matrix.cache_clear()
-    first = paper_matrix(5, Route.SHIFTED_SERIES)
-    again = paper_matrix(5, Route.SHIFTED_SERIES)
-    assert first == again and first is not again
+    first = paper_matrices(5)
+    again = paper_matrices(5)
+    assert first == again
+    assert all(first[route] is not again[route] for route in first)
     assert combination_matrix.cache_info().currsize == 0
     assert zetadiff._RIORDAN_TABLE._entries == []
+
+
+def test_paper_matrices_build_each_basis_table_once(monkeypatch):
+    calls = []
+
+    def counted(build):
+        def wrapper(m, basis):
+            calls.append((build.__name__, Basis(basis).value))
+            return build(m, basis)
+
+        return wrapper
+
+    for build in (zeta_diff_coeffs, hyper_poly_coeffs):
+        monkeypatch.setattr(zetadiff, build.__name__, counted(build))
+    combination_matrix.cache_clear()
+    production = combination_matrix(6).matrix
+    routes = paper_matrices(6)
+    # one F and one G table per basis, shared by that basis's two routes
+    assert sorted(calls) == sorted(
+        (build, basis.value) for build in ("zeta_diff_coeffs", "hyper_poly_coeffs") for basis in Basis
+    )
+    assert all(route == production for route in routes.values())
+    # the routes read no cache: the production matrix is still the one entry
+    assert combination_matrix.cache_info().currsize == 1
 
 
 def test_combination_matrix_cache_keys_on_value_not_spelling():
@@ -512,9 +541,8 @@ def test_g_inverse_matches_tanh_closed_form(m):
 def test_combination_matrix_rejects_negative_m():
     with pytest.raises(ValueError):
         combination_matrix(-1)
-    for route in Route:
-        with pytest.raises(ValueError):
-            paper_matrix(-1, route)
+    with pytest.raises(ValueError):
+        paper_matrices(-1)
 
 
 def test_coeff_report_json_round_trip():
@@ -523,7 +551,7 @@ def test_coeff_report_json_round_trip():
     assert list(doc) == ["m", "matrix"]
     assert doc["m"] == 5
     assert doc == cli._document(report)
-    assert doc["matrix"] == cli._document(paper_matrix(5, Route.SHIFTED_SERIES))
+    assert doc["matrix"] == cli._document(paper_matrices(5)["shifted-series"])
 
 
 def test_coeff_report_rejects_wrong_size():
@@ -632,8 +660,10 @@ def test_verify_combination_rejects_wrong_dim():
 
 
 def test_verify_combination_rejects_no_samples():
-    with pytest.raises(ValueError, match="^samples must be nonempty$"):
-        verify_combination(3, samples=())
+    # an empty iterator is refused too, not read as a vacuous pass
+    for empty in ((), [], iter([]), (x for x in [])):
+        with pytest.raises(ValueError, match="^samples must be nonempty$"):
+            verify_combination(3, samples=empty)
 
 
 def test_verify_report_json_shape(capsys):
