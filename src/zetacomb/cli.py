@@ -29,7 +29,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, NoReturn
 
-from .combinat import bernoulli_number, stirling1, stirling2
 from .etacheck import RouteDisagreementError, eta_cross_check
 from .numcore import Basis, parse_rational
 from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
@@ -47,7 +46,6 @@ from .zetadiff import (
 __all__ = ["main", "run"]
 
 DEFAULT_M_CAP = 64
-DEFAULT_N_CAP = 2000
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -189,22 +187,6 @@ def cmd_conjecture(args: argparse.Namespace) -> _Result:
     )
 
 
-def _scalar(doc: dict, pretty: str) -> _Result:
-    return _Result(json=lambda: doc, csv=lambda: _records_csv(tuple(doc), [doc]), pretty=lambda: pretty)
-
-
-def cmd_bernoulli(args: argparse.Namespace) -> _Result:
-    value = bernoulli_number(args.n)
-    return _scalar({"n": args.n, "value": value}, f"B({args.n}) = {value}\n")
-
-
-def cmd_stirling(args: argparse.Namespace) -> _Result:
-    first = args.kind == "first"
-    value = (stirling1 if first else stirling2)(args.n, args.k)
-    doc = {"kind": args.kind, "n": args.n, "k": args.k, "value": value}
-    return _scalar(doc, f"{'s' if first else 'S'}({args.n}, {args.k}) = {value}\n")
-
-
 def cmd_matrices(args: argparse.Namespace) -> _Result:
     a, b = zeta_diff_coeffs(args.m, Basis.MONOMIAL), hyper_poly_coeffs(args.m, Basis.MONOMIAL)
     b_inv, b_sh = invert_substitution(b), hyper_poly_coeffs(args.m, Basis.SHIFTED)
@@ -260,17 +242,16 @@ def _write(path: Path | None, text: str) -> None:
 # the size flags several commands share, each as (flag, argparse keywords)
 _M = ("--m", {"type": int, "required": True})
 _MAX = ("--max", {"type": int, "required": True, "dest": "max_m"})
-_N = ("--n", {"type": int, "required": True})
 
-# command -> (its help line, the function that computes its result, its size
-# cap, its own flags as (flag, argparse keywords) pairs), in usage order;
-# build_parser adds --format, --out and --cap after the command's own flags
+# command -> (its help line, the function that computes its result, its own
+# flags as (flag, argparse keywords) pairs), in usage order; build_parser adds
+# --format, --out and --cap (default DEFAULT_M_CAP) after the command's own flags
 _COMMANDS = {
-    "coeffs": ("combination matrix for a given m", cmd_coeffs, DEFAULT_M_CAP, (
+    "coeffs": ("combination matrix for a given m", cmd_coeffs, (
         _M,
         ("--check-all-routes", {"action": "store_true"}),
     )),
-    "verify": ("check the combination identity at sample points", cmd_verify, DEFAULT_M_CAP, (
+    "verify": ("check the combination identity at sample points", cmd_verify, (
         _M,
         ("--samples", {
             "default": ",".join(map(str, DEFAULT_SAMPLES)),
@@ -278,21 +259,15 @@ _COMMANDS = {
             "joined to the flag with '=', as in --samples=-1/2,7/3",
         }),
     )),
-    "eta": ("eta(-m) by three routes, cross-checked", cmd_eta, DEFAULT_M_CAP, (_MAX,)),
-    "conjecture": ("scan the below-diagonal sign pattern", cmd_conjecture, DEFAULT_M_CAP, (_MAX,)),
-    "bernoulli": ("a single Bernoulli number", cmd_bernoulli, DEFAULT_N_CAP, (_N,)),
-    "stirling": ("a single Stirling number", cmd_stirling, DEFAULT_N_CAP, (
-        ("--kind", {"choices": ("first", "second"), "required": True}),
-        _N,
-        ("--k", {"type": int, "required": True}),
-    )),
-    "matrices": ("all coefficient matrices and inverses", cmd_matrices, DEFAULT_M_CAP, (_M,)),
+    "eta": ("eta(-m) by three routes, cross-checked", cmd_eta, (_MAX,)),
+    "conjecture": ("scan the below-diagonal sign pattern", cmd_conjecture, (_MAX,)),
+    "matrices": ("all coefficient matrices and inverses", cmd_matrices, (_M,)),
 }
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     """The parser for ``argv``: when ``argv[0]`` names a command, only that
-    command's subparser is built, and the usage line still lists all seven;
+    command's subparser is built, and the usage line still lists all five;
     otherwise (no argv, an option or an unknown word first) every one is."""
     parser = argparse.ArgumentParser(
         prog="zetacomb",
@@ -304,14 +279,14 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     # "argument command" in the missing- and invalid-command errors
     metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if named else {}
     sub = parser.add_subparsers(dest="command", required=True, **metavar)
-    for command, (help_line, compute, cap, flags) in _COMMANDS.items():
+    for command, (help_line, compute, flags) in _COMMANDS.items():
         if named in (None, command):
             p = sub.add_parser(command, help=help_line)
             for flag, keywords in flags:
                 p.add_argument(flag, **keywords)
             p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
             p.add_argument("--out", type=Path, default=None)
-            p.add_argument("--cap", type=int, default=cap)
+            p.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
             p.set_defaults(run=compute)
     return parser
 
@@ -323,14 +298,14 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             args.samples = tuple(parse_rational(part) for part in args.samples.split(","))
         except ValueError:
             parser.error(f"--samples must be comma-separated rationals, got {args.samples!r}")
-    for name, flag, symbol in (("m", "m", "m"), ("max_m", "max", "m"), ("n", "n", "n")):
+    for name, flag in (("m", "m"), ("max_m", "max")):
         value = getattr(args, name, None)
         if value is None:
             continue
         if value < 0:
             parser.error(f"--{flag} must be >= 0")
         if value > args.cap:
-            parser.error(f"{symbol} = {value} exceeds the cap {args.cap} (raise with --cap)")
+            parser.error(f"m = {value} exceeds the cap {args.cap} (raise with --cap)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -344,9 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv)
     args = parser.parse_args(argv)
     _validate(parser, args)
-    # Results are exact integers of any size (s(1600, 1) has 4,431 digits), so
-    # the int/str digit limit of Python >= 3.10.7 is lifted while the command
-    # runs; it still holds while the flags are parsed.
+    # Results are exact integers of any size (coeffs entries pass 4,300 digits
+    # at a --cap well above 1,000), so the int/str digit limit of Python >= 3.10.7
+    # is lifted while the command runs; it still holds while the flags are parsed.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)

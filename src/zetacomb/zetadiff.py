@@ -517,8 +517,10 @@ def compare_stirling2_matrix(m: int) -> tuple[int, int] | None:
     factorial weights agrees: the candidate is the exponential Riordan
     array [e^s/2, (1-e^s)/2], and for both arrays the row sums
     sum_j entry(i, j) j! have the generating function g/(1-h) =
-    e^s/(e^s+1). The matrices still differ somewhere for every m >= 1,
-    because h differs from tanh(s/2); at m = 0 both are [[1/2]].
+    e^s/(e^s+1). The matrices still differ for every m >= 1, because h
+    differs from tanh(s/2), and the first mismatch is always (1, 0):
+    a_{1,0} = V(2, 1)/4 = 0, while the candidate is S(2, 1)/2 = 1/2. At
+    m = 0 both are [[1/2]].
 
     Reads ``combination_matrix(m)``; entry p/q equals the candidate iff
     p 2^{j+1} = (-1)^j S(i+1, j+1) q, so no candidate ``Fraction`` is

@@ -15,7 +15,6 @@ import errno
 import gc
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -164,34 +163,6 @@ def test_conjecture_json(capsys):
     assert json.loads(out) == {"max_m": 5, "checked": 15, "violations": []}
 
 
-# --- bernoulli / stirling ---------------------------------------------------------
-
-
-def test_bernoulli(capsys):
-    code, out, _ = run(["bernoulli", "--n", "12"], capsys)
-    assert code == 0
-    assert out == "B(12) = -691/2730\n"
-
-
-def test_stirling_first(capsys):
-    code, out, _ = run(["stirling", "--kind", "first", "--n", "3", "--k", "1"], capsys)
-    assert code == 0
-    assert out == "s(3, 1) = 2\n"
-
-
-def test_stirling_second(capsys):
-    code, out, _ = run(["stirling", "--kind", "second", "--n", "4", "--k", "2"], capsys)
-    assert code == 0
-    assert out == "S(4, 2) = 7\n"
-
-
-def test_stirling_large_n_does_not_recurse(capsys):
-    # S(n, 3) = (3^n - 3 * 2^n + 3) / 6; n is beyond the default recursion limit
-    code, out, _ = run(["stirling", "--kind", "second", "--n", "1500", "--k", "3"], capsys)
-    assert code == 0
-    assert out == f"S(1500, 3) = {(3**1500 - 3 * 2**1500 + 3) // 6}\n"
-
-
 # --- matrices ----------------------------------------------------------------------
 
 
@@ -267,30 +238,6 @@ def test_cap_can_be_raised(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize(
-    "argv", [["bernoulli", "--n", "2001"], ["stirling", "--kind", "second", "--n", "20000", "--k", "3"]]
-)
-def test_n_over_the_cap_exits_2(argv, capsys):
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == 2
-    n = argv[argv.index("--n") + 1]
-    assert capsys.readouterr().err.endswith(f"error: n = {n} exceeds the cap 2000 (raise with --cap)\n")
-
-
-def test_n_cap_can_be_raised(capsys):
-    code, out, _ = run(["bernoulli", "--n", "2002", "--cap", "2002"], capsys)
-    assert code == 0
-    # von Staudt-Clausen: the denominator of B_2002 is the product of the primes p with (p - 1) | 2002
-    primes = [p for p in range(2, 2004) if 2002 % (p - 1) == 0 and all(p % r for r in range(2, p))]
-    assert out.startswith("B(2002) = ") and out.endswith(f"/{math.prod(primes)}\n")
-    code, out, _ = run(["stirling", "--kind", "second", "--n", "5", "--k", "2", "--cap", "5"], capsys)
-    assert (code, out) == (0, "S(5, 2) = 15\n")
-    with pytest.raises(SystemExit) as info:
-        main(["stirling", "--kind", "second", "--n", "5", "--k", "2", "--cap", "4"])
-    assert info.value.code == 2
-
-
 def test_determinism(capsys):
     first = run(["matrices", "--m", "7", "--format", "json"], capsys)
     second = run(["matrices", "--m", "7", "--format", "json"], capsys)
@@ -335,7 +282,7 @@ def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["coeffs", "--m", "64"], ["bernoulli", "--n", "2"]])
+@pytest.mark.parametrize("argv", [["coeffs", "--m", "64"], ["coeffs", "--m", "0", "--format", "csv"]])
 def test_full_stdout_exits_2(argv):
     # a large write fails at once, a small one only when stdout is flushed
     with open("/dev/full", "w") as full:
@@ -429,13 +376,13 @@ def test_module_entry_usage_error_exits_2():
 def test_a_crash_exits_3_with_its_traceback():
     planted = (
         "from zetacomb import cli\n"
-        "def boom(n):\n"
+        "def boom(m):\n"
         "    raise ZeroDivisionError('planted')\n"
-        "cli.bernoulli_number = boom\n"
+        "cli.combination_matrix = boom\n"
         "cli.run()\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", planted, "bernoulli", "--n", "2"], capture_output=True, text=True
+        [sys.executable, "-c", planted, "coeffs", "--m", "2"], capture_output=True, text=True
     )
     assert (proc.returncode, proc.stdout) == (cli.EXIT_CRASH, "")
     assert proc.stderr.startswith("Traceback (most recent call last):\n")
@@ -445,7 +392,7 @@ def test_a_crash_exits_3_with_its_traceback():
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["bernoulli", "--n", "4"], 0),
+        (["coeffs", "--m", "4"], 0),
         (["verify", "--m", "2", "--samples", "1/2"], 1),
         (["coeffs", "--m", "-1"], 2),
     ],
@@ -478,9 +425,7 @@ PARSER_ARGV = [
     ["verify", "--m", "2", "--samples=-1/2,7/3"],
     ["eta", "--max", "3", "--format", "xml"],
     ["conjecture", "--max", "-1"],
-    ["bernoulli", "--n", "2001"],
-    ["stirling", "--kind", "third", "--n", "3", "--k", "1"],
-    ["stirling", "--kind", "first", "--n", "5", "--k", "2", "--cap", "4"],
+    ["bernoulli", "--n", "2001"],  # a retired command
     ["matrices", "--m", "2", "--fixtures", "D"],
     ["matrices", "--m", "2", "--fixtures", "D", "--out", "O"],
 ]
@@ -506,28 +451,26 @@ def test_one_command_parser_reads_argv_as_the_full_parser(argv):
     assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
 
 
-# per command, its own flags in order and its --cap default
+# per command, its own flags in order; every --cap defaults to 64
 COMMAND_FLAGS = {
-    "coeffs": (("--m", "--check-all-routes"), 64),
-    "verify": (("--m", "--samples"), 64),
-    "eta": (("--max",), 64),
-    "conjecture": (("--max",), 64),
-    "bernoulli": (("--n",), 2000),
-    "stirling": (("--kind", "--n", "--k"), 2000),
-    "matrices": (("--m",), 64),
+    "coeffs": ("--m", "--check-all-routes"),
+    "verify": ("--m", "--samples"),
+    "eta": ("--max",),
+    "conjecture": ("--max",),
+    "matrices": ("--m",),
 }
 
 
 @pytest.mark.parametrize("command", COMMAND_FLAGS)
 def test_each_command_takes_its_own_flags_then_the_shared_ones(command):
-    own, cap = COMMAND_FLAGS[command]
+    own = COMMAND_FLAGS[command]
     for parser in (cli.build_parser([command]), cli.build_parser()):
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         sub = commands.choices[command]
         assert tuple(a.option_strings[0] for a in sub._actions) == (
             "-h", *own, "--format", "--out", "--cap"
         )
-        assert sub.get_default("cap") == cap
+        assert sub.get_default("cap") == 64
         assert sub.get_default("run") is getattr(cli, f"cmd_{command}")
 
 
@@ -543,6 +486,12 @@ def test_one_command_parser_builds_that_command_alone(capsys):
     [
         ([], "the following arguments are required: command"),
         (["nonsense"], "argument command: invalid choice: 'nonsense' "),
+        # retired commands; bernoulli_number, stirling1 and stirling2 stay in the library
+        (["bernoulli", "--n", "2"], "argument command: invalid choice: 'bernoulli' "),
+        (
+            ["stirling", "--kind", "first", "--n", "3", "--k", "1"],
+            "argument command: invalid choice: 'stirling' ",
+        ),
     ],
 )
 def test_a_missing_or_unknown_command_is_named_command(argv, error, capsys):
@@ -679,36 +628,30 @@ def test_conjecture_violations_render(fmt, expected, monkeypatch, capsys):
     assert run(["conjecture", "--max", "3", "--format", fmt], capsys) == (0, expected, "")
 
 
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
-@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_exact_integers_beyond_the_str_digit_limit(fmt, capsys):
-    # s(1600, 1) = (-1)^1599 1599! has 4,431 digits, past Python's default 4,300
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    code, out, err = run(["stirling", "--kind", "first", "--n", "1600", "--k", "1", "--format", fmt], capsys)
-    assert (code, err) == (0, "")
-    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored
-    with _unlimited_int_digits():
-        value = -math.factorial(1599)
-        if fmt == "pretty":
-            assert out == f"s(1600, 1) = {value}\n"
+    # coeffs at m = 380 has 648-digit entries, past the lowest limit Python allows, 640
+    original = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(["coeffs", "--m", "380", "--cap", "380", "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == 640  # restored
+        if fmt == "csv":
+            rows = [line.split(",")[: i + 1] for i, line in enumerate(out.splitlines())]
         else:
-            assert json.loads(out) == {"kind": "first", "n": 1600, "k": 1, "value": value}
+            rows = json.loads(out)["matrix"]["rows"]
+        sys.set_int_max_str_digits(0)
+        assert rows == [list(map(str, row)) for row in combination_matrix(380).matrix.rows()]
+    finally:
+        sys.set_int_max_str_digits(original)
+        combination_matrix.cache_clear()
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["bernoulli", "--n", "1" * 5000], ["verify", "--m", "1", "--samples", "1" * 5000]],
+    [["coeffs", "--m", "1" * 5000], ["verify", "--m", "1", "--samples", "1" * 5000]],
 )
 def test_huge_digit_strings_are_usage_errors(argv, capsys):
     # the digit limit is lifted only after the flags are parsed
@@ -720,25 +663,19 @@ def test_huge_digit_strings_are_usage_errors(argv, capsys):
 # --- the exit-code contract over generated argv ------------------------------------
 
 # per subcommand, its capped size flag with the largest value a generated run
-# computes at (m <= 12, n <= 50), and its other flags: one choice per list,
-# None for leaving the flag out
+# computes at (m <= 12), and its other flags: one choice per list, None for
+# leaving the flag out
 _SIZE = {
     "coeffs": ("--m", 12),
     "verify": ("--m", 12),
     "eta": ("--max", 12),
     "conjecture": ("--max", 12),
     "matrices": ("--m", 12),
-    "bernoulli": ("--n", 50),
-    "stirling": ("--n", 50),
 }
 _FLAGS = {
     "coeffs": [[None, ["--check-all-routes"]]],
     "verify": [
         [None, *(["--samples", s] for s in ("0,1/2", "7/3", "-1/2", "a,b", "1/0", "")), ["--samples=-1/2,7/3"]],
-    ],
-    "stirling": [
-        [None, *(["--kind", k] for k in ("first", "second", "second", "third"))],
-        [None, *(["--k", str(k)] for k in (-3, 0, 1, 7, 50, 10**6))],
     ],
 }
 _FORMATS = [None, *(["--format", f] for f in ("pretty", "json", "csv", "xml"))]
@@ -756,7 +693,7 @@ def _argv(draw):
         if cap is not None:
             groups.append(["--cap", str(cap)])
         # small, negative, over the cap in force, or not an int; sometimes missing
-        over = (cli.DEFAULT_N_CAP if flag == "--n" else cli.DEFAULT_M_CAP) if cap is None else cap
+        over = cli.DEFAULT_M_CAP if cap is None else cap
         value = draw(
             st.integers(-3, small if cap is None else cap)
             | st.integers(over + 1, over + 10**6)
