@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import factorial
 from operator import attrgetter, mul
 from threading import Lock
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import _EXPORTS
 from .combinat import _TANGENT_TABLE, _require_nonnegative, _tanh_power_row, bernoulli_number, binomial, stirling2
@@ -52,14 +52,6 @@ DEFAULT_SAMPLES: tuple[Fraction, ...] = (
     Fraction(2),
     Fraction(7, 3),
 )
-
-
-def _require_dim(m: int, matrix: LowerTriMatrix, name: str = "m") -> int:
-    # an injected table must be the (m+1)-square one the report describes; m as an int
-    m = _require_nonnegative(m, name)
-    if matrix.dim != m + 1:
-        raise ValueError(f"matrix has dim {matrix.dim}, expected m + 1 = {m + 1}")
-    return m
 
 
 def zeta_diff(m: int, x) -> Fraction:
@@ -184,7 +176,9 @@ class CoeffReport(_Value):
     matrix: LowerTriMatrix
 
     def __init__(self, m: int, matrix: LowerTriMatrix) -> None:
-        m = _require_dim(m, matrix)
+        m = _require_nonnegative(m, "m")
+        if matrix.dim != m + 1:
+            raise ValueError(f"matrix has dim {matrix.dim}, expected m + 1 = {m + 1}")
         entries = matrix.entries
         for i in range(m + 1):
             d = entries[i * (i + 3) // 2]  # the (i, i) entry
@@ -340,30 +334,25 @@ class VerificationReport(NamedTuple):
     violations: tuple[CombinationViolation, ...]
 
 
-def verify_combination(
-    m: int,
-    samples: tuple[Fraction, ...] = DEFAULT_SAMPLES,
-    matrix: LowerTriMatrix | None = None,
-) -> VerificationReport:
-    """Check the combination identity row by row at the given sample points.
+def verify_combination(m: int, samples: tuple[Fraction, ...] = DEFAULT_SAMPLES) -> VerificationReport:
+    """Check the combination identity of ``combination_matrix(m)`` row by row
+    at the given sample points.
 
     F and G are evaluated directly (Bernoulli closed form, terminating
     hypergeometric sum), independently of how the matrix was built. Pass
-    means every residual is exactly zero. A matrix may be injected to
-    check external tables; by default ``combination_matrix(m)`` is. An
-    injected matrix must have dim m+1, or ``ValueError`` is raised. Each
-    residual is an integer dot product, a ``Fraction`` only when nonzero;
-    violations come row by row, samples in the order given.
+    means every residual is exactly zero. Each residual is an integer dot
+    product, a ``Fraction`` only when nonzero; violations come row by row,
+    samples in the order given.
     """
     samples = tuple(Fraction(s) for s in samples)  # an iterator is read once
     if not samples:
         raise ValueError("samples must be nonempty")
-    mat = matrix if matrix is not None else combination_matrix(m).matrix
-    m = _require_dim(m, mat)
-    rows, scale = _scaled_rows(mat)
+    report = combination_matrix(m)
+    m = report.m
+    rows, scale = _scaled_rows(report.matrix)
     g_at = []
     for x in samples:
-        g, den = _over_lcm([hyper_poly(j, x) for j in range(mat.dim)])
+        g, den = _over_lcm([hyper_poly(j, x) for j in range(m + 1)])
         g_at.append((g, scale * den))
     violations = []
     for i, row in enumerate(rows):
@@ -377,33 +366,24 @@ def verify_combination(
     )
 
 
-def verify_polynomial_forms(
-    m: int,
-    matrices: Iterable[LowerTriMatrix] | None = None,
-) -> bool:
+def verify_polynomial_forms(m: int) -> bool:
     """Tie the coefficient tables and the combination matrix to the direct evaluators.
 
-    Checks, at 2m+3 distinct rational points: rows of the monomial-basis
-    matrices evaluate to F resp. G; same for the shifted-basis matrices.
-    Also checks the exact product A G_mono = F_mono, with A the matrix of
-    ``combination_matrix(m)``: once the monomial tables are F and G, it
-    proves F(i, x) = sum_j a_{i,j} G(j, x) at every x, not only at samples.
-    ``matrices`` may inject the four (F_mono, G_mono, F_shift, G_shift)
-    tables, as any iterable, each of dim m+1 (otherwise ``ValueError``).
-    At each x = p/3 the powers p^j 3^{m-j} of x, and of x+1, are built
-    once; a row c/d of a table (``_scaled_rows``) takes the value v iff
-    sum_j c_j p^j 3^{m-j} den(v) = d 3^m num(v).
+    Builds the four tables (``zeta_diff_coeffs`` and ``hyper_poly_coeffs``
+    in each basis) and checks, at 2m+3 distinct rational points: rows of
+    the monomial-basis matrices evaluate to F resp. G; same for the
+    shifted-basis matrices. Also checks the exact product A G_mono = F_mono,
+    with A the matrix of ``combination_matrix(m)``: once the monomial tables
+    are F and G, it proves F(i, x) = sum_j a_{i,j} G(j, x) at every x, not
+    only at samples. At each x = p/3 the powers p^j 3^{m-j} of x, and of
+    x+1, are built once; a row c/d of a table (``_scaled_rows``) takes the
+    value v iff sum_j c_j p^j 3^{m-j} den(v) = d 3^m num(v).
     No rebase check is needed: a shifted row and its monomial row have degree
     <= m and both equal F(i, .) (or G(i, .)) at 2m+3 > m points, so they are
     the same polynomial.
     """
-    if matrices is None:
-        matrices = [build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)]
-    matrices = tuple(matrices)  # an iterator is read once
-    if len(matrices) != 4:
-        raise ValueError(f"need the four tables (F_mono, G_mono, F_shift, G_shift), got {len(matrices)}")
-    for matrix in matrices:
-        m = _require_dim(m, matrix)
+    m = _require_nonnegative(m, "m")
+    matrices = [build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)]
     if mat_mul(combination_matrix(m).matrix, matrices[1]) != matrices[0]:
         return False
     q_powers = [3**k for k in range(m, -1, -1)]
@@ -476,35 +456,25 @@ def _sign_violations(entries, start: int, stop: int) -> list[SignViolation]:
     return violations
 
 
-def scan_sign_pattern(
-    max_m: int, matrix: LowerTriMatrix | None = None
-) -> SignPatternFinding:
-    """Classify every strictly below-diagonal entry against the sign pattern.
+def scan_sign_pattern(max_m: int) -> SignPatternFinding:
+    """Classify every strictly below-diagonal entry of ``combination_matrix(max_m)``
+    against the sign pattern.
 
-    By default the matrix is ``combination_matrix(max_m)``, and its
-    violations are read off the Riordan table, which classifies each entry
-    once per process (``_RiordanTable.sign_violations``): a scan to m
+    The violations are read off the Riordan table, which classifies each
+    entry once per process (``_RiordanTable.sign_violations``): a scan to m
     classifies only the rows no earlier scan reached. The finding is kept
     on that report, so a repeat call returns the same object until
-    ``combination_matrix.cache_clear``. An injected ``matrix`` is
-    classified in full on every call; it must have dim max_m+1, or
-    ``ValueError`` is raised.
+    ``combination_matrix.cache_clear``.
     """
-    if matrix is None:
-        # the report is still built (and validated and cached) on a miss
-        return combination_matrix(_require_nonnegative(max_m, "max_m"))._answer(_scan_riordan_table)
-    max_m = _require_dim(max_m, matrix, "max_m")
-    return _finding(max_m, _sign_violations(matrix.entries, 0, matrix.dim))
+    # the report is still built (and validated and cached) on a miss
+    return combination_matrix(_require_nonnegative(max_m, "max_m"))._answer(_scan_riordan_table)
 
 
 def _scan_riordan_table(report: CoeffReport) -> SignPatternFinding:
     # the report's entries are the table's own, sliced off it on its miss
-    return _finding(report.m, _RIORDAN_TABLE.sign_violations(report.m))
-
-
-def _finding(max_m: int, violations: list[SignViolation]) -> SignPatternFinding:
-    checked = max_m * (max_m + 1) // 2
-    return SignPatternFinding(max_m=max_m, checked=checked, violations=tuple(violations))
+    m = report.m
+    violations = tuple(_RIORDAN_TABLE.sign_violations(m))
+    return SignPatternFinding(max_m=m, checked=m * (m + 1) // 2, violations=violations)
 
 
 def compare_stirling2_matrix(m: int) -> tuple[int, int] | None:

@@ -155,8 +155,7 @@ def _m1_matrix():
 # which JSON prints as 1, not as true
 TRUE_SIZE_CALLS = {
     "verify_combination": lambda m: zetacomb.verify_combination(m),
-    "verify_combination-matrix": lambda m: zetacomb.verify_combination(m, matrix=_m1_matrix()),
-    "scan_sign_pattern-matrix": lambda m: zetacomb.scan_sign_pattern(m, _m1_matrix()),
+    "scan_sign_pattern": lambda m: zetacomb.scan_sign_pattern(m),
     "CoeffReport": lambda m: zetacomb.CoeffReport(m, _m1_matrix()),
 }
 
@@ -166,23 +165,6 @@ def test_a_size_of_true_is_the_int_1(call):
     result = call(True)
     assert result == call(1)
     assert json.dumps(cli._document(result)) == json.dumps(cli._document(call(1)))
-
-
-# a function given tables checks the size before it compares the tables' dim with it
-INJECTED_NEGATIVE_CALLS = {
-    "verify_combination": (lambda: zetacomb.verify_combination(-1, matrix=_m1_matrix()), "m"),
-    "verify_polynomial_forms": (
-        lambda: zetacomb.verify_polynomial_forms(-1, [zetacomb.zeta_diff_coeffs(1)] * 4),
-        "m",
-    ),
-    "scan_sign_pattern": (lambda: zetacomb.scan_sign_pattern(-1, _m1_matrix()), "max_m"),
-}
-
-
-@pytest.mark.parametrize("call, size", INJECTED_NEGATIVE_CALLS.values(), ids=INJECTED_NEGATIVE_CALLS)
-def test_a_negative_size_with_tables_is_a_value_error(call, size):
-    with pytest.raises(ValueError, match=f"^{size} must be >= 0$"):
-        call()
 
 
 @pytest.mark.parametrize("build", ["zeta_diff_coeffs", "hyper_poly_coeffs"])

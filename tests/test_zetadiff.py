@@ -25,6 +25,7 @@ from zetacomb.zetadiff import (
     CoeffReport,
     CombinationViolation,
     ExpectedSign,
+    SignPatternFinding,
     SignViolation,
     combination_matrix,
     compare_stirling2_matrix,
@@ -334,6 +335,12 @@ def _doctor(entries, cells):
         entries[k] = -entries[k] or Fraction(1)
 
 
+def _full_scan(m, entries):
+    # rows 0..m of the packed entries classified afresh, with no watermark
+    violations = tuple(zetadiff._sign_violations(entries, 0, m + 1))
+    return SignPatternFinding(max_m=m, checked=m * (m + 1) // 2, violations=violations)
+
+
 def _doctor_shared_table(m, cells):
     # grow the process-wide table to m and doctor it; every later miss reads it
     combination_matrix.cache_clear()
@@ -360,7 +367,7 @@ def test_default_scan_matches_a_full_scan_of_the_matrix(order, cells):
     try:
         _doctor_shared_table(64, cells)
         for m in _visit(order, 64):
-            full = scan_sign_pattern(m, matrix=combination_matrix(m).matrix)
+            full = _full_scan(m, combination_matrix(m).matrix.entries)
             assert scan_sign_pattern(m) == full, m
             assert len(full.violations) == sum(i <= m for i, _ in cells), m
     finally:
@@ -394,7 +401,7 @@ def test_riordan_table_grows_consistently_under_threads():
     expected = list(_riordan_closed_form(48).entries)
     _doctor(expected, cells)
     prefixes = [expected[: _packed_index(m + 1, 0)] for m in range(49)]
-    scans = [list(scan_sign_pattern(m, matrix=LowerTriMatrix(m + 1, prefixes[m])).violations) for m in range(49)]
+    scans = [zetadiff._sign_violations(prefixes[m], 0, m + 1) for m in range(49)]
     wrong = []
 
     def ascend(scan_first):
@@ -452,7 +459,7 @@ def _fresh_answers(m):
     matrix = combination_matrix(m).matrix
     eta = sum((a * math.factorial(j) for j, a in enumerate(matrix.row(m))), Fraction(0))
     return (
-        scan_sign_pattern(m, matrix=matrix),
+        _full_scan(m, matrix.entries),
         eta,
         oracles.first_stirling2_mismatch_fraction(matrix, stirling2),
     )
@@ -482,7 +489,7 @@ def test_kept_answers_follow_a_doctored_table_after_cache_clear():
     try:
         combination_matrix.cache_clear()
         clean = {m: _kept_answers(m) for m in (1, 20)}
-        assert clean[1] == (scan_sign_pattern(1, matrix=combination_matrix(1).matrix), Fraction(1, 4), (1, 0))
+        assert clean[1] == (_full_scan(1, combination_matrix(1).matrix.entries), Fraction(1, 4), (1, 0))
         assert clean[20][1] == 0
         combination_matrix.cache_clear()
         zetadiff._RIORDAN_TABLE.packed(20)
@@ -498,20 +505,6 @@ def test_kept_answers_follow_a_doctored_table_after_cache_clear():
         assert eta_via_coeff_row(20) == 6  # 3! * 1
     finally:
         combination_matrix.cache_clear()
-
-
-def test_scan_of_an_injected_matrix_is_not_kept():
-    combination_matrix.cache_clear()
-    rows = [list(row) for row in combination_matrix(6).matrix.rows()]
-    rows[3][0] = Fraction(-1)  # i - j = 3: must be zero
-    doctored = LowerTriMatrix.from_rows(rows)
-    first = scan_sign_pattern(6, matrix=doctored)
-    assert scan_sign_pattern(6).violations == ()
-    again = scan_sign_pattern(6, matrix=doctored)
-    assert first == again and first is not again
-    assert [(v.i, v.j) for v in again.violations] == [(3, 0)]
-    clean = combination_matrix(6).matrix
-    assert scan_sign_pattern(6, matrix=clean) is not scan_sign_pattern(6, matrix=clean)
 
 
 def test_kept_answers_do_not_change_the_report_value():
@@ -579,6 +572,30 @@ def test_coeff_report_rejects_a_wrong_diagonal_entry(wrong):
 # --- verification ------------------------------------------------------------------
 
 
+def _plant(monkeypatch, tables=None, matrix=None):
+    """Plant a fault where the checks read: ``tables`` (F_mono, G_mono, F_shift,
+    G_shift) are what ``zeta_diff_coeffs`` and ``hyper_poly_coeffs`` return
+    per basis, and ``matrix`` is the matrix of ``combination_matrix``."""
+    if tables is not None:
+        f_mono, g_mono, f_shift, g_shift = tables
+        for name, mono, shift in (("zeta_diff_coeffs", f_mono, f_shift), ("hyper_poly_coeffs", g_mono, g_shift)):
+
+            def build(m, basis=Basis.MONOMIAL, mono=mono, shift=shift):
+                table = mono if Basis(basis) is Basis.MONOMIAL else shift
+                assert table.dim == m + 1
+                return table
+
+            monkeypatch.setattr(zetadiff, name, build)
+    if matrix is not None:
+        report = CoeffReport(matrix.dim - 1, matrix)
+
+        def planted(m):
+            assert m == report.m
+            return report
+
+        monkeypatch.setattr(zetadiff, "combination_matrix", planted)
+
+
 def test_verify_combination_default_window():
     report = verify_combination(9)
     assert report.passed
@@ -595,14 +612,15 @@ def test_verify_combination_m1():
     assert verify_combination(1, samples=[Fraction(0)]).passed
 
 
-def test_verify_combination_detects_tampering():
+def test_verify_combination_detects_tampering(monkeypatch):
     good = combination_matrix(3).matrix
     rows = [list(r) for r in good.rows()]
     rows[1][0] += 1
     rows[3][0] += Fraction(1, 3)
     bad = LowerTriMatrix.from_rows(rows)
     samples = (Fraction(7, 3), Fraction(0), Fraction(-1, 2))
-    report = verify_combination(3, samples=samples, matrix=bad)
+    _plant(monkeypatch, matrix=bad)
+    report = verify_combination(3, samples=samples)
     assert not report.passed
     # G(0, x) = 1, so adding d in column 0 of row i leaves the residual -d at
     # every sample; violations come row by row, samples in the order given
@@ -628,13 +646,14 @@ def _five_sample_blind_matrix():
     return LowerTriMatrix.from_rows(rows)
 
 
-def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find():
+def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find(monkeypatch):
     m = 6
     doctored = _five_sample_blind_matrix()
     assert doctored != combination_matrix(m).matrix
-    assert verify_combination(m, matrix=doctored).passed
+    _plant(monkeypatch, matrix=doctored)
+    assert verify_combination(m).passed
     eight = tuple(Fraction(p, 3) for p in range(-3, 5))
-    report = verify_combination(m, samples=eight, matrix=doctored)
+    report = verify_combination(m, samples=eight)
     assert not report.passed
     p_at = lambda x: math.prod(x - s for s in DEFAULT_SAMPLES)  # noqa: E731
     assert report.violations == tuple(
@@ -644,19 +663,13 @@ def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find():
 
 def test_verify_fails_a_matrix_that_five_samples_miss(monkeypatch, capsys):
     # the exact product A G_mono = F_mono in the forms check decides every x
-    doctored = CoeffReport(6, _five_sample_blind_matrix())
-    monkeypatch.setattr(zetadiff, "combination_matrix", lambda m: doctored)
+    _plant(monkeypatch, matrix=_five_sample_blind_matrix())
     assert verify_combination(6).passed
     assert cli.main(["verify", "--m", "6"]) == 1
     assert capsys.readouterr() == (
         "combination identity: PASS (m = 6, samples: 0, 1/2, 1, 2, 7/3)\npolynomial forms: FAIL\n",
         "polynomial forms check failed at m=6\n",
     )
-
-
-def test_verify_combination_rejects_wrong_dim():
-    with pytest.raises(ValueError, match="dim 6"):
-        verify_combination(2, matrix=combination_matrix(5).matrix)
 
 
 def test_verify_combination_rejects_no_samples():
@@ -680,14 +693,14 @@ def test_verify_polynomial_forms():
     assert verify_polynomial_forms(9)
 
 
-def test_verify_polynomial_forms_fixture_matrices():
-    mats = (
-        tables.matrix(tables.A10),
-        tables.matrix(tables.B10),
-        tables.matrix(tables.A10_SHIFTED),
-        tables.matrix(tables.B10_SHIFTED),
-    )
-    assert verify_polynomial_forms(9, matrices=mats)
+def _fixture_tables():
+    # the hand-entered m = 9 tables, in the order (F_mono, G_mono, F_shift, G_shift)
+    return [tables.matrix(t) for t in (tables.A10, tables.B10, tables.A10_SHIFTED, tables.B10_SHIFTED)]
+
+
+def test_verify_polynomial_forms_fixture_matrices(monkeypatch):
+    _plant(monkeypatch, tables=_fixture_tables())
+    assert verify_polynomial_forms(9)
 
 
 def _planted_cells():
@@ -700,18 +713,14 @@ def _planted_cells():
 
 
 @pytest.mark.parametrize(("position", "cell"), _planted_cells())
-def test_verify_polynomial_forms_rejects_wrong_table(position, cell):
-    mats = [
-        tables.matrix(tables.A10),
-        tables.matrix(tables.B10),
-        tables.matrix(tables.A10_SHIFTED),
-        tables.matrix(tables.B10_SHIFTED),
-    ]
+def test_verify_polynomial_forms_rejects_wrong_table(monkeypatch, position, cell):
+    mats = _fixture_tables()
     rows = [list(r) for r in mats[position].rows()]
     i, j = cell
     rows[i][j] += Fraction(1, 3)
     mats[position] = LowerTriMatrix.from_rows(rows)
-    assert not verify_polynomial_forms(9, matrices=tuple(mats))
+    _plant(monkeypatch, tables=mats)
+    assert not verify_polynomial_forms(9)
 
 
 def _form_tables(m):
@@ -723,7 +732,7 @@ def _form_tables(m):
     )
 
 
-def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f():
+def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f(monkeypatch):
     # F + 1 in both bases: each shifted row still rebases onto its monomial
     # row, yet no row evaluates to F
     m = 9
@@ -736,7 +745,8 @@ def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f():
     for i in range(m + 1):
         shifted = Poly(mats[2].row(i), Basis.SHIFTED)
         assert shifted.rebase(Basis.MONOMIAL) == Poly(mats[0].row(i), Basis.MONOMIAL)
-    assert not verify_polynomial_forms(m, matrices=tuple(mats))
+    _plant(monkeypatch, tables=mats)
+    assert not verify_polynomial_forms(m)
 
 
 @pytest.mark.parametrize(
@@ -750,7 +760,7 @@ def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f():
     ],
     ids=["m0-constant", "m1-one-common-point"],
 )
-def test_verify_polynomial_forms_checks_every_point(m, row):
+def test_verify_polynomial_forms_checks_every_point(monkeypatch, m, row):
     # the fault sits in the shifted F table, which the product A G_mono = F_mono
     # does not read: caught only if the check visits some point at m = 0, and one
     # besides x = -2/3 at m = 1
@@ -759,7 +769,8 @@ def test_verify_polynomial_forms_checks_every_point(m, row):
     assert rows[m] != row
     rows[m] = row
     mats[2] = LowerTriMatrix.from_rows(rows)
-    assert not verify_polynomial_forms(m, matrices=tuple(mats))
+    _plant(monkeypatch, tables=mats)
+    assert not verify_polynomial_forms(m)
 
 
 @pytest.mark.parametrize("build", [zeta_diff_coeffs, hyper_poly_coeffs])
@@ -771,34 +782,11 @@ def test_shifted_rows_rebase_onto_monomial_rows(build):
         assert Poly(shifted.row(i), Basis.SHIFTED).rebase(Basis.MONOMIAL) == Poly(monomial.row(i)), i
 
 
-def test_verify_polynomial_forms_rejects_wrong_dim():
-    with pytest.raises(ValueError, match="dim 3"):
-        verify_polynomial_forms(5, _form_tables(2))
-
-
-@pytest.mark.parametrize("position", range(4))
-def test_verify_polynomial_forms_rejects_one_wrong_dim(position):
-    mats = list(_form_tables(2))
-    mats[position] = _form_tables(5)[position]
-    with pytest.raises(ValueError, match="dim 6"):
-        verify_polynomial_forms(2, tuple(mats))
-
-
-def test_verify_polynomial_forms_reads_an_iterator_of_tables():
-    assert verify_polynomial_forms(4, iter(_form_tables(4)))
+def test_verify_polynomial_forms_rejects_a_swapped_g_table(monkeypatch):
     wrong = list(_form_tables(4))
     wrong[1] = wrong[3]  # the shifted G table where the monomial one belongs
-    assert not verify_polynomial_forms(4, iter(wrong))
-
-
-@pytest.mark.parametrize("count", [0, 3, 5])
-def test_verify_polynomial_forms_rejects_a_count_other_than_four(count):
-    tables_ = (_form_tables(2) * 2)[:count]
-    expected = rf"^need the four tables \(F_mono, G_mono, F_shift, G_shift\), got {count}$"
-    with pytest.raises(ValueError, match=expected):
-        verify_polynomial_forms(2, tables_)
-    with pytest.raises(ValueError, match=expected):
-        verify_polynomial_forms(2, iter(tables_))
+    _plant(monkeypatch, tables=wrong)
+    assert not verify_polynomial_forms(4)
 
 
 # --- sign pattern scan ----------------------------------------------------------------
@@ -818,24 +806,22 @@ def test_scan_sign_pattern_m0():
 
 
 def test_scan_sign_pattern_flags_doctored_matrix():
-    good = combination_matrix(4).matrix
-    rows = [list(r) for r in good.rows()]
-    rows[1][0] = Fraction(5)  # i-j odd: must be zero
-    rows[2][0] = Fraction(5)  # i-j == 2 mod 4: must be negative
-    rows[4][0] = Fraction(-5)  # i-j == 0 mod 4: must be positive
-    bad = LowerTriMatrix.from_rows(rows)
-    finding = scan_sign_pattern(4, matrix=bad)
-    got = {(v.i, v.j): v.expected for v in finding.violations}
-    assert got == {
-        (1, 0): ExpectedSign.ZERO,
-        (2, 0): ExpectedSign.NEGATIVE,
-        (4, 0): ExpectedSign.POSITIVE,
-    }
-
-
-def test_scan_sign_pattern_rejects_wrong_dim():
-    with pytest.raises(ValueError, match="dim 6"):
-        scan_sign_pattern(2, matrix=combination_matrix(5).matrix)
+    try:
+        combination_matrix.cache_clear()
+        zetadiff._RIORDAN_TABLE.packed(4)
+        entries = zetadiff._RIORDAN_TABLE._entries
+        entries[_packed_index(1, 0)] = Fraction(5)  # i-j odd: must be zero
+        entries[_packed_index(2, 0)] = Fraction(5)  # i-j == 2 mod 4: must be negative
+        entries[_packed_index(4, 0)] = Fraction(-5)  # i-j == 0 mod 4: must be positive
+        finding = scan_sign_pattern(4)
+        got = {(v.i, v.j): v.expected for v in finding.violations}
+        assert got == {
+            (1, 0): ExpectedSign.ZERO,
+            (2, 0): ExpectedSign.NEGATIVE,
+            (4, 0): ExpectedSign.POSITIVE,
+        }
+    finally:
+        combination_matrix.cache_clear()
 
 
 def test_sign_finding_json():
