@@ -21,8 +21,8 @@ built in one call (``paper_matrices``): the row-coefficient matrices of F
 bases (powers of x, powers of x+1), with G inverted by two algorithms.
 They are rebuilt on every call and never read the Riordan table, so they
 stay independent cross-checks; all four must agree with the production
-matrix exactly, and the whole construction is cross-checked against
-direct evaluation of F and G.
+matrix exactly. The tables are proved by exact identities that never
+evaluate F or G (``verify_polynomial_forms``).
 
 Everything is exact; there is no floating point anywhere.
 """
@@ -33,12 +33,14 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 from threading import Lock
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .combinat import _TANGENT_TABLE, _require_nonnegative, _tanh_power_row, bernoulli_number, binomial, stirling2
+from .combinat import (
+    _TANGENT_TABLE, _require_nonnegative, _tanh_power_row, bernoulli_number, binomial, stirling1, stirling2
+)
 from .numcore import Basis, _over_lcm, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
@@ -144,7 +146,8 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     O(m^2) integer additions for the table. The diagonal is 2^i in both
     bases, so these matrices are always invertible. The paper's Stirling
     form, entry(i, j) = sum_k 2^k (i-k)! C(i,k)^2 s(k+h, j+h) with h = 0
-    resp. 1, is kept as the test oracle (``tests/oracles.py``).
+    resp. 1, proves the table (``verify_polynomial_forms``, h = 0) and is
+    the test oracle (``tests/oracles.py``).
     """
     m = _require_nonnegative(m, "m")
     c = 1 if Basis(basis) is Basis.MONOMIAL else -1
@@ -367,38 +370,33 @@ def verify_combination(m: int, samples: tuple[Fraction, ...] = DEFAULT_SAMPLES) 
 
 
 def verify_polynomial_forms(m: int) -> bool:
-    """Tie the coefficient tables and the combination matrix to the direct evaluators.
+    """Prove the four coefficient tables and A, the matrix of
+    ``combination_matrix(m)``, by exact matrix identities at no point.
 
-    Builds the four tables (``zeta_diff_coeffs`` and ``hyper_poly_coeffs``
-    in each basis) and checks, at 2m+3 distinct rational points: rows of
-    the monomial-basis matrices evaluate to F resp. G; same for the
-    shifted-basis matrices. Also checks the exact product A G_mono = F_mono,
-    with A the matrix of ``combination_matrix(m)``: once the monomial tables
-    are F and G, it proves F(i, x) = sum_j a_{i,j} G(j, x) at every x, not
-    only at samples. At each x = p/3 the powers p^j 3^{m-j} of x, and of
-    x+1, are built once; a row c/d of a table (``_scaled_rows``) takes the
-    value v iff sum_j c_j p^j 3^{m-j} den(v) = d 3^m num(v).
-    No rebase check is needed: a shifted row and its monomial row have degree
-    <= m and both equal F(i, .) (or G(i, .)) at 2m+3 > m points, so they are
-    the same polynomial.
+    With P(i, j) = C(i, j), a row in powers of x+1 times P is that row in
+    powers of x. The Hurwitz equation zeta(s, a) = zeta(s, a+1) + a^{-s}
+    (DLMF 25.11(i)) gives F(i, x) + F(i, x+1) = (x+1)^i, and p -> p(t-1) + p(t)
+    is invertible, so F_shift + F_mono = I and F_shift P = F_mono fix F. The
+    terminating 2F1 sum, term by term, is G_mono = D S with D(i, k) =
+    2^k (i-k)! C(i, k)^2 and S the signed ``stirling1``, and G_shift P = G_mono
+    fixes G_shift. Then A G_mono = F_mono proves F(i, x) = sum_j a_{i,j} G(j, x)
+    at every x. No identity reads the Bernoulli numbers or the G recurrence
+    that build the tables; a table at m is the leading block of the table at
+    any larger m, so a pass at m covers every smaller m.
     """
     m = _require_nonnegative(m, "m")
-    matrices = [build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)]
-    if mat_mul(combination_matrix(m).matrix, matrices[1]) != matrices[0]:
-        return False
-    q_powers = [3**k for k in range(m, -1, -1)]
-    # (integer rows, d 3^m) per table
-    fm, gm, fs, gs = ((rows, scale * q_powers[0]) for rows, scale in map(_scaled_rows, matrices))
-    for p in range(-m - 1, m + 2):
-        x = Fraction(p, 3)
-        at_x = [p**j * qp for j, qp in enumerate(q_powers)]
-        at_x1 = [(p + 3) ** j * qp for j, qp in enumerate(q_powers)]
-        for i in range(m + 1):
-            fx, gx = zeta_diff(i, x), hyper_poly(i, x)
-            for (rows, scale), w, v in zip((fm, fs, gm, gs), (at_x, at_x1) * 2, (fx, fx, gx, gx)):
-                if sum(map(mul, rows[i], w)) * v.denominator != scale * v.numerator:
-                    return False
-    return True
+    f_mono, g_mono, f_shift, g_shift = (
+        build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)
+    )
+    pascal = LowerTriMatrix.from_func(m + 1, binomial)
+    d = LowerTriMatrix.from_func(m + 1, lambda i, k: 2**k * factorial(i - k) * binomial(i, k) ** 2)
+    return (
+        tuple(map(add, f_shift.entries, f_mono.entries)) == LowerTriMatrix.identity(m + 1).entries
+        and mat_mul(f_shift, pascal) == f_mono
+        and mat_mul(d, LowerTriMatrix.from_func(m + 1, stirling1)) == g_mono
+        and mat_mul(g_shift, pascal) == g_mono
+        and mat_mul(combination_matrix(m).matrix, g_mono) == f_mono
+    )
 
 
 class ExpectedSign(enum.Enum):

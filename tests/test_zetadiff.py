@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,7 @@ from zetacomb import cli, zetadiff
 from zetacomb.combinat import stirling2
 from zetacomb.etacheck import eta_via_coeff_row
 from zetacomb.numcore import Basis, Poly
-from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution
+from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 from zetacomb.zetadiff import (
     DEFAULT_SAMPLES,
     CoeffReport,
@@ -734,7 +735,8 @@ def _form_tables(m):
 
 def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f(monkeypatch):
     # F + 1 in both bases: each shifted row still rebases onto its monomial
-    # row, yet no row evaluates to F
+    # row (F_shift P = F_mono holds), yet F_shift + F_mono = I does not, and with
+    # the true A neither does A G_mono = F_mono
     m = 9
     mats = list(_form_tables(m))
     for position in (0, 2):
@@ -752,18 +754,16 @@ def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f(monkeypat
 @pytest.mark.parametrize(
     ("m", "row"),
     [
-        # F(0, x) = 1/2; the wrong constant agrees with it nowhere
+        # F(0, x) = 1/2; the wrong constant is 3/2
         (0, [Fraction(3, 2)]),
-        # F(1, x) = -1/4 + (x+1)/2; the wrong row, -7/12 + 3(x+1)/2, agrees with it
-        # at x = -2/3 alone
+        # F(1, x) = -1/4 + (x+1)/2; the wrong row is -7/12 + 3(x+1)/2
         (1, [Fraction(-7, 12), Fraction(3, 2)]),
     ],
-    ids=["m0-constant", "m1-one-common-point"],
+    ids=["m0-constant", "m1-linear"],
 )
-def test_verify_polynomial_forms_checks_every_point(monkeypatch, m, row):
+def test_verify_polynomial_forms_rejects_a_wrong_shifted_f_row(monkeypatch, m, row):
     # the fault sits in the shifted F table, which the product A G_mono = F_mono
-    # does not read: caught only if the check visits some point at m = 0, and one
-    # besides x = -2/3 at m = 1
+    # does not read: F_shift + F_mono = I and F_shift P = F_mono both catch it
     mats = list(_form_tables(m))
     rows = [list(r) for r in mats[2].rows()]
     assert rows[m] != row
@@ -775,7 +775,8 @@ def test_verify_polynomial_forms_checks_every_point(monkeypatch, m, row):
 
 @pytest.mark.parametrize("build", [zeta_diff_coeffs, hyper_poly_coeffs])
 def test_shifted_rows_rebase_onto_monomial_rows(build):
-    # the identity the forms check implies through its points, checked directly
+    # the forms check's F_shift P = F_mono and G_shift P = G_mono, checked
+    # through Poly.rebase, a Taylor shift independent of the Pascal product
     m = 30
     shifted, monomial = build(m, Basis.SHIFTED), build(m, Basis.MONOMIAL)
     for i in range(m + 1):
@@ -787,6 +788,68 @@ def test_verify_polynomial_forms_rejects_a_swapped_g_table(monkeypatch):
     wrong[1] = wrong[3]  # the shifted G table where the monomial one belongs
     _plant(monkeypatch, tables=wrong)
     assert not verify_polynomial_forms(4)
+
+
+def _broken_identities(tables, a):
+    """The identities of the forms check that the tables (F_mono, G_mono, F_shift,
+    G_shift) and the matrix ``a`` break, by name, decided by the Fraction oracles."""
+    f_mono, g_mono, f_shift, g_shift = (t.rows() for t in tables)
+    # a row in powers of x+1 is p(t), t = x+1; in powers of x it is p(x+1)
+    rebased = lambda rows: [oracles.taylor_shift(row, 1) for row in rows]  # noqa: E731
+    holds = {
+        "F": all(
+            s + f == (i == j) for i, pair in enumerate(zip(f_shift, f_mono)) for j, (s, f) in enumerate(zip(*pair))
+        ),
+        "F shift": rebased(f_shift) == f_mono,
+        "G": g_mono == oracles.hyper_poly_coeffs_stirling(a.dim - 1, shifted=False),
+        "G shift": rebased(g_shift) == g_mono,
+        "A": oracles.mat_mul_fraction(a, tables[1]) == f_mono,
+    }
+    return {name for name, ok in holds.items() if not ok}
+
+
+def _plus(table, cells, delta):
+    rows = [list(r) for r in table.rows()]
+    for i, j in cells:
+        rows[i][j] += delta
+    return LowerTriMatrix.from_rows(rows)
+
+
+def _f_plus_one(m, f_mono, g_mono, f_shift, g_shift):
+    # a constant is the same in both bases; row 0 is left alone to keep a_00 = 1/2
+    f_mono, f_shift = (_plus(t, [(i, 0) for i in range(1, m + 1)], 1) for t in (f_mono, f_shift))
+    return (f_mono, g_mono, f_shift, g_shift), mat_mul(f_mono, invert_substitution(g_mono))
+
+
+def _f_mono_plus_e(m, f_mono, g_mono, f_shift, g_shift):
+    f_mono = _plus(f_mono, [(5, 2)], Fraction(1, 3))
+    f_shift = LowerTriMatrix(m + 1, map(sub, LowerTriMatrix.identity(m + 1).entries, f_mono.entries))
+    return (f_mono, g_mono, f_shift, g_shift), mat_mul(f_mono, invert_substitution(g_mono))
+
+
+def _g_mono_plus_e(m, f_mono, g_mono, f_shift, g_shift):
+    g_mono = _plus(g_mono, [(5, 2)], 1)
+    pascal_inv = LowerTriMatrix.from_func(m + 1, lambda i, j: (-1) ** (i - j) * math.comb(i, j))
+    return (f_mono, g_mono, f_shift, mat_mul(g_mono, pascal_inv)), mat_mul(f_mono, invert_substitution(g_mono))
+
+
+def _a_plus_e(m, *tables):
+    return tables, _plus(combination_matrix(m).matrix, [(7, 3)], Fraction(1, 2**8))
+
+
+@pytest.mark.parametrize(
+    ("plant", "broken"),
+    [(_f_plus_one, "F"), (_f_mono_plus_e, "F shift"), (_g_mono_plus_e, "G"), (_a_plus_e, "A")],
+    ids=["f-plus-one", "f-mono-plus-e", "g-mono-plus-e", "a-plus-e"],
+)
+def test_verify_polynomial_forms_rejects_a_fault_that_breaks_one_identity(monkeypatch, plant, broken):
+    # each fault keeps every identity of the check but one, so none of the
+    # five can be dropped without some test here passing a wrong table
+    m = 9
+    tables, a = plant(m, *_form_tables(m))
+    assert _broken_identities(tables, a) == {broken}
+    _plant(monkeypatch, tables=tables, matrix=a)
+    assert not verify_polynomial_forms(m)
 
 
 # --- sign pattern scan ----------------------------------------------------------------
