@@ -14,8 +14,7 @@ from math import factorial
 
 from . import _EXPORTS
 from .combinat import _require_nonnegative, bernoulli_poly, stirling2
-from .numcore import _over_lcm
-from .zetadiff import combination_matrix
+from .zetadiff import _weighted_row_sum, combination_matrix
 
 __all__ = _EXPORTS["etacheck"]
 
@@ -44,27 +43,10 @@ def eta_via_coeff_row(m: int) -> Fraction:
     """Weighted row sum: eta(-m) = sum_j a_{m,j} j!.
 
     Sums row m of ``combination_matrix(m)``. The sum is kept on that
-    report, so a repeat call returns the same object until
-    ``combination_matrix.cache_clear``.
+    report, a ``functools.cached_property``, so a repeat call returns the
+    same object until ``combination_matrix.cache_clear``.
     """
-    return combination_matrix(m)._answer(_eta_of_last_row)
-
-
-def _eta_of_last_row(report) -> Fraction:
-    return _weighted_row_sum(report.matrix.row(report.m))
-
-
-def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
-    # sum_j a_j j! over the lcm of the denominators, with a running j!;
-    # half of a row of (a_{i,j}) is zero and adds nothing
-    nums, scale = _over_lcm(row)
-    total, j_factorial = 0, 1
-    for j, c in enumerate(nums):
-        if j:
-            j_factorial *= j
-        if c:
-            total += c * j_factorial
-    return Fraction(total, scale)
+    return combination_matrix(m)._eta
 
 
 def eta_via_stirling2(m: int) -> Fraction:

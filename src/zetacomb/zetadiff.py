@@ -14,7 +14,8 @@ form off the integer triangle V(n, k) = n! [s^n] tanh(s)^k:
 
 because the matrix is the exponential Riordan array
 [2e^s/(e^s+1)^2, tanh(s/2)] (see ``combination_matrix``, the one cached
-function; each report keeps the answers read off it, ``CoeffReport``).
+function; each report keeps the answers read off it as
+``functools.cached_property``s, ``CoeffReport``).
 The paper's construction, A = F G^{-1}, stays as four cross-check routes,
 built in one call (``paper_matrices``): the row-coefficient matrices of F
 (from the Euler form) and of G (by its three-term recurrence in m) in two
@@ -31,7 +32,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import add, attrgetter, mul
 from threading import Lock
@@ -167,11 +168,11 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
 class CoeffReport(_Value):
     """The combination matrix at m.
 
-    A report also keeps the answers read off its matrix so far
-    (``_answer``): the eta row sum, the default sign scan and the Stirling
-    comparison at its m are each computed on the first call and returned
-    as the same object after that. The store is not a field, so it plays
-    no part in ``==``, ``hash`` or ``repr``.
+    A report also keeps the answers read off its matrix, each a
+    ``functools.cached_property``: the eta row sum, the default sign scan
+    and the Stirling comparison at its m are each computed on the first
+    read and returned as the same object after that. They are not fields,
+    so they play no part in ``==``, ``hash`` or ``repr``.
     """
 
     _fields = ("m", "matrix")
@@ -189,16 +190,40 @@ class CoeffReport(_Value):
                 raise ValueError(f"diagonal entry {i} must be 1/2^{i + 1}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_answers", {})
 
-    def _answer(self, compute):
-        """``compute(self)``, computed on the first call and kept on this report."""
-        answers = self._answers
-        try:
-            return answers[compute]
-        except KeyError:
-            # two threads may both compute it; both return the one kept
-            return answers.setdefault(compute, compute(self))
+    @cached_property
+    def _eta(self) -> Fraction:
+        return _weighted_row_sum(self.matrix.row(self.m))
+
+    @cached_property
+    def _sign_finding(self) -> SignPatternFinding:
+        # the report's entries are the table's own, sliced off it on its miss
+        m = self.m
+        violations = tuple(_RIORDAN_TABLE.sign_violations(m))
+        return SignPatternFinding(max_m=m, checked=m * (m + 1) // 2, violations=violations)
+
+    @cached_property
+    def _stirling2_mismatch(self) -> tuple[int, int] | None:
+        entries = iter(self.matrix.entries)
+        for i in range(self.m + 1):
+            for j, a in zip(range(i + 1), entries):
+                s = stirling2(i + 1, j + 1)
+                if a.numerator << (j + 1) != (-s if j % 2 else s) * a.denominator:
+                    return (i, j)
+        return None
+
+
+def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
+    # sum_j a_j j! over the lcm of the denominators, with a running j!;
+    # half of a row of (a_{i,j}) is zero and adds nothing
+    nums, scale = _over_lcm(row)
+    total, j_factorial = 0, 1
+    for j, c in enumerate(nums):
+        if j:
+            j_factorial *= j
+        if c:
+            total += c * j_factorial
+    return Fraction(total, scale)
 
 
 _ZERO = Fraction(0)
@@ -461,18 +486,11 @@ def scan_sign_pattern(max_m: int) -> SignPatternFinding:
     The violations are read off the Riordan table, which classifies each
     entry once per process (``_RiordanTable.sign_violations``): a scan to m
     classifies only the rows no earlier scan reached. The finding is kept
-    on that report, so a repeat call returns the same object until
-    ``combination_matrix.cache_clear``.
+    on that report, a ``functools.cached_property``, so a repeat call
+    returns the same object until ``combination_matrix.cache_clear``.
     """
     # the report is still built (and validated and cached) on a miss
-    return combination_matrix(_require_nonnegative(max_m, "max_m"))._answer(_scan_riordan_table)
-
-
-def _scan_riordan_table(report: CoeffReport) -> SignPatternFinding:
-    # the report's entries are the table's own, sliced off it on its miss
-    m = report.m
-    violations = tuple(_RIORDAN_TABLE.sign_violations(m))
-    return SignPatternFinding(max_m=m, checked=m * (m + 1) // 2, violations=violations)
+    return combination_matrix(_require_nonnegative(max_m, "max_m"))._sign_finding
 
 
 def compare_stirling2_matrix(m: int) -> tuple[int, int] | None:
@@ -492,16 +510,7 @@ def compare_stirling2_matrix(m: int) -> tuple[int, int] | None:
 
     Reads ``combination_matrix(m)``; entry p/q equals the candidate iff
     p 2^{j+1} = (-1)^j S(i+1, j+1) q, so no candidate ``Fraction`` is
-    built. The answer is kept on that report (see ``CoeffReport``).
+    built. The answer is kept on that report, a
+    ``functools.cached_property`` (see ``CoeffReport``).
     """
-    return combination_matrix(m)._answer(_first_stirling2_mismatch)
-
-
-def _first_stirling2_mismatch(report: CoeffReport) -> tuple[int, int] | None:
-    entries = iter(report.matrix.entries)
-    for i in range(report.m + 1):
-        for j, a in zip(range(i + 1), entries):
-            s = stirling2(i + 1, j + 1)
-            if a.numerator << (j + 1) != (-s if j % 2 else s) * a.denominator:
-                return (i, j)
-    return None
+    return combination_matrix(m)._stirling2_mismatch

@@ -275,7 +275,8 @@ def invert_series_neumann(m):
 
 def taylor_shift(coeffs, a) -> tuple[Fraction, ...]:
     """Coefficients of p(t + a) from those of p(t), by repeated ``Fraction``
-    Horner steps: the plain form of ``Poly.rebase``.
+    Horner steps: the plain form of ``Poly.rebase`` and of the Pascal
+    products of ``verify_polynomial_forms``.
     """
     out = [Fraction(c) for c in coeffs]
     n = len(out)

@@ -90,9 +90,12 @@ def test_disagreement_raises(monkeypatch):
 
 def test_eta_via_coeff_row_repeat_returns_the_kept_value():
     combination_matrix.cache_clear()
+    report = combination_matrix(11)
+    assert vars(report).keys() == {"m", "matrix"}  # no answer kept yet
     first = eta_via_coeff_row(11)
     assert eta_via_coeff_row(11) is first
-    assert combination_matrix(11)._answers == {etacheck._eta_of_last_row: first}
+    # the sum is kept as the report's one cached property, beside its fields
+    assert vars(report).keys() == {"m", "matrix", "_eta"} and vars(report)["_eta"] is first
     combination_matrix.cache_clear()
     assert eta_via_coeff_row(11) == first
 

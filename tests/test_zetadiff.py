@@ -19,7 +19,7 @@ from strategies import non_dyadic
 from zetacomb import cli, zetadiff
 from zetacomb.combinat import stirling2
 from zetacomb.etacheck import eta_via_coeff_row
-from zetacomb.numcore import Basis, Poly
+from zetacomb.numcore import Basis
 from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 from zetacomb.zetadiff import (
     DEFAULT_SAMPLES,
@@ -508,12 +508,23 @@ def test_kept_answers_follow_a_doctored_table_after_cache_clear():
         combination_matrix.cache_clear()
 
 
-def test_kept_answers_do_not_change_the_report_value():
+def _answers_on(report):
+    # the cached properties live in the instance dict, beside the fields
+    return {name: value for name, value in vars(report).items() if name not in report._fields}
+
+
+def test_kept_answers_do_not_change_the_report_value(capsys):
     combination_matrix.cache_clear()
+    assert cli.main(["coeffs", "--m", "9"]) == 0
+    capsys.readouterr()
     filled = combination_matrix(9)
-    _kept_answers(9)
+    assert _answers_on(filled) == {}  # coeffs reads no answer off the report
+    answers = _kept_answers(9)
+    assert all(a is b for a, b in zip(_kept_answers(9), answers))  # the kept objects
+    # the three session calls, each made twice, kept exactly their three answers
+    assert sorted(map(id, _answers_on(filled).values())) == sorted(map(id, answers))
     empty = CoeffReport(m=9, matrix=filled.matrix)
-    assert len(filled._answers) == 3 and empty._answers == {}
+    assert _answers_on(empty) == {}
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
     assert cli._document(filled) == cli._document(empty)
@@ -745,8 +756,7 @@ def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f(monkeypat
             row[0] += 1
         mats[position] = LowerTriMatrix.from_rows(rows)
     for i in range(m + 1):
-        shifted = Poly(mats[2].row(i), Basis.SHIFTED)
-        assert shifted.rebase(Basis.MONOMIAL) == Poly(mats[0].row(i), Basis.MONOMIAL)
+        assert oracles.taylor_shift(mats[2].row(i), 1) == mats[0].row(i)
     _plant(monkeypatch, tables=mats)
     assert not verify_polynomial_forms(m)
 
@@ -776,11 +786,12 @@ def test_verify_polynomial_forms_rejects_a_wrong_shifted_f_row(monkeypatch, m, r
 @pytest.mark.parametrize("build", [zeta_diff_coeffs, hyper_poly_coeffs])
 def test_shifted_rows_rebase_onto_monomial_rows(build):
     # the forms check's F_shift P = F_mono and G_shift P = G_mono, checked
-    # through Poly.rebase, a Taylor shift independent of the Pascal product
+    # through oracles.taylor_shift, Fraction Horner steps independent of the
+    # Pascal product: a row p(t) in powers of t = x+1 is p(x+1) in powers of x
     m = 30
     shifted, monomial = build(m, Basis.SHIFTED), build(m, Basis.MONOMIAL)
     for i in range(m + 1):
-        assert Poly(shifted.row(i), Basis.SHIFTED).rebase(Basis.MONOMIAL) == Poly(monomial.row(i)), i
+        assert oracles.taylor_shift(shifted.row(i), 1) == monomial.row(i), i
 
 
 def test_verify_polynomial_forms_rejects_a_swapped_g_table(monkeypatch):
