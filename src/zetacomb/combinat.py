@@ -1,4 +1,4 @@
-"""Number-theoretic sequences: binomials, Bernoulli, Stirling, tanh powers.
+"""Number-theoretic sequences: binomials, Bernoulli and Stirling numbers.
 
 Conventions used throughout:
 
@@ -8,9 +8,7 @@ Conventions used throughout:
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
 * All tables are built by integer recurrence; the Bernoulli and Stirling
   ones grow as they are asked for, under a lock, so threads may share
-  them. ``_tanh_power_row`` steps the tanh-power triangle one row at a
-  time; the combination-matrix table in ``zetadiff`` keeps only the last
-  row. An independent slow oracle for each (series division, polynomial
+  them. An independent slow oracle for each (series division, polynomial
   expansion, partition enumeration) lives in the test suite, never here.
 """
 from __future__ import annotations
@@ -172,19 +170,3 @@ def stirling2(n: int, k: int) -> int:
         return 0
     return _stirling_row("second", n)[k]
 
-
-def _tanh_power_row(prev: list[int]) -> list[int]:
-    """Row n of the integers V(n, k) = n! [s^n] tanh(s)^k from row n-1.
-
-    Row n-1 has n entries. Since d/ds tanh^k = k (tanh^{k-1} - tanh^{k+1}),
-
-        V(n, k) = k (V(n-1, k-1) - V(n-1, k+1)),   V(0, k) = [k = 0]
-
-    (Hoffman, Amer. Math. Monthly 1995). V(n, k) is 0 when n - k is odd.
-
-    >>> _tanh_power_row([0, 0, 2])
-    [0, -2, 0, 6]
-    """
-    n = len(prev)
-    padded = prev + [0, 0]
-    return [0, *(k * (padded[k - 1] - padded[k + 1]) for k in range(1, n + 1))]

@@ -8,9 +8,9 @@ The two families of functions:
 Both are degree-m polynomials in x, so there is a unique lower-triangular
 coefficient matrix (a_{i,j}) with F(i, .) = sum_j a_{i,j} G(j, .) and
 diagonal a_{i,i} = 1/2^{i+1}. The production matrix is read in closed
-form off the integer triangle V(n, k) = n! [s^n] tanh(s)^k:
+form off the integer triangle U(n, k) = n!/k! [s^n] tanh(s)^k:
 
-    a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}),
+    a_{i,j} = U(i+1, j+1) / 2^{i+1},
 
 because the matrix is the exponential Riordan array
 [2e^s/(e^s+1)^2, tanh(s/2)] (see ``combination_matrix``, the one cached
@@ -39,9 +39,7 @@ from threading import Lock
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .combinat import (
-    _TANGENT_TABLE, _require_nonnegative, _tanh_power_row, bernoulli_number, binomial, stirling1, stirling2
-)
+from .combinat import _TANGENT_TABLE, _require_nonnegative, bernoulli_number, binomial, stirling1, stirling2
 from .numcore import Basis, _over_lcm, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
@@ -233,13 +231,21 @@ class _RiordanTable:
     """The packed entries of (a_{i,j}), grown row by row as they are asked for,
     and the sign violations among them, classified once.
 
-    a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}) (see ``combination_matrix``)
-    does not depend on m, so the matrix at m is the leading block of the
-    matrix at any larger m, and its packed row-major entries are the first
-    (m+1)(m+2)/2 of the table. Only the last V row is kept; a larger m steps it on
-    (``_tanh_power_row``) for the new rows alone, which are published by
-    one ``extend`` of a finished list. V(n, k) vanishes when n - k is odd,
-    so half the entries are zero; they all share ``_ZERO`` rather than each
+    a_{i,j} = U(i+1, j+1) / 2^{i+1} (see ``combination_matrix``) with the
+    integers U(n, k) = n!/k! [s^n] tanh(s)^k, a partial Bell polynomial of
+    tanh's integer EGF coefficients (Comtet, "Advanced Combinatorics", 1974,
+    3.3). Since d/ds tanh^k = k (tanh^{k-1} - tanh^{k+1}) (Hoffman, Amer.
+    Math. Monthly 1995), dividing by k! gives
+
+        U(n, k) = U(n-1, k-1) - k(k+1) U(n-1, k+1),   U(0, k) = [k = 0],
+
+    so each entry reduces against a power of two alone. The entries do not
+    depend on m, so the matrix at m is the leading block of the matrix at
+    any larger m, and its packed row-major entries are the first
+    (m+1)(m+2)/2 of the table. Only the last U row is kept; a larger m
+    steps it on for the new rows alone, which are published by one
+    ``extend`` of a finished list. U(n, k) vanishes when n - k is odd, so
+    half the entries are zero; they all share ``_ZERO`` rather than each
     normalising a ``Fraction(0, d)``.
 
     The sign scan is a prefix too: a sign watermark counts the matrix rows
@@ -255,7 +261,7 @@ class _RiordanTable:
 
     def clear(self) -> None:
         with self._lock:
-            self._v_row = [1]  # V row n; matrix rows 0..n-1 are built
+            self._u_row = [1]  # U row n; matrix rows 0..n-1 are built
             self._entries: list[Fraction] = []
             self._signed = 0  # matrix rows 0.._signed-1 are classified
             self._violations: list[SignViolation] = []
@@ -277,15 +283,13 @@ class _RiordanTable:
             return self._violations[: bisect_right(self._violations, m, key=attrgetter("i"))]
 
     def _grow(self, m: int) -> None:
-        v, new = self._v_row, []
-        for n in range(len(v), m + 2):
-            v = _tanh_power_row(v)
-            k_factorial = 1
-            for k in range(1, n + 1):
-                k_factorial *= k
-                new.append(Fraction(v[k], k_factorial << n) if v[k] else _ZERO)
+        u, new = self._u_row, []
+        for n in range(len(u), m + 2):
+            padded = [*u, 0, 0]
+            u = [0, *(padded[k - 1] - k * (k + 1) * padded[k + 1] for k in range(1, n + 1))]
+            new += [Fraction(c, 1 << n) if c else _ZERO for c in u[1:]]
         self._entries.extend(new)
-        self._v_row = v
+        self._u_row = u
 
 
 _RIORDAN_TABLE = _RiordanTable()
@@ -299,9 +303,9 @@ def combination_matrix(m: int) -> CoeffReport:
     group", 1991), the F table in powers of x is [e^t/(e^t+1), t] (Appell,
     DLMF 24.2) and the G table is [1/(1-t), 2 artanh t] (Delannoy), so
     A = F G^{-1} = [2e^s/(e^s+1)^2, tanh(s/2)]. Since g = h', entry (i, j)
-    is (i+1)!/(j+1)! [s^{i+1}] tanh(s/2)^{j+1} = V(i+1, j+1)/((j+1)! 2^{i+1})
-    with V stepped row by row (``combinat._tanh_power_row``): O(m^2)
-    integer steps and one ``Fraction`` per entry.
+    is (i+1)!/(j+1)! [s^{i+1}] tanh(s/2)^{j+1} = U(i+1, j+1)/2^{i+1} with
+    the integers U stepped row by row (``_RiordanTable``): O(m^2) integer
+    steps and one ``Fraction`` per entry, reduced against a power of two.
 
     Cached on the value of m: ``combination_matrix(9)`` and
     ``combination_matrix(m=9)`` share one entry, and an m that is not an
@@ -442,11 +446,11 @@ class SignPatternFinding(NamedTuple):
 
     The pattern, by d = i-j: zero when d is odd, negative when d = 2 mod 4,
     positive when d = 0 mod 4. It is a theorem. The entries are
-    a_{i,j} = V(i+1, j+1) / ((j+1)! 2^{i+1}) with V(n, k) = n! [u^n]
-    tanh(u)^k (see ``combination_matrix``), and tanh(u)^k =
-    (-I)^k tan(I u)^k with I^2 = -1. The odd coefficients of tan are positive, so n! [u^n] tan^k
+    a_{i,j} = U(i+1, j+1) / 2^{i+1} with U(n, k) = n!/k! [u^n] tanh(u)^k
+    (see ``combination_matrix``), and tanh(u)^k = (-I)^k tan(I u)^k with
+    I^2 = -1. The odd coefficients of tan are positive, so n!/k! [u^n] tan^k
     = T(n, k) is positive when n >= k and n - k is even, and 0 otherwise.
-    Hence V(n, k) = I^{n-k} T(n, k): sign (-1)^{(n-k)/2} when n - k is
+    Hence U(n, k) = I^{n-k} T(n, k): sign (-1)^{(n-k)/2} when n - k is
     even, 0 when n - k is odd, and sign a_{i,j} = (-1)^{(i-j)/2}. The scan
     is a regression check of the built matrix against the theorem.
     """
@@ -505,7 +509,7 @@ def compare_stirling2_matrix(m: int) -> tuple[int, int] | None:
     sum_j entry(i, j) j! have the generating function g/(1-h) =
     e^s/(e^s+1). The matrices still differ for every m >= 1, because h
     differs from tanh(s/2), and the first mismatch is always (1, 0):
-    a_{1,0} = V(2, 1)/4 = 0, while the candidate is S(2, 1)/2 = 1/2. At
+    a_{1,0} = U(2, 1)/4 = 0, while the candidate is S(2, 1)/2 = 1/2. At
     m = 0 both are [[1/2]].
 
     Reads ``combination_matrix(m)``; entry p/q equals the candidate iff

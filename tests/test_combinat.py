@@ -14,7 +14,6 @@ from strategies import non_dyadic
 from zetacomb import combinat
 from zetacomb.combinat import (
     _TangentTable,
-    _tanh_power_row,
     bernoulli_number,
     bernoulli_poly,
     binomial,
@@ -243,17 +242,6 @@ def test_rising_is_reflected_falling(z, n):
     assert oracles.rising_factorial(z, n) == (-1) ** n * oracles.falling_factorial(-z, n)
 
 
-def _tanh_power_triangle(n_max):
-    rows = [[1]]
-    for _ in range(n_max):
-        rows.append(_tanh_power_row(rows[-1]))
-    return rows
-
-
-def test_tanh_power_triangle_matches_series():
-    assert _tanh_power_triangle(40) == oracles.tanh_power_series(40)
-
-
 def test_tanh_power_triangle_small_rows():
     # tanh s = s - s^3/3 + 2 s^5/15 - ...
     expected = [
@@ -264,5 +252,4 @@ def test_tanh_power_triangle_small_rows():
         [0, 0, -16, 0, 24],
         [0, 16, 0, -120, 0, 120],
     ]
-    assert _tanh_power_triangle(5) == expected
     assert oracles.tanh_power_series(5) == expected

@@ -18,7 +18,7 @@ import oracles
 from strategies import non_dyadic
 from zetacomb import cli, zetadiff
 from zetacomb.combinat import stirling2
-from zetacomb.etacheck import eta_via_coeff_row
+from zetacomb.etacheck import RouteDisagreementError, eta_cross_check, eta_via_coeff_row
 from zetacomb.numcore import Basis
 from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 from zetacomb.zetadiff import (
@@ -320,9 +320,41 @@ def test_cache_clear_empties_riordan_table():
     combination_matrix.cache_clear()
     assert combination_matrix.cache_info().currsize == 0
     assert zetadiff._RIORDAN_TABLE._entries == []
-    assert zetadiff._RIORDAN_TABLE._v_row == [1]
+    assert zetadiff._RIORDAN_TABLE._u_row == [1]
     assert zetadiff._RIORDAN_TABLE._signed == 0
     assert zetadiff._RIORDAN_TABLE._violations == []
+
+
+# Once the table holds m = 10 it keeps U row 11, and a larger m steps that
+# row on; U(n, n) = U(n-1, n-1), so a fault below its diagonal stays below
+# the diagonal of every later row, and a fault on it moves every later one.
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_a_fault_below_the_diagonal_of_the_u_row_fails_every_check(k):
+    combination_matrix.cache_clear()
+    try:
+        combination_matrix(10)
+        zetadiff._RIORDAN_TABLE._u_row[k] += 1
+        assert cli.main(["coeffs", "--check-all-routes", "--m", "20"]) == 1
+        assert not verify_polynomial_forms(20)
+        # the weighted sum of row i is (U(i, 0) + U(i, 1))/2^{i+1}, so the eta
+        # route first sees the fault at U(11, k) in row max(11, 10 + k) <= 20
+        with pytest.raises(RouteDisagreementError):
+            eta_cross_check(20)
+    finally:
+        combination_matrix.cache_clear()
+
+
+def test_a_fault_on_the_diagonal_of_the_u_row_is_refused():
+    combination_matrix.cache_clear()
+    try:
+        combination_matrix(10)
+        zetadiff._RIORDAN_TABLE._u_row[-1] += 1  # U(11, 11)
+        with pytest.raises(ValueError, match=r"diagonal entry 11 must be 1/2\^12"):
+            combination_matrix(20)
+    finally:
+        combination_matrix.cache_clear()
 
 
 def _packed_index(i, j):
