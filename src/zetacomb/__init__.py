@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # home module -> its public names, in ``__all__`` order: the one list of them;
 # each home's ``__all__`` is its entry here
 _EXPORTS = {
-    "numcore": ("Basis", "Poly", "parse_rational"),
+    "numcore": ("Basis", "Poly"),
     "combinat": ("binomial", "bernoulli_number", "bernoulli_poly", "stirling1", "stirling2"),
     "trimat": (
         "LowerTriMatrix",

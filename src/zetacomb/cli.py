@@ -30,10 +30,9 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .etacheck import RouteDisagreementError, eta_cross_check
-from .numcore import Basis, parse_rational
+from .numcore import Basis
 from .trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
 from .zetadiff import (
-    DEFAULT_SAMPLES,
     combination_matrix,
     hyper_poly_coeffs,
     paper_matrices,
@@ -140,7 +139,7 @@ def cmd_coeffs(args: argparse.Namespace) -> _Result:
 
 
 def cmd_verify(args: argparse.Namespace) -> _Result:
-    report = verify_combination(args.m, args.samples)
+    report = verify_combination(args.m)
     forms_ok = verify_polynomial_forms(args.m)
     failure = None
     if not report.passed:
@@ -251,14 +250,7 @@ _COMMANDS = {
         _M,
         ("--check-all-routes", {"action": "store_true"}),
     )),
-    "verify": ("check the combination identity at sample points", cmd_verify, (
-        _M,
-        ("--samples", {
-            "default": ",".join(map(str, DEFAULT_SAMPLES)),
-            "help": "comma-separated rationals; a list that starts with '-' must be "
-            "joined to the flag with '=', as in --samples=-1/2,7/3",
-        }),
-    )),
+    "verify": ("check the combination identity at sample points", cmd_verify, (_M,)),
     "eta": ("eta(-m) by three routes, cross-checked", cmd_eta, (_MAX,)),
     "conjecture": ("scan the below-diagonal sign pattern", cmd_conjecture, (_MAX,)),
     "matrices": ("all coefficient matrices and inverses", cmd_matrices, (_M,)),
@@ -292,12 +284,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Check the parsed flags in place (``--samples`` becomes a tuple); exit 2 on error."""
-    if getattr(args, "samples", None) is not None:
-        try:
-            args.samples = tuple(parse_rational(part) for part in args.samples.split(","))
-        except ValueError:
-            parser.error(f"--samples must be comma-separated rationals, got {args.samples!r}")
+    """Check the size flags against 0 and --cap; exit 2 on error."""
     for name, flag in (("m", "m"), ("max_m", "max")):
         value = getattr(args, name, None)
         if value is None:

@@ -6,6 +6,7 @@ Conventions used throughout:
   polynomials generated by z*e^{tz}/(e^z - 1).
 * Stirling numbers of the first kind are the *signed* ones: the
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
+* n and k are read through ``operator.index``; a negative n is a ``ValueError``.
 * All tables are built by integer recurrence; the Bernoulli and Stirling
   ones grow as they are asked for, under a lock, so threads may share
   them. An independent slow oracle for each (series division, polynomial
@@ -37,6 +38,7 @@ def _require_nonnegative(value: int, name: str) -> int:
 def binomial(n: int, k: int) -> int:
     """C(n, k), with 0 outside 0 <= k <= n. Requires n >= 0."""
     n = _require_nonnegative(n, "n")
+    k = k if type(k) is int else index(k)
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -154,6 +156,7 @@ def stirling1(n: int, k: int) -> int:
     -3
     """
     n = _require_nonnegative(n, "n")
+    k = k if type(k) is int else index(k)
     if k < 0 or k > n:
         return 0
     return _stirling_row("first", n)[k]
@@ -166,6 +169,7 @@ def stirling2(n: int, k: int) -> int:
     7
     """
     n = _require_nonnegative(n, "n")
+    k = k if type(k) is int else index(k)
     if k < 0 or k > n:
         return 0
     return _stirling_row("second", n)[k]

@@ -16,33 +16,12 @@ CLI call about 20 ms.
 from __future__ import annotations
 
 import enum
-import re
 from fractions import Fraction
 from math import lcm
 
 from . import _EXPORTS
 
 __all__ = _EXPORTS["numcore"]
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a reduced ``Fraction``.
-
-    p and q are ASCII digits, each with an optional leading minus;
-    surrounding whitespace is ignored. Anything else, a zero denominator
-    included, is one ``ValueError`` (``not a rational: '5/0'``), which the
-    CLI maps to a usage error.
-
-    >>> parse_rational("6/-4")
-    Fraction(-3, 2)
-    """
-    match = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", text.strip())
-    if match:
-        try:
-            return Fraction(int(match[1]), int(match[2] or 1))
-        except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
-            pass
-    raise ValueError(f"not a rational: {text!r}")
 
 
 class Basis(enum.Enum):

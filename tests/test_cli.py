@@ -102,24 +102,6 @@ def test_verify_m9_json(capsys):
     assert doc["samples"] == ["0", "1/2", "1", "2", "7/3"]
 
 
-def test_verify_custom_samples(capsys):
-    code, out, _ = run(["verify", "--m", "9", "--samples", "0,1,2"], capsys)
-    assert code == 0
-    assert "PASS" in out
-    assert "samples: 0, 1, 2" in out
-
-
-def test_verify_negative_samples_joined_with_equals(capsys):
-    code, out, _ = run(["verify", "--m", "2", "--samples=-1/2,7/3"], capsys)
-    assert code == 0
-    assert "combination identity: PASS (m = 2, samples: -1/2, 7/3)" in out
-
-
-def test_verify_m0_single_sample(capsys):
-    code, _, _ = run(["verify", "--m", "0", "--samples", "5"], capsys)
-    assert code == 0
-
-
 # --- eta ----------------------------------------------------------------------
 
 
@@ -211,26 +193,20 @@ def test_matrices_product_is_a_times_the_printed_inverse(monkeypatch, capsys):
         ["coeffs", "--m", "1", "--bogus"],  # unknown flag
         ["coeffs", "--m", "-1"],  # negative m
         ["coeffs", "--m", "100"],  # over the default cap
-        ["verify", "--m", "1", "--samples", "a,b"],  # unparseable rationals
-        ["verify", "--m", "1", "--samples", "1/0"],  # zero denominator
+        ["verify"],  # missing required --m
+        ["verify", "--m", "2", "--cap", "1"],  # over a lowered cap
         ["nonsense"],  # unknown command
-        # int() reads each of these, but none is "p/q" or "p" in ASCII digits
-        ["verify", "--m", "2", "--samples", "\u0661/\u0663"],  # Arabic-Indic 1/3
-        ["verify", "--m", "2", "--samples", "1_0/3"],
-        ["verify", "--m", "2", "--samples", "+3"],
-        ["verify", "--m", "2", "--samples", "1 /3"],
+        ["eta", "--max", "-1"],  # negative max
+        ["conjecture", "--max", "65"],  # over the default cap
+        ["matrices", "--m", "x"],  # not an int
+        ["eta", "--max", "3", "--format", "xml"],  # unknown format
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    if "--samples" in argv:
-        # every unparseable sample, a zero denominator too, gives the one error line
-        err = capsys.readouterr().err.splitlines()
-        assert [line for line in err if line.startswith("zetacomb: error: ")] == [
-            f"zetacomb: error: --samples must be comma-separated rationals, got {argv[-1]!r}"
-        ]
+    assert capsys.readouterr().out == ""
 
 
 def test_cap_can_be_raised(capsys):
@@ -266,11 +242,16 @@ def test_unwritable_output_exits_2(flag, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["coeffs", "--m", "1", "--route", "riordan"], ["matrices", "--m", "1", "--fixtures", "{tmp}/D"]],
-    ids=["coeffs-route", "matrices-fixtures"],
+    [
+        ["coeffs", "--m", "1", "--route", "riordan"],
+        ["matrices", "--m", "1", "--fixtures", "{tmp}/D"],
+        ["verify", "--m", "1", "--samples", "1/2"],
+    ],
+    ids=["coeffs-route", "matrices-fixtures", "verify-samples"],
 )
 def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
-    # coeffs prints the one production matrix; --check-all-routes compares the routes
+    # coeffs prints the one production matrix; --check-all-routes compares the routes;
+    # verify proves the identity at every x, so no sample point can change its verdict
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -331,10 +312,10 @@ def test_closed_stderr_keeps_the_exit_1_line_off_stdout(monkeypatch, capsys):
     monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stderr", None)
-        code = main(["verify", "--m", "2", "--samples", "1/2"])
+        code = main(["verify", "--m", "2"])
     assert code == 1
     assert capsys.readouterr().out == (
-        "combination identity: PASS (m = 2, samples: 1/2)\npolynomial forms: FAIL\n"
+        "combination identity: PASS (m = 2, samples: 0, 1/2, 1, 2, 7/3)\npolynomial forms: FAIL\n"
     )
 
 
@@ -393,7 +374,7 @@ def test_a_crash_exits_3_with_its_traceback():
     "argv, code",
     [
         (["coeffs", "--m", "4"], 0),
-        (["verify", "--m", "2", "--samples", "1/2"], 1),
+        (["verify", "--m", "2"], 1),
         (["coeffs", "--m", "-1"], 2),
     ],
     ids=["success", "failed-check", "usage-error"],
@@ -454,7 +435,7 @@ def test_one_command_parser_reads_argv_as_the_full_parser(argv):
 # per command, its own flags in order; every --cap defaults to 64
 COMMAND_FLAGS = {
     "coeffs": ("--m", "--check-all-routes"),
-    "verify": ("--m", "--samples"),
+    "verify": ("--m",),
     "eta": ("--max",),
     "conjecture": ("--max",),
     "matrices": ("--m",),
@@ -582,8 +563,8 @@ FAILED_REPORT = VerificationReport(
     ],
 )
 def test_failed_verification_exits_1_after_the_output(fmt, expected, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "verify_combination", lambda m, samples: FAILED_REPORT)
-    code, out, err = run(["verify", "--m", "2", "--samples", "1/2", "--format", fmt], capsys)
+    monkeypatch.setattr(cli, "verify_combination", lambda m: FAILED_REPORT)
+    code, out, err = run(["verify", "--m", "2", "--format", fmt], capsys)
     assert (code, out, err) == (1, expected, "violation: row 1, sample 1/2, residual -3/4\n")
 
 
@@ -651,7 +632,7 @@ def test_exact_integers_beyond_the_str_digit_limit(fmt, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["coeffs", "--m", "1" * 5000], ["verify", "--m", "1", "--samples", "1" * 5000]],
+    [["coeffs", "--m", "1" * 5000], ["verify", "--m", "1" * 5000]],
 )
 def test_huge_digit_strings_are_usage_errors(argv, capsys):
     # the digit limit is lifted only after the flags are parsed
@@ -674,9 +655,6 @@ _SIZE = {
 }
 _FLAGS = {
     "coeffs": [[None, ["--check-all-routes"]]],
-    "verify": [
-        [None, *(["--samples", s] for s in ("0,1/2", "7/3", "-1/2", "a,b", "1/0", "")), ["--samples=-1/2,7/3"]],
-    ],
 }
 _FORMATS = [None, *(["--format", f] for f in ("pretty", "json", "csv", "xml"))]
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -11,62 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import non_dyadic
-from zetacomb.numcore import Basis, Poly, _over_lcm, parse_rational
+from zetacomb.numcore import Basis, Poly, _over_lcm
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
-
-
-# a parsed rational is a reduced Fraction: the CLI prints its samples with str()
-def test_rational_reduces():
-    assert parse_rational("6/4") == Fraction(3, 2)
-    assert parse_rational("6/4").denominator == 2
-
-
-def test_rational_zero_is_unique():
-    q = parse_rational("0/-7")
-    assert q.numerator == 0 and q.denominator == 1
-
-
-def test_rational_sign_on_numerator():
-    q = parse_rational("3/-6")
-    assert q.numerator == -1 and q.denominator == 2
-
-
-def test_rational_table_entry():
-    assert str(parse_rational("-153/4")) == "-153/4"
-
-
-def test_zero_denominator_rejected():
-    with pytest.raises(ValueError, match=re.escape("not a rational: '5/0'")) as info:
-        parse_rational("5/0")
-    assert type(info.value) is ValueError
-
-
-@pytest.mark.parametrize(
-    "text,expected",
-    [
-        ("3/2", Fraction(3, 2)),
-        ("-15/64", Fraction(-15, 64)),
-        ("7", Fraction(7)),
-        ("-7", Fraction(-7)),
-        ("0", Fraction(0)),
-        (" 7/3 ", Fraction(7, 3)),
-        ("4/-6", Fraction(-2, 3)),
-    ],
-)
-def test_parse_rational(text, expected):
-    assert parse_rational(text) == expected
-
-
-def test_parse_rational_garbage():
-    for text in ("one half", "3/", "/3", "1/2/3", "", "1.5", "+3", "1_0/3", "1 /3", "\u0661/\u0663"):
-        with pytest.raises(ValueError, match=re.escape(f"not a rational: {text!r}")):
-            parse_rational(text)
-
-
-@given(rationals)
-def test_format_parse_round_trip(q):
-    assert parse_rational(str(q)) == q
 
 
 def test_eval_monomial():

@@ -8,9 +8,10 @@ interpreters, because this process has long since imported everything.
 ``__all__`` is its entry, and the entry lists every public name the home
 defines. Every public function that takes a size reads it by one rule: it
 is made an ``int`` (``True`` is 1, ``2.0`` a ``TypeError``) and a negative
-one is refused. A basis is read by its enum, so its string value works
-too. README's Library example runs as a doctest, and each command of
-its command-line session prints what the session shows.
+one is refused; the k of ``binomial``, ``stirling1`` and ``stirling2`` is
+made an ``int`` the same way. A basis is read by its enum, so its string
+value works too. README's Library example runs as a doctest, and each
+command of its command-line session prints what the session shows.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from zetacomb import cli
 README = Path(__file__).resolve().parent.parent / "README.md"
 HOMES = ("numcore", "combinat", "trimat", "zetadiff", "etacheck")
 EXPORTS = """
-    Basis Poly parse_rational
+    Basis Poly
     binomial bernoulli_number bernoulli_poly stirling1 stirling2
     LowerTriMatrix DimensionMismatchError SingularDiagonalError mat_mul invert_substitution invert_series
     CoeffReport SignPatternFinding SignViolation ExpectedSign CombinationViolation VerificationReport
@@ -145,6 +146,15 @@ def test_a_float_size_is_a_type_error_after_the_int_has_run(name, args, size):
     function(2, *args[1:])  # fills whatever table or cache the size 2 reads
     with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
         function(2.0, *args[1:])
+
+
+@pytest.mark.parametrize("name", ["binomial", "stirling1", "stirling2"])
+def test_a_float_k_is_a_type_error_and_true_is_1(name):
+    function = getattr(zetacomb, name)
+    assert function(3, True) == function(3, 1)
+    for k in (2.0, 5.0):  # inside and outside 0 <= k <= n
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            function(3, k)
 
 
 def _m1_matrix():
