@@ -25,9 +25,9 @@ import errno
 import gc
 import os
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .etacheck import RouteDisagreementError, eta_cross_check
 from .numcore import Basis
@@ -52,7 +52,7 @@ EXIT_USAGE = 2
 EXIT_CRASH = 3
 
 
-class _Result(NamedTuple):
+class _Result(namedtuple("_Result", "json csv pretty failure", defaults=(None,))):
     """A command's result: three deferred views, of which ``main`` builds one.
 
     ``json`` returns a value for ``_document``; ``csv`` and ``pretty`` return text.
@@ -61,10 +61,7 @@ class _Result(NamedTuple):
     was computed; it follows the output, and the exit code is 1.
     """
 
-    json: Callable[[], object]
-    csv: Callable[[], str]
-    pretty: Callable[[], str]
-    failure: str | None = None
+    __slots__ = ()
 
 
 class _CheckFailed(Exception):
@@ -219,7 +216,7 @@ def _note(line: str) -> None:
         print(line, file=sys.stderr)
 
 
-def _write(path: Path | None, text: str) -> None:
+def _write(path: str | None, text: str) -> None:
     if path is None and sys.stdout is None:  # fd 1 was closed at start-up
         raise _UnwritableOutputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
@@ -227,7 +224,8 @@ def _write(path: Path | None, text: str) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
         else:
-            path.write_text(text)
+            with open(path, "w") as out:
+                out.write(text)
     except OSError as exc:
         if path is None:
             # the interpreter flushes stdout again at exit; send what is
@@ -235,7 +233,8 @@ def _write(path: Path | None, text: str) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        raise _UnwritableOutputError(f"cannot write {path or 'stdout'}: {exc.strerror}") from exc
+        where = "stdout" if path is None else path
+        raise _UnwritableOutputError(f"cannot write {where}: {exc.strerror}") from exc
 
 
 # the size flags several commands share, each as (flag, argparse keywords)
@@ -277,7 +276,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
             for flag, keywords in flags:
                 p.add_argument(flag, **keywords)
             p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-            p.add_argument("--out", type=Path, default=None)
+            p.add_argument("--out", default=None)
             p.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
             p.set_defaults(run=compute)
     return parser
@@ -330,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
-def run() -> NoReturn:
+def run():
     """The program entry: run ``main`` on ``sys.argv`` and exit with its code.
 
     An exception that escapes ``main`` prints its traceback to stderr

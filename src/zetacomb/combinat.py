@@ -7,6 +7,7 @@ Conventions used throughout:
 * Stirling numbers of the first kind are the *signed* ones: the
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
 * n and k are read through ``operator.index``; a negative n is a ``ValueError``.
+* A point z is read exactly by ``Fraction``; a binary ``float`` is a ``TypeError``.
 * All tables are built by integer recurrence; the Bernoulli and Stirling
   ones grow as they are asked for, under a lock, so threads may share
   them. An independent slow oracle for each (series division, polynomial
@@ -33,6 +34,15 @@ def _require_nonnegative(value: int, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be >= 0")
     return value
+
+
+def _require_exact(point) -> Fraction:
+    """A point x or z as a ``Fraction``: an ``int``, ``Fraction``, ``Decimal`` or
+    string as ``Fraction`` reads it. A ``float`` is a ``TypeError``, because its
+    exact binary value is not the decimal it prints (0.1 is not 1/10)."""
+    if isinstance(point, float):
+        raise TypeError(f"a point must be exact, not float: {point!r}")
+    return Fraction(point)
 
 
 def binomial(n: int, k: int) -> int:
@@ -111,7 +121,7 @@ def bernoulli_poly(n: int, z) -> Fraction:
     per step. One ``Fraction`` is built at the end.
     """
     n = _require_nonnegative(n, "n")
-    zq = Fraction(z)
+    zq = _require_exact(z)
     p, q = zq.numerator, zq.denominator
     row, scale = _TANGENT_TABLE.row(n)
     acc = 0

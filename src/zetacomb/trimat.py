@@ -20,10 +20,10 @@ one ``Fraction`` is built per output entry.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index, mul
-from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
 from .numcore import _over_lcm, _Value

@@ -31,15 +31,17 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
 from operator import add, attrgetter, mul
 from threading import Lock
-from typing import NamedTuple
 
 from . import _EXPORTS
-from .combinat import _TANGENT_TABLE, _require_nonnegative, bernoulli_number, binomial, stirling1, stirling2
+from .combinat import (
+    _TANGENT_TABLE, _require_exact, _require_nonnegative, bernoulli_number, binomial, stirling1, stirling2,
+)
 from .numcore import Basis, _over_lcm, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
@@ -61,11 +63,11 @@ def zeta_diff(m: int, x) -> Fraction:
     With n = m+1, x = p/q and Q = 2q, F = 2^m (B_n((p+2q)/Q) - B_n((p+q)/Q))/n:
     one integer Horner pass over the Bernoulli row (as in ``bernoulli_poly``)
     sums both terms. The form is polynomial in x, so any rational x is
-    accepted; agreement with the Hurwitz-zeta definition is claimed only
-    for x > -1, where both half-arguments stay positive.
+    accepted (a ``float`` is a ``TypeError``); agreement with the Hurwitz-zeta
+    definition is claimed only for x > -1, where both half-arguments stay positive.
     """
     m = _require_nonnegative(m, "m")
-    xq = Fraction(x)
+    xq = _require_exact(x)
     p, q = xq.numerator, xq.denominator
     a, b, big_q = p + q, p + 2 * q, 2 * q
     row, scale = _TANGENT_TABLE.row(m + 1)
@@ -93,7 +95,7 @@ def hyper_poly(m: int, x) -> Fraction:
     sum off there. One ``Fraction`` is built at the end.
     """
     m = _require_nonnegative(m, "m")
-    xq = Fraction(x)
+    xq = _require_exact(x)
     p, q = xq.numerator, xq.denominator
     num = den = 1
     for k in range(m - 1, -1, -1):
@@ -351,19 +353,13 @@ def paper_matrices(m: int) -> dict[str, LowerTriMatrix]:
     return routes
 
 
-class CombinationViolation(NamedTuple):
-    row: int
-    sample: Fraction
-    residual: Fraction
+CombinationViolation = namedtuple("CombinationViolation", "row sample residual")
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(namedtuple("VerificationReport", "m samples passed violations")):
     """Residuals of F(i, x) - sum_j a_{i,j} G(j, x) over rows and samples."""
 
-    m: int
-    samples: tuple[Fraction, ...]
-    passed: bool
-    violations: tuple[CombinationViolation, ...]
+    __slots__ = ()
 
 
 def verify_combination(m: int, samples: tuple[Fraction, ...] = DEFAULT_SAMPLES) -> VerificationReport:
@@ -376,7 +372,7 @@ def verify_combination(m: int, samples: tuple[Fraction, ...] = DEFAULT_SAMPLES) 
     product, a ``Fraction`` only when nonzero; violations come row by row,
     samples in the order given.
     """
-    samples = tuple(Fraction(s) for s in samples)  # an iterator is read once
+    samples = tuple(map(_require_exact, samples))  # an iterator is read once
     if not samples:
         raise ValueError("samples must be nonempty")
     report = combination_matrix(m)
@@ -434,14 +430,10 @@ class ExpectedSign(enum.Enum):
     POSITIVE = "positive"
 
 
-class SignViolation(NamedTuple):
-    i: int
-    j: int
-    value: Fraction
-    expected: ExpectedSign
+SignViolation = namedtuple("SignViolation", "i j value expected")
 
 
-class SignPatternFinding(NamedTuple):
+class SignPatternFinding(namedtuple("SignPatternFinding", "max_m checked violations")):
     """Below-diagonal sign classification of the combination matrix.
 
     The pattern, by d = i-j: zero when d is odd, negative when d = 2 mod 4,
@@ -455,9 +447,7 @@ class SignPatternFinding(NamedTuple):
     is a regression check of the built matrix against the theorem.
     """
 
-    max_m: int
-    checked: int
-    violations: tuple[SignViolation, ...]
+    __slots__ = ()
 
 
 # by (i - j) % 4: the sign of the numerator of a_{i,j}, and its name

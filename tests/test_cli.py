@@ -220,24 +220,31 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_out_flag_matches_stdout(tmp_path, capsys):
-    _, streamed, _ = run(["eta", "--max", "9", "--format", "json"], capsys)
-    target = tmp_path / "eta.json"
-    code, out, _ = run(["eta", "--max", "9", "--format", "json", "--out", str(target)], capsys)
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+@pytest.mark.parametrize("command", [["coeffs", "--m", "9"], ["eta", "--max", "9"]], ids=["coeffs", "eta"])
+def test_out_flag_matches_stdout(command, fmt, tmp_path, capsys):
+    argv = [*command, "--format", fmt]
+    _, streamed, _ = run(argv, capsys)
+    target = tmp_path / "result"
+    code, out, _ = run([*argv, "--out", str(target)], capsys)
     assert code == 0
     assert out == ""
-    assert target.read_text() == streamed
+    assert target.read_bytes() == streamed.encode()
 
 
-@pytest.mark.parametrize("flag", ["--out"])  # the one flag that names an output path
-def test_unwritable_output_exits_2(flag, tmp_path, capsys):
-    target = tmp_path / "missing" / "x"
-    code, out, err = run(["coeffs", "--m", "3", flag, str(target)], capsys)
+# --out is the one flag that names an output path; an empty path names no
+# file, so it is an unwritable path, not stdout
+@pytest.mark.parametrize(
+    "target", [pytest.param("{tmp}/missing/x", id="--out"), pytest.param("", id="--out-empty")]
+)
+def test_unwritable_output_exits_2(target, tmp_path, capsys):
+    target = target.format(tmp=tmp_path)
+    code, out, err = run(["coeffs", "--m", "3", "--out", target], capsys)
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith("zetacomb: error: cannot ")
-    assert str(tmp_path / "missing") in err
+    assert err.startswith(f"zetacomb: error: cannot write {target}: ")
+    assert "stdout" not in err
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ interpreters, because this process has long since imported everything.
 defines. Every public function that takes a size reads it by one rule: it
 is made an ``int`` (``True`` is 1, ``2.0`` a ``TypeError``) and a negative
 one is refused; the k of ``binomial``, ``stirling1`` and ``stirling2`` is
-made an ``int`` the same way. A basis is read by its enum, so its string
-value works too. README's Library example runs as a doctest, and each
+made an ``int`` the same way. A point is read exactly by ``Fraction``, and a
+binary ``float`` point is a ``TypeError``. A basis is read by its enum, so its
+string value works too. README's Library example runs as a doctest, and each
 command of its command-line session prints what the session shows.
 """
 from __future__ import annotations
@@ -22,6 +23,8 @@ import json
 import shlex
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,29 @@ def test_a_float_k_is_a_type_error_and_true_is_1(name):
     for k in (2.0, 5.0):  # inside and outside 0 <= k <= n
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
             function(3, k)
+
+
+# each function that takes a point, with the point as its last argument
+POINT_CALLS = {
+    "zeta_diff": lambda x: zetacomb.zeta_diff(3, x),
+    "hyper_poly": lambda x: zetacomb.hyper_poly(3, x),
+    "bernoulli_poly": lambda x: zetacomb.bernoulli_poly(3, x),
+    "verify_combination": lambda x: zetacomb.verify_combination(3, [x]),
+}
+
+
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS)
+@pytest.mark.parametrize("point", [0.1, 0.5, 2.0], ids=repr)  # 0.5 and 2.0 are exact in binary
+def test_a_float_point_is_a_type_error(call, point):
+    with pytest.raises(TypeError, match=f"^a point must be exact, not float: {point!r}$"):
+        call(point)
+
+
+@pytest.mark.parametrize("call", POINT_CALLS.values(), ids=POINT_CALLS)
+def test_an_exact_point_is_read_by_fraction(call):
+    tenth = call(Fraction(1, 10))
+    assert call(Decimal("0.1")) == call("1/10") == call("0.1") == tenth
+    assert call(2) == call(Fraction(2)) == call(Decimal(2)) == call("2")
 
 
 def _m1_matrix():

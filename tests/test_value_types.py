@@ -4,12 +4,14 @@ Each type is built by keyword with its defaults, has the ``Name(field=value,
 ...)`` repr, refuses assignment, and is equal and hashed by value. The three
 validating types (``LowerTriMatrix``, ``Poly``, ``CoeffReport``) are not
 tuples: they never equal a tuple or an instance of another class. Importing
-the CLI loads neither ``dataclasses`` nor ``inspect``, which keeps a cold
-command cheap.
+the CLI on a clean interpreter (``python -S``, no site hook to preload the
+standard library) loads none of ``dataclasses``, ``inspect``, ``typing`` and
+``pathlib``, which keeps a cold command cheap.
 """
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+import zetacomb
 from zetacomb.cli import _Result
 from zetacomb.numcore import Basis, Poly
 from zetacomb.trimat import LowerTriMatrix
@@ -151,7 +154,13 @@ def test_validating_types_are_not_sequences():
         len(M1)
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    code = "import sys, zetacomb.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def test_clean_cli_import_loads_no_dataclasses_inspect_typing_or_pathlib():
+    # -S: a site hook may import typing or pathlib before zetacomb runs
+    code = (
+        "import sys, zetacomb.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
+    )
+    home = os.path.dirname(os.path.dirname(zetacomb.__file__))  # the directory holding the package
+    env = {**os.environ, "PYTHONPATH": home}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
