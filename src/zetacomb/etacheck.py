@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import _EXPORTS
-from .combinat import _require_nonnegative, bernoulli_poly, stirling2
+from .combinat import _require_nonnegative, bernoulli_number, stirling2
 from .zetadiff import _weighted_row_sum, combination_matrix
 
 __all__ = _EXPORTS["etacheck"]
@@ -32,11 +32,12 @@ class RouteDisagreementError(ArithmeticError):
 def eta_via_zeta(m: int) -> Fraction:
     """eta(-m) = (1 - 2^{m+1}) zeta(-m), zeta(-m) = -B_{m+1}(1)/(m+1).
 
-    Using the Bernoulli polynomial at 1 covers m = 0 with the same
-    formula (eta(0) = 1/2 falls out, no special case).
+    B_n(1) = (-1)^n B_n for every n when B_1 = -1/2, so the Bernoulli
+    polynomial at 1 is read off the Bernoulli number, and m = 0 takes the
+    same formula (eta(0) = 1/2 falls out, no special case).
     """
     m = _require_nonnegative(m, "m")
-    return bernoulli_poly(m + 1, 1) * Fraction(2 ** (m + 1) - 1, m + 1)
+    return (-1) ** (m + 1) * bernoulli_number(m + 1) * Fraction(2 ** (m + 1) - 1, m + 1)
 
 
 def eta_via_coeff_row(m: int) -> Fraction:

@@ -30,12 +30,11 @@ Everything is exact; there is no floating point anywhere.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
-from operator import add, attrgetter, mul
+from operator import add, mul
 from threading import Lock
 
 from . import _EXPORTS
@@ -199,7 +198,7 @@ class CoeffReport(_Value):
     def _sign_finding(self) -> SignPatternFinding:
         # the report's entries are the table's own, sliced off it on its miss
         m = self.m
-        violations = tuple(_RIORDAN_TABLE.sign_violations(m))
+        violations = _RIORDAN_TABLE.sign_violations(m)
         return SignPatternFinding(max_m=m, checked=m * (m + 1) // 2, violations=violations)
 
     @cached_property
@@ -250,10 +249,10 @@ class _RiordanTable:
     half the entries are zero; they all share ``_ZERO`` rather than each
     normalising a ``Fraction(0, d)``.
 
-    The sign scan is a prefix too: a sign watermark counts the matrix rows
-    already classified against the pattern of ``SignPatternFinding``, and
-    their violations are kept row-major, so each entry is classified once
-    per process and a scan to m reads off the violations with i <= m.
+    The sign scan is a prefix too: entry i of ``_signs`` holds the
+    violations of matrix row i against the pattern of ``SignPatternFinding``,
+    so each row is classified once per process and a scan to m joins the
+    first m+1 entries.
     """
 
     def __init__(self) -> None:
@@ -265,8 +264,7 @@ class _RiordanTable:
         with self._lock:
             self._u_row = [1]  # U row n; matrix rows 0..n-1 are built
             self._entries: list[Fraction] = []
-            self._signed = 0  # matrix rows 0.._signed-1 are classified
-            self._violations: list[SignViolation] = []
+            self._signs: list[list[SignViolation]] = []  # row i's violations; rows 0..len-1 are classified
 
     def packed(self, m: int) -> list[Fraction]:
         size = (m + 1) * (m + 2) // 2
@@ -275,14 +273,22 @@ class _RiordanTable:
                 self._grow(m)
             return self._entries[:size]
 
-    def sign_violations(self, m: int) -> list[SignViolation]:
-        """The sign violations in rows 0..m, row-major; new rows are classified once."""
+    def sign_violations(self, m: int) -> tuple[SignViolation, ...]:
+        """The strictly below-diagonal entries of rows 0..m whose sign breaks
+        the pattern, row-major; each row is classified once."""
         with self._lock:
-            if self._signed <= m:
+            signs = self._signs
+            if len(signs) <= m:
                 self._grow(m)  # builds nothing if rows 0..m are already there
-                self._violations += _sign_violations(self._entries, self._signed, m + 1)
-                self._signed = m + 1
-            return self._violations[: bisect_right(self._violations, m, key=attrgetter("i"))]
+                for i in range(len(signs), m + 1):
+                    base, row = i * (i + 1) // 2, []
+                    for j, value in enumerate(self._entries[base : base + i]):
+                        sign, expected = _PATTERN[(i - j) % 4]
+                        num = value.numerator
+                        if (num > 0) - (num < 0) != sign:
+                            row.append(SignViolation(i, j, value, expected))
+                    signs.append(row)
+            return tuple(v for row in signs[: m + 1] for v in row)
 
     def _grow(self, m: int) -> None:
         u, new = self._u_row, []
@@ -316,7 +322,7 @@ def combination_matrix(m: int) -> CoeffReport:
     A miss slices its entries off one table (``_RiordanTable``), so a smaller
     matrix shares the very entries of a larger one, and validates the report
     all the same. ``cache_clear`` empties the cache and that table, with the
-    sign watermark of ``scan_sign_pattern``.
+    rows ``scan_sign_pattern`` has classified.
     """
     if type(m) is not int:
         m = _require_nonnegative(m, "m")
@@ -459,27 +465,14 @@ _PATTERN = (
 )
 
 
-def _sign_violations(entries, start: int, stop: int) -> list[SignViolation]:
-    """The strictly below-diagonal entries of rows start..stop-1 of the packed
-    row-major ``entries`` whose sign breaks the pattern, row-major."""
-    violations = []
-    for i in range(start, stop):
-        base = i * (i + 1) // 2
-        for j, value in enumerate(entries[base : base + i]):
-            sign, expected = _PATTERN[(i - j) % 4]
-            num = value.numerator
-            if (num > 0) - (num < 0) != sign:
-                violations.append(SignViolation(i, j, value, expected))
-    return violations
-
-
 def scan_sign_pattern(max_m: int) -> SignPatternFinding:
     """Classify every strictly below-diagonal entry of ``combination_matrix(max_m)``
     against the sign pattern.
 
     The violations are read off the Riordan table, which classifies each
-    entry once per process (``_RiordanTable.sign_violations``): a scan to m
-    classifies only the rows no earlier scan reached. The finding is kept
+    row once per process and keeps its violations
+    (``_RiordanTable.sign_violations``): a scan to m classifies only the rows
+    no earlier scan reached and joins those of rows 0..m. The finding is kept
     on that report, a ``functools.cached_property``, so a repeat call
     returns the same object until ``combination_matrix.cache_clear``.
     """

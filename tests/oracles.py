@@ -11,7 +11,9 @@ cosh series instead of the derivative recurrence of its powers. The
 B_n(z), Horner for a polynomial, the power-by-power Neumann sum for an
 inverse, the Taylor shift for a change of basis and the candidate-by-
 candidate Stirling comparison) are the plain forms the integer kernels
-replaced.
+replaced. The sign scan's oracle, ``sign_violations``, reads the sign
+theorem off i - j directly instead of the library's table of signs by
+(i - j) mod 4.
 """
 from __future__ import annotations
 
@@ -299,3 +301,26 @@ def first_stirling2_mismatch_fraction(matrix, stirling2):
             if matrix.get(i, j) != candidate:
                 return (i, j)
     return None
+
+
+def sign_violations(entries, m: int) -> list[tuple]:
+    """The strictly below-diagonal entries of rows 0..m of the packed
+    row-major ``entries`` whose sign is not the sign theorem's, row-major, as
+    (i, j, value, expected) with expected "positive", "negative" or "zero".
+
+    The theorem read directly: the sign of a_{i,j} is (-1)^{(i-j)/2} when
+    i - j is even and zero when it is odd. Each value's sign is its
+    comparison with 0, and the entries are walked by a running index.
+    """
+    names = {1: "positive", -1: "negative", 0: "zero"}
+    found = []
+    k = 0
+    for i in range(m + 1):
+        for j in range(i + 1):
+            value = entries[k]
+            k += 1
+            d = i - j
+            want = 0 if d % 2 else (-1) ** (d // 2)
+            if j < i and (value > 0) - (value < 0) != want:
+                found.append((i, j, value, names[want]))
+    return found

@@ -154,11 +154,11 @@ def test_validating_types_are_not_sequences():
         len(M1)
 
 
-def test_clean_cli_import_loads_no_dataclasses_inspect_typing_or_pathlib():
-    # -S: a site hook may import typing or pathlib before zetacomb runs
+def test_clean_cli_import_loads_no_dataclasses_inspect_typing_pathlib_or_bisect():
+    # -S: a site hook may import typing, pathlib or bisect before zetacomb runs
     code = (
         "import sys, zetacomb.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib', 'bisect'} & set(sys.modules)))"
     )
     home = os.path.dirname(os.path.dirname(zetacomb.__file__))  # the directory holding the package
     env = {**os.environ, "PYTHONPATH": home}

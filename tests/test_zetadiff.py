@@ -321,8 +321,7 @@ def test_cache_clear_empties_riordan_table():
     assert combination_matrix.cache_info().currsize == 0
     assert zetadiff._RIORDAN_TABLE._entries == []
     assert zetadiff._RIORDAN_TABLE._u_row == [1]
-    assert zetadiff._RIORDAN_TABLE._signed == 0
-    assert zetadiff._RIORDAN_TABLE._violations == []
+    assert zetadiff._RIORDAN_TABLE._signs == []
 
 
 # Once the table holds m = 10 it keeps U row 11, and a larger m steps that
@@ -368,10 +367,13 @@ def _doctor(entries, cells):
         entries[k] = -entries[k] or Fraction(1)
 
 
+def _oracle_violations(entries, m):
+    # rows 0..m of the packed entries classified by the sign theorem itself
+    return tuple(SignViolation(i, j, v, ExpectedSign(e)) for i, j, v, e in oracles.sign_violations(entries, m))
+
+
 def _full_scan(m, entries):
-    # rows 0..m of the packed entries classified afresh, with no watermark
-    violations = tuple(zetadiff._sign_violations(entries, 0, m + 1))
-    return SignPatternFinding(max_m=m, checked=m * (m + 1) // 2, violations=violations)
+    return SignPatternFinding(max_m=m, checked=m * (m + 1) // 2, violations=_oracle_violations(entries, m))
 
 
 def _doctor_shared_table(m, cells):
@@ -418,6 +420,21 @@ def test_cache_clear_resets_the_sign_watermark():
         combination_matrix.cache_clear()
 
 
+def test_a_row_is_classified_once_per_process():
+    try:
+        combination_matrix.cache_clear()
+        zetadiff._RIORDAN_TABLE.packed(40)
+        assert scan_sign_pattern(30).violations == ()
+        # row 20 is classified already, so only the fault in row 35 is seen
+        _doctor(zetadiff._RIORDAN_TABLE._entries, [(20, 4), (35, 1)])
+        assert [(v.i, v.j) for v in scan_sign_pattern(40).violations] == [(35, 1)]
+        # doctored before any scan, both rows are classified with their faults
+        _doctor_shared_table(40, [(20, 4), (35, 1)])
+        assert [(v.i, v.j) for v in scan_sign_pattern(40).violations] == [(20, 4), (35, 1)]
+    finally:
+        combination_matrix.cache_clear()
+
+
 def test_riordan_table_grows_consistently_under_threads():
     # the table doctors cells (i, i-1) as it grows them, so the sign scan has
     # violations to report; half the threads scan before they grow, half after
@@ -434,7 +451,7 @@ def test_riordan_table_grows_consistently_under_threads():
     expected = list(_riordan_closed_form(48).entries)
     _doctor(expected, cells)
     prefixes = [expected[: _packed_index(m + 1, 0)] for m in range(49)]
-    scans = [zetadiff._sign_violations(prefixes[m], 0, m + 1) for m in range(49)]
+    scans = [_oracle_violations(prefixes[m], m) for m in range(49)]
     wrong = []
 
     def ascend(scan_first):
