@@ -256,29 +256,22 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for ``argv``: when ``argv[0]`` names a command, only that
-    command's subparser is built, and the usage line still lists all five;
-    otherwise (no argv, an option or an unknown word first) every one is."""
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every argv, with a subparser per command of ``_COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="zetacomb",
         description="Exact matrices linking Hurwitz zeta differences to "
         "terminating hypergeometric polynomials.",
     )
-    named = argv[0] if argv and argv[0] in _COMMANDS else None
-    # the metavar only when one subparser is built: it would also replace
-    # "argument command" in the missing- and invalid-command errors
-    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if named else {}
-    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, compute, flags) in _COMMANDS.items():
-        if named in (None, command):
-            p = sub.add_parser(command, help=help_line)
-            for flag, keywords in flags:
-                p.add_argument(flag, **keywords)
-            p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-            p.add_argument("--out", default=None)
-            p.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
-            p.set_defaults(run=compute)
+        p = sub.add_parser(command, help=help_line)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
+        p.add_argument("--out", default=None)
+        p.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
+        p.set_defaults(run=compute)
     return parser
 
 
@@ -300,9 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     Freezes nothing, so library callers and tests may call it in a
     long-lived process; ``run`` is the program entry.
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv)
+    parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
     # Results are exact integers of any size (coeffs entries pass 4,300 digits

@@ -60,10 +60,11 @@ def zeta_diff(m: int, x) -> Fraction:
     """F(m, x), exactly, by the closed Bernoulli form.
 
     With n = m+1, x = p/q and Q = 2q, F = 2^m (B_n((p+2q)/Q) - B_n((p+q)/Q))/n:
-    one integer Horner pass over the Bernoulli row (as in ``bernoulli_poly``)
-    sums both terms. The form is polynomial in x, so any rational x is
-    accepted (a ``float`` is a ``TypeError``); agreement with the Hurwitz-zeta
-    definition is claimed only for x > -1, where both half-arguments stay positive.
+    one integer Horner pass over the row d C(n, k) B_k, with d the lcm of the
+    denominators of B_0..B_n, sums both terms. The form is polynomial in x,
+    so any rational x is accepted (a ``float`` is a ``TypeError``); agreement
+    with the Hurwitz-zeta definition is claimed only for x > -1, where both
+    half-arguments stay positive.
     """
     m = _require_nonnegative(m, "m")
     xq = _require_exact(x)
@@ -449,8 +450,10 @@ class SignPatternFinding(namedtuple("SignPatternFinding", "max_m checked violati
     I^2 = -1. The odd coefficients of tan are positive, so n!/k! [u^n] tan^k
     = T(n, k) is positive when n >= k and n - k is even, and 0 otherwise.
     Hence U(n, k) = I^{n-k} T(n, k): sign (-1)^{(n-k)/2} when n - k is
-    even, 0 when n - k is odd, and sign a_{i,j} = (-1)^{(i-j)/2}. The scan
-    is a regression check of the built matrix against the theorem.
+    even, 0 when n - k is odd, and sign a_{i,j} = (-1)^{(i-j)/2}. The zeros
+    also follow from parity alone: A = [sech^2(s/2)/2, tanh(s/2)] has an
+    even g and an odd h, so column j, g h^j / j!, has the parity of j. The
+    scan is a regression check of the built matrix against the theorem.
     """
 
     __slots__ = ()

@@ -13,7 +13,9 @@ inverse, the Taylor shift for a change of basis and the candidate-by-
 candidate Stirling comparison) are the plain forms the integer kernels
 replaced. The sign scan's oracle, ``sign_violations``, reads the sign
 theorem off i - j directly instead of the library's table of signs by
-(i - j) mod 4.
+(i - j) mod 4. The midpoint tables read F and G in powers of u = x + 1/2,
+a basis the library never builds: F from the Euler numbers, G from its
+three-term recurrence with no mixing term.
 """
 from __future__ import annotations
 
@@ -324,3 +326,40 @@ def sign_violations(entries, m: int) -> list[tuple]:
             if j < i and (value > 0) - (value < 0) != want:
                 found.append((i, j, value, names[want]))
     return found
+
+
+def euler_numbers(n: int) -> list[int]:
+    """E_0..E_n, the Euler (secant) numbers, signed: 1, 0, -1, 0, 5, 0, -61, ...
+
+    From their recurrence: sum_{k=0}^{n} C(n, k) E_k = 0 for every even
+    n > 0, and E_k = 0 for every odd k.
+    """
+    e = [0] * (n + 1)
+    e[0] = 1
+    for k in range(2, n + 1, 2):
+        e[k] = -sum(comb(k, i) * e[i] for i in range(0, k, 2))
+    return e
+
+
+def zeta_diff_coeffs_midpoint(m: int) -> list[tuple[Fraction, ...]]:
+    """Rows of F(i, x) in powers of u = x + 1/2: C(i, j) E_{i-j} / 2^{i-j+1}.
+
+    F(i, x) = E_i(x + 1)/2 with E_i the Euler polynomial, and
+    E_i(y) = sum_k C(i, k) E_k/2^k (y - 1/2)^{i-k}.
+    """
+    e = euler_numbers(m)
+    return [
+        tuple(Fraction(comb(i, j) * e[i - j], 2 ** (i - j + 1)) for j in range(i + 1))
+        for i in range(m + 1)
+    ]
+
+
+def hyper_poly_coeffs_midpoint(m: int) -> list[tuple[int, ...]]:
+    """Rows of G(i, x) in powers of u = x + 1/2, by G(n+1) = 2u G(n) + n^2 G(n-1),
+    G(0) = 1 and G(1) = 2u.
+    """
+    rows = [[1], [0, 2]][: m + 1]
+    for n in range(1, m):
+        shifted = [0, *(2 * c for c in rows[n])]
+        rows.append([c + n * n * (rows[n - 1][j] if j < n else 0) for j, c in enumerate(shifted)])
+    return [tuple(row) for row in rows]

@@ -5,7 +5,7 @@ Subprocess tests prove that the program entry (``cli.run``, behind
 crash, that a stdout that cannot be written exits 2, and that a closed
 stdout or stderr neither crashes the CLI nor mixes diagnostics into stdout;
 everything else captures stdout/stderr with capsys. In-process tests also
-hold main to freezing nothing and the one-command parser to the full one.
+hold main to freezing nothing.
 """
 from __future__ import annotations
 
@@ -397,46 +397,21 @@ def test_main_freezes_nothing(argv, code, monkeypatch, capsys):
     assert (got, gc.get_freeze_count()) == (code, before)
 
 
-# the parser built for one command must read every argv as the full parser does
-PARSER_ARGV = [
-    [],
-    ["-h"],
-    ["nonsense"],
-    ["--bogus", "coeffs", "--m", "1"],
-    ["coeffs"],
-    ["coeffs", "--m", "x"],
-    ["coeffs", "--m", "1", "extra"],
-    ["coeffs", "--m", "100"],
-    ["coeffs", "-h"],
-    ["coeffs", "--m", "3", "--route", "riordan", "--check-all-routes", "--format", "csv"],
-    ["verify", "--m", "1", "--samples", "a,b"],
-    ["verify", "--m", "2", "--samples=-1/2,7/3"],
-    ["eta", "--max", "3", "--format", "xml"],
-    ["conjecture", "--max", "-1"],
-    ["bernoulli", "--n", "2001"],  # a retired command
-    ["matrices", "--m", "2", "--fixtures", "D"],
-    ["matrices", "--m", "2", "--fixtures", "D", "--out", "O"],
-]
-
-
-def _parse(parser, argv):
-    """Exit code (None if parsing passed), parsed flags, stdout and stderr of
-    parsing and checking ``argv`` with ``parser``."""
-    out, err = io.StringIO(), io.StringIO()
-    code, flags = None, None
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            args = parser.parse_args(argv)
-            cli._validate(parser, args)
-            flags = vars(args)
-        except SystemExit as exc:
-            code = exc.code
-    return code, flags, out.getvalue(), err.getvalue()
-
-
-@pytest.mark.parametrize("argv", PARSER_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_one_command_parser_reads_argv_as_the_full_parser(argv):
-    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(), argv)
+# an unrecognized word, before or after the command, is reported by the top-level
+# parser, so its usage line lists every command
+@pytest.mark.parametrize(
+    "argv, word",
+    [(["coeffs", "--m", "1", "extra"], "extra"), (["--bogus", "coeffs", "--m", "1"], "--bogus")],
+)
+def test_an_unrecognized_argument_prints_the_usage_line_of_every_command(argv, word, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: zetacomb [-h] {coeffs,verify,eta,conjecture,matrices} ...\n")
+    assert sum(line.startswith("zetacomb: error: ") for line in err.splitlines()) == 1
+    assert err.endswith(f"zetacomb: error: unrecognized arguments: {word}\n")
 
 
 # per command, its own flags in order; every --cap defaults to 64
@@ -451,22 +426,15 @@ COMMAND_FLAGS = {
 
 @pytest.mark.parametrize("command", COMMAND_FLAGS)
 def test_each_command_takes_its_own_flags_then_the_shared_ones(command):
-    own = COMMAND_FLAGS[command]
-    for parser in (cli.build_parser([command]), cli.build_parser()):
-        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        sub = commands.choices[command]
-        assert tuple(a.option_strings[0] for a in sub._actions) == (
-            "-h", *own, "--format", "--out", "--cap"
-        )
-        assert sub.get_default("cap") == 64
-        assert sub.get_default("run") is getattr(cli, f"cmd_{command}")
-
-
-def test_one_command_parser_builds_that_command_alone(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.build_parser(["coeffs"]).parse_args(["verify", "--m", "1"])
-    assert info.value.code == 2
-    assert "invalid choice: 'verify'" in capsys.readouterr().err
+    (commands,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    sub = commands.choices[command]
+    assert tuple(a.option_strings[0] for a in sub._actions) == (
+        "-h", *COMMAND_FLAGS[command], "--format", "--out", "--cap"
+    )
+    assert sub.get_default("cap") == 64
+    assert sub.get_default("run") is getattr(cli, f"cmd_{command}")
 
 
 @pytest.mark.parametrize(

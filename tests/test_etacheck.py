@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import _tables_m9 as tables
+import oracles
 from zetacomb import etacheck
 from zetacomb.etacheck import (
     RouteDisagreementError,
@@ -29,6 +30,15 @@ def test_eta_via_zeta_values():
     assert eta_via_zeta(0) == Fraction(1, 2)
     assert eta_via_zeta(2) == 0
     assert eta_via_zeta(3) == Fraction(-1, 8)
+
+
+def test_eta_via_zeta_is_the_bernoulli_form_of_zeta_at_one():
+    # eta(-m) = (1 - 2^{m+1}) zeta(-m) with zeta(-m) = -B_{m+1}(1)/(m+1), and
+    # B_n(1) = sum_k C(n, k) B_k, each B_k from the series oracle
+    bern = oracles.bernoulli_series(31)
+    for m in range(31):
+        b_at_one = sum(math.comb(m + 1, k) * bern[k] for k in range(m + 2))
+        assert eta_via_zeta(m) == (1 - 2 ** (m + 1)) * -b_at_one / (m + 1)
 
 
 def test_eta_via_coeff_row_values():

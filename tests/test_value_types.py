@@ -5,8 +5,8 @@ Each type is built by keyword with its defaults, has the ``Name(field=value,
 validating types (``LowerTriMatrix``, ``Poly``, ``CoeffReport``) are not
 tuples: they never equal a tuple or an instance of another class. Importing
 the CLI on a clean interpreter (``python -S``, no site hook to preload the
-standard library) loads none of ``dataclasses``, ``inspect``, ``typing`` and
-``pathlib``, which keeps a cold command cheap.
+standard library) loads none of ``dataclasses``, ``inspect``, ``typing``,
+``pathlib`` and ``bisect``, which keeps a cold command cheap.
 """
 from __future__ import annotations
 

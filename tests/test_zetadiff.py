@@ -409,7 +409,7 @@ def test_default_scan_matches_a_full_scan_of_the_matrix(order, cells):
         combination_matrix.cache_clear()
 
 
-def test_cache_clear_resets_the_sign_watermark():
+def test_cache_clear_empties_the_per_row_sign_store():
     try:
         combination_matrix.cache_clear()
         assert scan_sign_pattern(30).violations == ()
@@ -590,6 +590,32 @@ def test_g_inverse_matches_tanh_closed_form(m):
     g = hyper_poly_coeffs(m, Basis.MONOMIAL)
     assert invert_substitution(g) == closed
     assert invert_series(g) == closed
+
+
+def _midpoint_tables(m):
+    f_c = LowerTriMatrix.from_rows(oracles.zeta_diff_coeffs_midpoint(m))
+    g_c = LowerTriMatrix.from_rows(oracles.hyper_poly_coeffs_midpoint(m))
+    return f_c, g_c
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(7, 3)])
+def test_midpoint_rows_evaluate_to_zeta_diff_and_hyper_poly(x):
+    f_c, g_c = _midpoint_tables(12)
+    u = x + Fraction(1, 2)
+    for i in range(13):
+        assert oracles.poly_eval_fraction(f_c.row(i), u) == zeta_diff(i, x)
+        assert oracles.poly_eval_fraction(g_c.row(i), u) == hyper_poly(i, x)
+
+
+def test_combination_matrix_carries_the_midpoint_g_table_to_the_f_table():
+    # a fifth check of A, in powers of u = x + 1/2, a basis the library never builds;
+    # A's zeros at odd i - j follow there from parity, as both tables are checkerboard
+    f_c, g_c = _midpoint_tables(40)
+    a = combination_matrix(40).matrix
+    assert mat_mul(a, g_c) == f_c
+    doctored = list(a.entries)
+    doctored[_packed_index(31, 12)] = Fraction(1, 2**32)  # i - j odd: a zero of A
+    assert mat_mul(LowerTriMatrix(a.dim, doctored), g_c) != f_c
 
 
 def test_combination_matrix_rejects_negative_m():
