@@ -43,12 +43,21 @@ class SingularDiagonalError(ValueError):
         super().__init__(f"zero diagonal entry at index {index}")
 
 
+def _exact_entry(entry) -> Fraction:
+    """An entry that is not a ``Fraction``, read by ``Fraction``; a ``float`` is
+    a ``TypeError``, because 0.1 would be kept as its binary value."""
+    if isinstance(entry, float):
+        raise TypeError(f"an entry must be exact, not float: {entry!r}")
+    return Fraction(entry)
+
+
 class LowerTriMatrix(_Value):
     """Immutable lower-triangular rational matrix, packed row-major.
 
     ``entries`` has length dim*(dim+1)//2; ``entries[i*(i+1)//2 + j]`` is
     the (i, j) entry for j <= i. Entries above the diagonal are zero by
-    construction and not stored.
+    construction and not stored. Each entry is read exactly by ``Fraction``,
+    and a ``float`` entry is a ``TypeError``.
     """
 
     _fields = ("dim", "entries")
@@ -63,7 +72,7 @@ class LowerTriMatrix(_Value):
         # one C-level pass; a table of exact Fractions is kept as it is, and
         # so is each Fraction (a subclass too) among entries of other types
         if not {Fraction}.issuperset(map(type, packed)):
-            packed = tuple(e if isinstance(e, Fraction) else Fraction(e) for e in packed)
+            packed = tuple(e if isinstance(e, Fraction) else _exact_entry(e) for e in packed)
         if len(packed) != dim * (dim + 1) // 2:
             raise ValueError(f"need {dim * (dim + 1) // 2} packed entries, got {len(packed)}")
         object.__setattr__(self, "dim", dim)

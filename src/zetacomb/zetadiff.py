@@ -379,11 +379,11 @@ def verify_combination(m: int, samples: tuple[Fraction, ...] = DEFAULT_SAMPLES) 
     product, a ``Fraction`` only when nonzero; violations come row by row,
     samples in the order given.
     """
+    m = _require_nonnegative(m, "m")
     samples = tuple(map(_require_exact, samples))  # an iterator is read once
     if not samples:
         raise ValueError("samples must be nonempty")
     report = combination_matrix(m)
-    m = report.m
     rows, scale = _scaled_rows(report.matrix)
     g_at = []
     for x in samples:

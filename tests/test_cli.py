@@ -1,10 +1,11 @@
 """CLI behavior, tested in-process through main(argv) for speed.
 
 Subprocess tests prove that the program entry (``cli.run``, behind
-``python -m zetacomb``) gives main's output and exit codes and exits 3 on a
-crash, that a stdout that cannot be written exits 2, and that a closed
-stdout or stderr neither crashes the CLI nor mixes diagnostics into stdout;
-everything else captures stdout/stderr with capsys. In-process tests also
+``python -m zetacomb`` and ``python -m zetacomb.cli``) gives main's output
+and exit codes and exits 3 on a crash, that a stdout that cannot be
+written exits 2, and that a closed stdout or stderr neither crashes the
+CLI nor mixes diagnostics into stdout; everything else captures
+stdout/stderr with capsys. In-process tests also
 hold main to freezing nothing.
 """
 from __future__ import annotations
@@ -327,10 +328,16 @@ def test_closed_stderr_keeps_the_exit_1_line_off_stdout(monkeypatch, capsys):
 
 
 def run_entry(argv):
-    """Run the CLI through ``python -m zetacomb``, that is through ``cli.run``."""
-    return subprocess.run(
-        [sys.executable, "-m", "zetacomb", *argv], capture_output=True, text=True
+    """Run the CLI through ``python -m zetacomb`` and ``python -m zetacomb.cli``,
+    both ``cli.run``; the two must print the same, and the first is returned."""
+    first, second = (
+        subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True)
+        for module in ("zetacomb", "zetacomb.cli")
     )
+    assert (second.returncode, second.stdout, second.stderr) == (
+        first.returncode, first.stdout, first.stderr
+    )
+    return first
 
 
 def test_module_entry_point():
@@ -435,6 +442,15 @@ def test_each_command_takes_its_own_flags_then_the_shared_ones(command):
     )
     assert sub.get_default("cap") == 64
     assert sub.get_default("run") is getattr(cli, f"cmd_{command}")
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_each_command_help_exits_0_and_names_the_program_and_the_command(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (0, "")
+    assert out.startswith(f"usage: zetacomb {command} ")
 
 
 @pytest.mark.parametrize(

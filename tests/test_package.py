@@ -8,9 +8,10 @@ interpreters, because this process has long since imported everything.
 ``__all__`` is its entry, and the entry lists every public name the home
 defines. Every public function that takes a size reads it by one rule: it
 is made an ``int`` (``True`` is 1, ``2.0`` a ``TypeError``) and a negative
-one is refused; the k of ``binomial``, ``stirling1`` and ``stirling2`` is
-made an ``int`` the same way. A point is read exactly by ``Fraction``, and a
-binary ``float`` point is a ``TypeError``. A basis is read by its enum, so its
+one is refused before any other argument is read; the k of ``binomial``,
+``stirling1`` and ``stirling2`` is made an ``int`` the same way. A point is
+read exactly by ``Fraction``, and a binary ``float`` point is a
+``TypeError``. A basis is read by its enum, so its
 string value works too. README's Library example runs as a doctest, and each
 command of its command-line session prints what the session shows.
 """
@@ -141,6 +142,12 @@ NEGATIVE_SIZE_CALLS = [
 def test_a_negative_size_is_a_value_error(name, args, size):
     with pytest.raises(ValueError, match=f"^{size} must be >= 0$"):
         getattr(zetacomb, name)(*args)
+
+
+@pytest.mark.parametrize("samples", [[], [0.5]], ids=["no-samples", "float-sample"])
+def test_verify_combination_refuses_a_negative_m_before_it_reads_the_samples(samples):
+    with pytest.raises(ValueError, match="^m must be >= 0$"):
+        zetacomb.verify_combination(-1, samples)
 
 
 @pytest.mark.parametrize("name, args, size", NEGATIVE_SIZE_CALLS, ids=[c[0] for c in NEGATIVE_SIZE_CALLS])

@@ -100,7 +100,7 @@ def _outcome(build):
         ("1/2", "-3/4", "5"),
         (Fraction(1, 2), 2, "3/4"),
         (_Tagged(1, 2), Fraction(1, 3), _Tagged(-2)),
-        (True, 0, 1.5),
+        (True, 0, "3/2"),
         ("1/2", "x", 3),
         (1, None, 2),
         ("1/0", 1, 1),
@@ -114,6 +114,17 @@ def test_constructor_converts_and_rejects_entries_as_before(entries):
     if not isinstance(new[0], type):
         built = LowerTriMatrix(2, entries).entries
         assert all(a is b for a, b in zip(built, entries) if isinstance(b, Fraction))
+
+
+@pytest.mark.parametrize(
+    "dim, entries, bad",
+    [(2, (True, 0, 1.5), 1.5), (1, (0.1,), 0.1), (2, (Fraction(1), 0.1, 2), 0.1)],
+    ids=["beside-true", "alone", "beside-fractions"],
+)
+def test_constructor_refuses_a_float_entry(dim, entries, bad):
+    # 0.1 would be kept as its binary value 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match=f"^an entry must be exact, not float: {bad!r}$"):
+        LowerTriMatrix(dim, entries)
 
 
 def test_constructor_keeps_a_tuple_of_exact_fractions():
