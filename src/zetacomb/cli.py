@@ -108,15 +108,10 @@ def _document(value):
 
 
 def _records_csv(fields: tuple[str, ...], records: Iterable) -> str:
-    """Header ``fields``, then one line per record's ``_document``; cells are
-    JSON scalars, unquoted."""
-    import json  # here, not at the top: a pretty request never needs it
-
+    """Header ``fields``, then one line per record's ``_document``; each cell
+    is a ``str`` or an ``int``, written by ``str``, unquoted."""
     lines = [",".join(fields)]
-    lines += [
-        ",".join(v if isinstance(v, str) else json.dumps(v) for v in map(_document(r).get, fields))
-        for r in records
-    ]
+    lines += [",".join(map(str, map(_document(r).get, fields))) for r in records]
     return "\n".join(lines) + "\n"
 
 
@@ -174,12 +169,12 @@ def cmd_conjecture(args: argparse.Namespace) -> _Result:
         f"sign pattern scan to m = {finding.max_m}:"
         f" {finding.checked} entries checked, {len(finding.violations)} violations\n"
     )
+    line = "({0.i}, {0.j}) = {0.value}, expected {0.expected.value}".format
     return _Result(
         json=lambda: finding,
         csv=lambda: _records_csv(("i", "j", "value", "expected"), finding.violations),
-        pretty=lambda: header + "".join(
-            f"  ({v.i}, {v.j}) = {v.value}, expected {v.expected.value}\n" for v in finding.violations
-        ),
+        pretty=lambda: header + "".join(f"  {line(v)}\n" for v in finding.violations),
+        failure=f"sign violation: {line(finding.violations[0])}" if finding.violations else None,
     )
 
 

@@ -569,6 +569,16 @@ def test_failed_polynomial_forms_exit_1_after_the_output(monkeypatch, capsys):
     assert err == "polynomial forms check failed at m=2\n"
 
 
+PLANTED_FINDING = SignPatternFinding(
+    max_m=3,
+    checked=3,
+    violations=(
+        SignViolation(2, 0, Fraction(1, 4), ExpectedSign.NEGATIVE),
+        SignViolation(3, 0, Fraction(-1, 8), ExpectedSign.ZERO),
+    ),
+)
+
+
 @pytest.mark.parametrize(
     "fmt, expected",
     [
@@ -588,16 +598,29 @@ def test_failed_polynomial_forms_exit_1_after_the_output(monkeypatch, capsys):
     ],
 )
 def test_conjecture_violations_render(fmt, expected, monkeypatch, capsys):
-    finding = SignPatternFinding(
-        max_m=3,
-        checked=3,
-        violations=(
-            SignViolation(2, 0, Fraction(1, 4), ExpectedSign.NEGATIVE),
-            SignViolation(3, 0, Fraction(-1, 8), ExpectedSign.ZERO),
-        ),
-    )
-    monkeypatch.setattr(cli, "scan_sign_pattern", lambda max_m: finding)
-    assert run(["conjecture", "--max", "3", "--format", fmt], capsys) == (0, expected, "")
+    monkeypatch.setattr(cli, "scan_sign_pattern", lambda max_m: PLANTED_FINDING)
+    code, out, err = run(["conjecture", "--max", "3", "--format", fmt], capsys)
+    assert (code, out, err) == (1, expected, "sign violation: (2, 0) = 1/4, expected negative\n")
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
+@pytest.mark.parametrize(
+    "patch, argv, failure",
+    [
+        (("verify_combination", lambda m: FAILED_REPORT), ["verify", "--m", "2"],
+         "violation: row 1, sample 1/2, residual -3/4\n"),
+        (("scan_sign_pattern", lambda max_m: PLANTED_FINDING), ["conjecture", "--max", "3"],
+         "sign violation: (2, 0) = 1/4, expected negative\n"),
+    ],
+    ids=["verify", "conjecture"],
+)
+def test_a_failed_check_writes_its_out_file_first(patch, argv, failure, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, *patch)
+    argv = [*argv, "--format", fmt]
+    _, streamed, _ = run(argv, capsys)
+    target = tmp_path / "result"
+    assert run([*argv, "--out", str(target)], capsys) == (1, "", failure)
+    assert target.read_bytes() == streamed.encode()
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")

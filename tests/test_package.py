@@ -13,7 +13,8 @@ one is refused before any other argument is read; the k of ``binomial``,
 read exactly by ``Fraction``, and a binary ``float`` point is a
 ``TypeError``. A basis is read by its enum, so its
 string value works too. README's Library example runs as a doctest, and each
-command of its command-line session prints what the session shows.
+command of its command-line session prints what the session shows. The
+docstring examples of every module of the imported package run as doctests.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import ast
 import doctest
 import importlib
 import json
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -276,6 +278,14 @@ def test_readme_library_example_holds():
     results = doctest.testfile(str(README), module_relative=False)
     assert results.attempted > 0
     assert results.failed == 0
+
+
+def test_the_docstring_examples_of_every_module_hold():
+    # the package itself and each module in it, as imported: src/ or the installed copy
+    names = ["zetacomb", *(f"zetacomb.{info.name}" for info in pkgutil.iter_modules(zetacomb.__path__))]
+    results = {name: doctest.testmod(importlib.import_module(name)) for name in names}
+    assert sum(r.attempted for r in results.values()) > 0
+    assert [name for name, r in results.items() if r.failed] == []
 
 
 def _readme_session() -> dict[str, str]:
