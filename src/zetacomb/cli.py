@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 mathematical-check failure, 2 usage error,
 3 a crash (an exception that escaped ``main``; its traceback goes to stderr).
-Results go to stdout (or --out); diagnostics go to stderr.
+Results go to stdout; diagnostics go to stderr.
 
 ``run`` is the program entry: ``python -m zetacomb``, the ``zetacomb``
 script and ``python -m zetacomb.cli`` all call it. ``main(argv)`` runs one
@@ -69,7 +69,7 @@ class _CheckFailed(Exception):
 
 
 class _UnwritableOutputError(Exception):
-    """Stdout or an --out path could not be written; a usage error."""
+    """Stdout could not be written; a usage error."""
 
 
 def _cells(matrix: LowerTriMatrix) -> list[list[str]]:
@@ -211,25 +211,19 @@ def _note(line: str) -> None:
         print(line, file=sys.stderr)
 
 
-def _write(path: str | None, text: str) -> None:
-    if path is None and sys.stdout is None:  # fd 1 was closed at start-up
+def _write(text: str) -> None:
+    if sys.stdout is None:  # fd 1 was closed at start-up
         raise _UnwritableOutputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
-        if path is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            with open(path, "w") as out:
-                out.write(text)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
-        if path is None:
-            # the interpreter flushes stdout again at exit; send what is
-            # left to devnull so the error line stays the only diagnostic
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        where = "stdout" if path is None else path
-        raise _UnwritableOutputError(f"cannot write {where}: {exc.strerror}") from exc
+        # the interpreter flushes stdout again at exit; send what is
+        # left to devnull so the error line stays the only diagnostic
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _UnwritableOutputError(f"cannot write stdout: {exc.strerror}") from exc
 
 
 # the size flags several commands share, each as (flag, argparse keywords)
@@ -238,7 +232,7 @@ _MAX = ("--max", {"type": int, "required": True, "dest": "max_m"})
 
 # command -> (its help line, the function that computes its result, its own
 # flags as (flag, argparse keywords) pairs), in usage order; build_parser adds
-# --format, --out and --cap (default DEFAULT_M_CAP) after the command's own flags
+# --format and --cap (default DEFAULT_M_CAP) after the command's own flags
 _COMMANDS = {
     "coeffs": ("combination matrix for a given m", cmd_coeffs, (
         _M,
@@ -251,9 +245,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_usage(self, file=None):  # a usage error passes sys.stderr, None if fd 2 is closed
+        if file is not None:  # else argparse would print the usage line to stdout
+            super().print_usage(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of every argv, with a subparser per command of ``_COMMANDS``."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zetacomb",
         description="Exact matrices linking Hurwitz zeta differences to "
         "terminating hypergeometric polynomials.",
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in flags:
             p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-        p.add_argument("--out", default=None)
         p.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
         p.set_defaults(run=compute)
     return parser
@@ -300,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = args.run(args)
         view = getattr(result, args.format)()
-        _write(args.out, _json_text(view) if args.format == "json" else view)
+        _write(_json_text(view) if args.format == "json" else view)
         if result.failure is not None:
             raise _CheckFailed(result.failure)
         return EXIT_OK
@@ -323,7 +322,7 @@ def run():
     SystemExit included, ``gc.freeze()`` runs first, so the interpreter's
     shutdown skips its full collections over objects the OS reclaims anyway.
     That is safe: zetacomb has no ``__del__`` and no weakref callbacks, and
-    ``main`` has written, flushed and closed all output before it returns.
+    ``main`` has written and flushed all output before it returns.
     Atexit handlers and the final flush of the std streams still run
     (``_write`` relies on the latter). ``main`` freezes nothing, because
     frozen objects are never collected and its callers may live on.

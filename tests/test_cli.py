@@ -221,45 +221,20 @@ def test_determinism(capsys):
     assert first == second
 
 
-@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
-@pytest.mark.parametrize("command", [["coeffs", "--m", "9"], ["eta", "--max", "9"]], ids=["coeffs", "eta"])
-def test_out_flag_matches_stdout(command, fmt, tmp_path, capsys):
-    argv = [*command, "--format", fmt]
-    _, streamed, _ = run(argv, capsys)
-    target = tmp_path / "result"
-    code, out, _ = run([*argv, "--out", str(target)], capsys)
-    assert code == 0
-    assert out == ""
-    assert target.read_bytes() == streamed.encode()
-
-
-# --out is the one flag that names an output path; an empty path names no
-# file, so it is an unwritable path, not stdout
-@pytest.mark.parametrize(
-    "target", [pytest.param("{tmp}/missing/x", id="--out"), pytest.param("", id="--out-empty")]
-)
-def test_unwritable_output_exits_2(target, tmp_path, capsys):
-    target = target.format(tmp=tmp_path)
-    code, out, err = run(["coeffs", "--m", "3", "--out", target], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1
-    assert err.startswith(f"zetacomb: error: cannot write {target}: ")
-    assert "stdout" not in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["coeffs", "--m", "1", "--route", "riordan"],
         ["matrices", "--m", "1", "--fixtures", "{tmp}/D"],
         ["verify", "--m", "1", "--samples", "1/2"],
+        ["coeffs", "--m", "1", "--out", "{tmp}/D"],
     ],
-    ids=["coeffs-route", "matrices-fixtures", "verify-samples"],
+    ids=["coeffs-route", "matrices-fixtures", "verify-samples", "coeffs-out"],
 )
 def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
     # coeffs prints the one production matrix; --check-all-routes compares the routes;
-    # verify proves the identity at every x, so no sample point can change its verdict
+    # verify proves the identity at every x, so no sample point can change its verdict;
+    # every result goes to stdout, its one output channel (redirect it with > FILE)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -307,13 +282,26 @@ def test_closed_stdout_exits_2():
     "argv, code, stdout",
     [
         (["coeffs", "--m", "1", "--check-all-routes", "--format", "csv"], 0, "1/2,0\n0,1/4\n"),
-        (["coeffs", "--m", "1", "--out", "{tmp}/missing/x"], 2, ""),
+        # usage errors: argparse would print its usage line to stdout
+        (["coeffs", "--m", "-1"], 2, ""),
+        (["coeffs"], 2, ""),
+        (["bogus"], 2, ""),
+        (["coeffs", "--m", "1", "extra"], 2, ""),
     ],
-    ids=["routes-agree", "unwritable-out"],
+    ids=["routes-agree", "negative-m", "missing-flag", "unknown-command", "extra-argument"],
 )
-def test_closed_stderr_keeps_diagnostics_off_stdout(argv, code, stdout, tmp_path):
-    proc = run_with_closed_fd(2, [arg.format(tmp=tmp_path) for arg in argv])
+def test_closed_stderr_keeps_diagnostics_off_stdout(argv, code, stdout):
+    proc = run_with_closed_fd(2, argv)
     assert (proc.returncode, proc.stdout) == (code, stdout)
+
+
+def test_closed_stderr_keeps_the_usage_line_off_stdout(monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", None)
+        with pytest.raises(SystemExit) as info:
+            main(["coeffs", "--m", "-1"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_closed_stderr_keeps_the_exit_1_line_off_stdout(monkeypatch, capsys):
@@ -438,7 +426,7 @@ def test_each_command_takes_its_own_flags_then_the_shared_ones(command):
     ]
     sub = commands.choices[command]
     assert tuple(a.option_strings[0] for a in sub._actions) == (
-        "-h", *COMMAND_FLAGS[command], "--format", "--out", "--cap"
+        "-h", *COMMAND_FLAGS[command], "--format", "--cap"
     )
     assert sub.get_default("cap") == 64
     assert sub.get_default("run") is getattr(cli, f"cmd_{command}")
@@ -601,26 +589,6 @@ def test_conjecture_violations_render(fmt, expected, monkeypatch, capsys):
     monkeypatch.setattr(cli, "scan_sign_pattern", lambda max_m: PLANTED_FINDING)
     code, out, err = run(["conjecture", "--max", "3", "--format", fmt], capsys)
     assert (code, out, err) == (1, expected, "sign violation: (2, 0) = 1/4, expected negative\n")
-
-
-@pytest.mark.parametrize("fmt", ["pretty", "json", "csv"])
-@pytest.mark.parametrize(
-    "patch, argv, failure",
-    [
-        (("verify_combination", lambda m: FAILED_REPORT), ["verify", "--m", "2"],
-         "violation: row 1, sample 1/2, residual -3/4\n"),
-        (("scan_sign_pattern", lambda max_m: PLANTED_FINDING), ["conjecture", "--max", "3"],
-         "sign violation: (2, 0) = 1/4, expected negative\n"),
-    ],
-    ids=["verify", "conjecture"],
-)
-def test_a_failed_check_writes_its_out_file_first(patch, argv, failure, fmt, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, *patch)
-    argv = [*argv, "--format", fmt]
-    _, streamed, _ = run(argv, capsys)
-    target = tmp_path / "result"
-    assert run([*argv, "--out", str(target)], capsys) == (1, "", failure)
-    assert target.read_bytes() == streamed.encode()
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
