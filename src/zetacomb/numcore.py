@@ -2,7 +2,9 @@
 
 Every quantity in this package is a ``fractions.Fraction``: arithmetic is
 exact and canonical (reduced form, positive denominator, unique zero), so
-matrix entries can be compared structurally against reference tables.
+matrix entries can be compared structurally against reference tables. Hot
+paths build and read one through its ``_numerator`` and ``_denominator``
+slots: on Python 3.10-3.13 its public properties are Python calls.
 
 A :class:`Poly` carries a basis tag because the same function is expanded
 here both in powers of x and in powers of (x+1); ``rebase`` converts
@@ -33,9 +35,10 @@ class Basis(enum.Enum):
 
 def _over_lcm(values) -> tuple[list[int], int]:
     """(c, d) with values[k] = c[k]/d and d the lcm of the denominators;
-    ``([], 1)`` for no values. ``values`` is read twice: pass a sequence."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    ``([], 1)`` for no values. ``values`` is read twice: pass a sequence,
+    of ``Fraction``s only (a subclass too), since their slots are read."""
+    scale = lcm(*(v._denominator for v in values))
+    return [v._numerator * (scale // v._denominator) for v in values], scale
 
 
 class _Value:

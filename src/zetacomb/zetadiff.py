@@ -186,7 +186,7 @@ class CoeffReport(_Value):
         entries = matrix.entries
         for i in range(m + 1):
             d = entries[i * (i + 3) // 2]  # the (i, i) entry
-            if not (d.numerator == 1 and d.denominator == 1 << (i + 1)):
+            if not (d._numerator == 1 and d._denominator == 1 << (i + 1)):
                 raise ValueError(f"diagonal entry {i} must be 1/2^{i + 1}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "matrix", matrix)
@@ -229,6 +229,13 @@ def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
 _ZERO = Fraction(0)
 
 
+def _dyadic(c: int, n: int) -> Fraction:  # c/2^n in lowest terms, for c != 0
+    t = min((c & -c).bit_length() - 1, n)
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = c >> t, 1 << (n - t)
+    return value
+
+
 class _RiordanTable:
     """The packed entries of (a_{i,j}), grown row by row as they are asked for,
     and the sign violations among them, classified once.
@@ -241,14 +248,14 @@ class _RiordanTable:
 
         U(n, k) = U(n-1, k-1) - k(k+1) U(n-1, k+1),   U(0, k) = [k = 0],
 
-    so each entry reduces against a power of two alone. The entries do not
-    depend on m, so the matrix at m is the leading block of the matrix at
-    any larger m, and its packed row-major entries are the first
-    (m+1)(m+2)/2 of the table. Only the last U row is kept; a larger m
-    steps it on for the new rows alone, which are published by one
-    ``extend`` of a finished list. U(n, k) vanishes when n - k is odd, so
-    half the entries are zero; they all share ``_ZERO`` rather than each
-    normalising a ``Fraction(0, d)``.
+    so each entry is an integer over 2^n, reduced by a shift by U's trailing
+    zero bits (``_dyadic``), with no gcd. The entries do not depend on m, so
+    the matrix at m is the leading block of the matrix at any larger m, and
+    its packed row-major entries are the first (m+1)(m+2)/2 of the table.
+    Only the last U row is kept; a larger m steps it on for the new rows
+    alone, which are published by one ``extend`` of a finished list. U(n, k)
+    vanishes when n - k is odd, so half the entries are zero; they all share
+    ``_ZERO`` rather than each normalising a ``Fraction(0, d)``.
 
     The sign scan is a prefix too: entry i of ``_signs`` holds the
     violations of matrix row i against the pattern of ``SignPatternFinding``,
@@ -285,7 +292,7 @@ class _RiordanTable:
                     base, row = i * (i + 1) // 2, []
                     for j, value in enumerate(self._entries[base : base + i]):
                         sign, expected = _PATTERN[(i - j) % 4]
-                        num = value.numerator
+                        num = value._numerator
                         if (num > 0) - (num < 0) != sign:
                             row.append(SignViolation(i, j, value, expected))
                     signs.append(row)
@@ -296,7 +303,7 @@ class _RiordanTable:
         for n in range(len(u), m + 2):
             padded = [*u, 0, 0]
             u = [0, *(padded[k - 1] - k * (k + 1) * padded[k + 1] for k in range(1, n + 1))]
-            new += [Fraction(c, 1 << n) if c else _ZERO for c in u[1:]]
+            new += [_dyadic(c, n) if c else _ZERO for c in u[1:]]
         self._entries.extend(new)
         self._u_row = u
 
@@ -314,7 +321,7 @@ def combination_matrix(m: int) -> CoeffReport:
     A = F G^{-1} = [2e^s/(e^s+1)^2, tanh(s/2)]. Since g = h', entry (i, j)
     is (i+1)!/(j+1)! [s^{i+1}] tanh(s/2)^{j+1} = U(i+1, j+1)/2^{i+1} with
     the integers U stepped row by row (``_RiordanTable``): O(m^2) integer
-    steps and one ``Fraction`` per entry, reduced against a power of two.
+    steps and one ``Fraction`` per entry, reduced by a shift, with no gcd.
 
     Cached on the value of m: ``combination_matrix(9)`` and
     ``combination_matrix(m=9)`` share one entry, and an m that is not an
@@ -496,7 +503,9 @@ def compare_stirling2_matrix(m: int) -> tuple[int, int] | None:
     e^s/(e^s+1). The matrices still differ for every m >= 1, because h
     differs from tanh(s/2), and the first mismatch is always (1, 0):
     a_{1,0} = U(2, 1)/4 = 0, while the candidate is S(2, 1)/2 = 1/2. At
-    m = 0 both are [[1/2]].
+    m = 0 both are [[1/2]]. Both factor through S = (S(i+1, r+1)) and
+    D = diag(1/2^{r+1}): the candidate is S D diag((-1)^j), and A = S D L
+    with L the signed Lah numbers (-1)^{r-j} L(r+1, j+1).
 
     Reads ``combination_matrix(m)``; entry p/q equals the candidate iff
     p 2^{j+1} = (-1)^j S(i+1, j+1) q, so no candidate ``Fraction`` is

@@ -6,7 +6,8 @@ recurrence, polynomial expansion instead of the Stirling recurrence,
 explicit partition enumeration instead of the triangle, Pascal's rule
 instead of math.comb, the paper's Stirling double sum for the G table
 instead of its three-term recurrence, tanh as the quotient of the sinh and
-cosh series instead of the derivative recurrence of its powers. The
+cosh series instead of the derivative recurrence of its powers, the
+combination matrix as a Stirling-Lah product instead of the U table. The
 ``Fraction`` evaluators at the end (rising factorials for G, powers for
 B_n(z), Horner for a polynomial, the power-by-power Neumann sum for an
 inverse, the Taylor shift for a change of basis and the candidate-by-
@@ -303,6 +304,50 @@ def first_stirling2_mismatch_fraction(matrix, stirling2):
             if matrix.get(i, j) != candidate:
                 return (i, j)
     return None
+
+
+def stirling2_rows(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of S(n, k), by S(n, k) = k S(n-1, k) + S(n-1, k-1)."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = [*rows[-1], 0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    return rows
+
+
+def lah_rows(n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of the unsigned Lah numbers L(n, k) = C(n-1, k-1) n!/k!,
+    by L(n+1, k) = (n+k) L(n, k) + L(n, k-1)."""
+    rows = [[1]]
+    for n in range(n_max):
+        prev = [*rows[-1], 0]
+        rows.append([0] + [(n + k) * prev[k] + prev[k - 1] for k in range(1, n + 2)])
+    return rows
+
+
+def combination_matrix_stirling_lah(m: int, lah=None) -> list[tuple[Fraction, ...]]:
+    """Rows 0..m of (a_{i,j}) as the product S D L of three triangles:
+
+        a_{i,j} = sum_{r=j}^{i} S(i+1, r+1) (-1)^{r-j} L(r+1, j+1) / 2^{r+1}.
+
+    Arrays [h', h] multiply by composing their h, and tanh(s/2) = y/(1+y)
+    with y = (e^s - 1)/2: S = [e^s, e^s - 1] holds the S(i+1, r+1),
+    D = [1/2, s/2] and L = [1/(1+s)^2, s/(1+s)] the signed Lah numbers.
+    S and L come from their own recurrences; ``lah`` replaces L's rows
+    (``lah_rows(m + 1)``), so a planted fault can be tried.
+    """
+    s2 = stirling2_rows(m + 1)
+    lah = lah_rows(m + 1) if lah is None else lah
+    return [
+        tuple(
+            Fraction(
+                sum(s2[i + 1][r + 1] * (-1) ** (r - j) * lah[r + 1][j + 1] << (i - r) for r in range(j, i + 1)),
+                1 << (i + 1),
+            )
+            for j in range(i + 1)
+        )
+        for i in range(m + 1)
+    ]
 
 
 def sign_violations(entries, m: int) -> list[tuple]:

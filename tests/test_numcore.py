@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,3 +102,20 @@ def test_over_lcm_puts_values_over_the_lcm_of_their_denominators(values):
     assert scale == reduce(lambda a, b: a * b // gcd(a, b), (v.denominator for v in values), 1)
     assert all(type(c) is int for c in nums)
     assert [Fraction(c, scale) for c in nums] == values
+
+
+class _Tagged(Fraction):
+    """A ``Fraction`` subclass: it inherits the slots that ``_over_lcm`` reads."""
+
+
+def _over_lcm_by_properties(values):
+    # _over_lcm as it was, through the public numerator and denominator
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+@given(st.lists(st.one_of(rationals, non_dyadic, st.integers(-50, 50).map(Fraction), rationals.map(_Tagged))))
+@example([])
+@example([Fraction(-55), _Tagged(-3, 4), Fraction(5, 6), Fraction(0)])
+def test_over_lcm_reads_the_slots_as_the_properties_would(values):
+    assert _over_lcm(values) == _over_lcm_by_properties(values)

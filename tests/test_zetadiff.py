@@ -477,6 +477,36 @@ def test_riordan_table_grows_consistently_under_threads():
     assert table.sign_violations(48) == scans[48]
 
 
+def test_fraction_keeps_the_two_slots_the_table_writes_and_reads():
+    assert Fraction.__slots__ == ("_numerator", "_denominator"), (
+        "fractions.Fraction no longer keeps _numerator and _denominator: zetadiff._dyadic, "
+        "the table's readers and numcore._over_lcm must fall back to the public "
+        "constructor and the numerator and denominator properties"
+    )
+
+
+def test_each_table_entry_to_200_is_the_fraction_of_the_public_constructor():
+    # U(n, k) stepped here by its recurrence; entry U(n, k)/2^n, built through the
+    # slots, must be Fraction(U(n, k), 2^n) down to its hash and its text
+    combination_matrix.cache_clear()
+    entries = combination_matrix(200).matrix.entries
+    u, index = [1], 0
+    for n in range(1, 202):
+        padded = [*u, 0, 0]
+        u = [0, *(padded[k - 1] - k * (k + 1) * padded[k + 1] for k in range(1, n + 1))]
+        for c in u[1:]:
+            got, want = entries[index], Fraction(c, 1 << n)
+            assert type(got) is Fraction, (n, c)
+            assert (got.numerator, got.denominator, hash(got), str(got)) == (
+                want.numerator, want.denominator, hash(want), str(want),
+            ), (n, c)
+            assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1, (n, c)
+            index += 1
+    assert index == len(entries)
+    assert str(entries[_packed_index(8, 2)]) == "-55"  # reduces to an integer
+    assert any(e.numerator < 0 for e in entries)
+
+
 def test_riordan_miss_wraps_the_table_entries():
     combination_matrix.cache_clear()
     for m in (9, 3, 20):
@@ -1000,6 +1030,29 @@ def test_compare_stirling2_matches_the_fraction_candidates_to_64():
     for m in range(65):
         matrix = combination_matrix(m).matrix
         assert compare_stirling2_matrix(m) == oracles.first_stirling2_mismatch_fraction(matrix, stirling2), m
+
+
+def test_the_stirling_and_lah_triangles_of_the_oracle_match_their_closed_forms():
+    s2, lah = oracles.stirling2_rows(20), oracles.lah_rows(20)
+    for n in range(21):
+        for k in range(n + 1):
+            explicit = sum((-1) ** (k - t) * math.comb(k, t) * t**n for t in range(k + 1)) // math.factorial(k)
+            assert s2[n][k] == explicit, (n, k)
+            closed = math.comb(n - 1, k - 1) * math.factorial(n) // math.factorial(k) if k else int(n == 0)
+            assert lah[n][k] == closed, (n, k)
+
+
+def test_combination_matrix_is_the_stirling_lah_product_to_64():
+    # the product shares no table with the library; the matrix at m is the
+    # leading block of the matrix at 64, so this covers every m <= 64
+    assert combination_matrix(64).matrix.rows() == oracles.combination_matrix_stirling_lah(64)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (9, 4), (40, 2), (65, 65)])
+def test_a_fault_in_one_lah_number_breaks_the_stirling_lah_product(n, k):
+    lah = oracles.lah_rows(65)
+    lah[n][k] += 1
+    assert combination_matrix(64).matrix.rows() != oracles.combination_matrix_stirling_lah(64, lah)
 
 
 def test_compare_stirling2_moves_past_a_doctored_entry():
