@@ -39,7 +39,7 @@ from threading import Lock
 
 from . import _EXPORTS
 from .combinat import (
-    _TANGENT_TABLE, _require_exact, _require_nonnegative, bernoulli_number, binomial, stirling1, stirling2,
+    _TANGENT_TABLE, _require_exact, _require_nonnegative, _stirling_row, bernoulli_number, binomial, stirling1,
 )
 from .numcore import Basis, _over_lcm, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
@@ -206,9 +206,8 @@ class CoeffReport(_Value):
     def _stirling2_mismatch(self) -> tuple[int, int] | None:
         entries = iter(self.matrix.entries)
         for i in range(self.m + 1):
-            for j, a in zip(range(i + 1), entries):
-                s = stirling2(i + 1, j + 1)
-                if a.numerator << (j + 1) != (-s if j % 2 else s) * a.denominator:
+            for j, s, a in zip(range(i + 1), _stirling_row("second", i + 1)[1:], entries):
+                if a._numerator << (j + 1) != (-s if j % 2 else s) * a._denominator:
                     return (i, j)
         return None
 
@@ -229,13 +228,6 @@ def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
 _ZERO = Fraction(0)
 
 
-def _dyadic(c: int, n: int) -> Fraction:  # c/2^n in lowest terms, for c != 0
-    t = min((c & -c).bit_length() - 1, n)
-    value = object.__new__(Fraction)
-    value._numerator, value._denominator = c >> t, 1 << (n - t)
-    return value
-
-
 class _RiordanTable:
     """The packed entries of (a_{i,j}), grown row by row as they are asked for,
     and the sign violations among them, classified once.
@@ -246,21 +238,23 @@ class _RiordanTable:
     3.3). Since d/ds tanh^k = k (tanh^{k-1} - tanh^{k+1}) (Hoffman, Amer.
     Math. Monthly 1995), dividing by k! gives
 
-        U(n, k) = U(n-1, k-1) - k(k+1) U(n-1, k+1),   U(0, k) = [k = 0],
+        U(n, k) = U(n-1, k-1) - k(k+1) U(n-1, k+1),   U(0, k) = [k = 0].
 
-    so each entry is an integer over 2^n, reduced by a shift by U's trailing
-    zero bits (``_dyadic``), with no gcd. The entries do not depend on m, so
-    the matrix at m is the leading block of the matrix at any larger m, and
-    its packed row-major entries are the first (m+1)(m+2)/2 of the table.
-    Only the last U row is kept; a larger m steps it on for the new rows
-    alone, which are published by one ``extend`` of a finished list. U(n, k)
-    vanishes when n - k is odd, so half the entries are zero; they all share
-    ``_ZERO`` rather than each normalising a ``Fraction(0, d)``.
+    U(n, k) = 0 when n - k is odd, so only the nonzero half of the last U
+    row is kept, v[i] = U(n, k) with k = n - 2i >= 1, stepped as
+    v[i] - k(k+1) v[i-1]; the zeros are placed by parity as ``_ZERO``, and
+    the paper's routes and the forms check still prove them. Each nonzero
+    entry, an integer over 2^n, is reduced by a shift by U's trailing zero
+    bits, with no gcd, and written through its ``Fraction`` slots, with one
+    shared ``int`` per power of two as denominators. The entries do not
+    depend on m, so the matrix at m is the leading block of the matrix at
+    any larger m: the first (m+1)(m+2)/2 packed row-major entries. A larger
+    m steps v on for the new rows alone, published by one ``extend``.
 
-    The sign scan is a prefix too: entry i of ``_signs`` holds the
-    violations of matrix row i against the pattern of ``SignPatternFinding``,
-    so each row is classified once per process and a scan to m joins the
-    first m+1 entries.
+    The sign scan is a prefix too: the violations of the rows classified so
+    far are kept row-major in one list, with a running count per row, so
+    each row is classified once per process and a scan to m is one slice.
+    It reads the published entries, so it still sees a doctored table.
     """
 
     def __init__(self) -> None:
@@ -270,9 +264,11 @@ class _RiordanTable:
 
     def clear(self) -> None:
         with self._lock:
-            self._u_row = [1]  # U row n; matrix rows 0..n-1 are built
+            self._v_row = [1]  # U(n, n - 2i) of U row n; matrix rows 0..n-1 are built
+            self._powers = [1]  # 1 << p for p <= n, the entries' denominators
             self._entries: list[Fraction] = []
-            self._signs: list[list[SignViolation]] = []  # row i's violations; rows 0..len-1 are classified
+            self._violations: list[SignViolation] = []  # of the classified rows, row-major
+            self._counts: list[int] = []  # entry i: how many violations rows 0..i hold
 
     def packed(self, m: int) -> list[Fraction]:
         size = (m + 1) * (m + 2) // 2
@@ -285,27 +281,40 @@ class _RiordanTable:
         """The strictly below-diagonal entries of rows 0..m whose sign breaks
         the pattern, row-major; each row is classified once."""
         with self._lock:
-            signs = self._signs
-            if len(signs) <= m:
+            found, counts = self._violations, self._counts
+            if len(counts) <= m:
                 self._grow(m)  # builds nothing if rows 0..m are already there
-                for i in range(len(signs), m + 1):
-                    base, row = i * (i + 1) // 2, []
-                    for j, value in enumerate(self._entries[base : base + i]):
-                        sign, expected = _PATTERN[(i - j) % 4]
-                        num = value._numerator
-                        if (num > 0) - (num < 0) != sign:
-                            row.append(SignViolation(i, j, value, expected))
-                    signs.append(row)
-            return tuple(v for row in signs[: m + 1] for v in row)
+                for i in range(len(counts), m + 1):
+                    base = i * (i + 1) // 2
+                    row = self._entries[base : base + i]
+                    rev = [value._numerator for value in reversed(row)]  # by d = i - j = 1, 2, ...
+                    # a row with a d = 4 entry (i >= 4) that keeps the pattern passes three tests in C
+                    if i < 4 or any(rev[0::2]) or max(rev[1::4]) >= 0 or min(rev[3::4]) <= 0:
+                        for j, value in enumerate(row):
+                            sign, expected = _PATTERN[(i - j) % 4]
+                            num = value._numerator
+                            if (num > 0) - (num < 0) != sign:
+                                found.append(SignViolation(i, j, value, expected))
+                    counts.append(len(found))
+            return tuple(found[: counts[m]])
 
     def _grow(self, m: int) -> None:
-        u, new = self._u_row, []
-        for n in range(len(u), m + 2):
-            padded = [*u, 0, 0]
-            u = [0, *(padded[k - 1] - k * (k + 1) * padded[k + 1] for k in range(1, n + 1))]
-            new += [_dyadic(c, n) if c else _ZERO for c in u[1:]]
+        v, powers, new = self._v_row, self._powers, []
+        for n in range(len(powers), m + 2):
+            powers.append(1 << n)
+            v = [v[0], *(a - k * (k + 1) * b for a, b, k in zip([*v[1:], 0], v, range(n - 2, 0, -2)))]
+            halves = []
+            for c in v:  # t = min(trailing zero bits of c, n); a 0 (a doctored row) is 0/1
+                low = c | powers[n]
+                t = (low & -low).bit_length() - 1
+                value = object.__new__(Fraction)
+                value._numerator, value._denominator = c >> t, powers[n - t]
+                halves.append(value)
+            row = [_ZERO] * n
+            row[n - 1 :: -2] = halves
+            new += row
         self._entries.extend(new)
-        self._u_row = u
+        self._v_row = v
 
 
 _RIORDAN_TABLE = _RiordanTable()
@@ -321,7 +330,9 @@ def combination_matrix(m: int) -> CoeffReport:
     A = F G^{-1} = [2e^s/(e^s+1)^2, tanh(s/2)]. Since g = h', entry (i, j)
     is (i+1)!/(j+1)! [s^{i+1}] tanh(s/2)^{j+1} = U(i+1, j+1)/2^{i+1} with
     the integers U stepped row by row (``_RiordanTable``): O(m^2) integer
-    steps and one ``Fraction`` per entry, reduced by a shift, with no gcd.
+    steps and one ``Fraction`` per nonzero entry, reduced by a shift, with no
+    gcd; the zeros (i - j odd) are placed by parity, and the four routes and
+    ``verify_polynomial_forms`` still prove them.
 
     Cached on the value of m: ``combination_matrix(9)`` and
     ``combination_matrix(m=9)`` share one entry, and an m that is not an
@@ -459,8 +470,9 @@ class SignPatternFinding(namedtuple("SignPatternFinding", "max_m checked violati
     Hence U(n, k) = I^{n-k} T(n, k): sign (-1)^{(n-k)/2} when n - k is
     even, 0 when n - k is odd, and sign a_{i,j} = (-1)^{(i-j)/2}. The zeros
     also follow from parity alone: A = [sech^2(s/2)/2, tanh(s/2)] has an
-    even g and an odd h, so column j, g h^j / j!, has the parity of j. The
-    scan is a regression check of the built matrix against the theorem.
+    even g and an odd h, so column j, g h^j / j!, has the parity of j, and
+    the table places them by it. The scan is a regression check of the
+    built matrix against the theorem; its zero test guards a doctored table.
     """
 
     __slots__ = ()

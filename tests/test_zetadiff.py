@@ -319,22 +319,26 @@ def test_cache_clear_empties_riordan_table():
     scan_sign_pattern(20)
     combination_matrix.cache_clear()
     assert combination_matrix.cache_info().currsize == 0
-    assert zetadiff._RIORDAN_TABLE._entries == []
-    assert zetadiff._RIORDAN_TABLE._u_row == [1]
-    assert zetadiff._RIORDAN_TABLE._signs == []
+    table = zetadiff._RIORDAN_TABLE
+    assert table._entries == []
+    assert table._v_row == [1]
+    assert table._powers == [1]
+    assert table._violations == []
+    assert table._counts == []
 
 
-# Once the table holds m = 10 it keeps U row 11, and a larger m steps that
-# row on; U(n, n) = U(n-1, n-1), so a fault below its diagonal stays below
-# the diagonal of every later row, and a fault on it moves every later one.
+# Once the table holds m = 10 it keeps the nonzero half of U row 11,
+# v[i] = U(11, 11 - 2i), and a larger m steps that row on; U(n, n) =
+# U(n-1, n-1), so a fault below its diagonal stays below the diagonal of
+# every later row, and a fault on it moves every later one.
 
 
-@pytest.mark.parametrize("k", range(11))
+@pytest.mark.parametrize("k", range(1, 11, 2))
 def test_a_fault_below_the_diagonal_of_the_u_row_fails_every_check(k):
     combination_matrix.cache_clear()
     try:
         combination_matrix(10)
-        zetadiff._RIORDAN_TABLE._u_row[k] += 1
+        zetadiff._RIORDAN_TABLE._v_row[(11 - k) // 2] += 1  # U(11, k)
         assert cli.main(["coeffs", "--check-all-routes", "--m", "20"]) == 1
         assert not verify_polynomial_forms(20)
         # the weighted sum of row i is (U(i, 0) + U(i, 1))/2^{i+1}, so the eta
@@ -349,7 +353,7 @@ def test_a_fault_on_the_diagonal_of_the_u_row_is_refused():
     combination_matrix.cache_clear()
     try:
         combination_matrix(10)
-        zetadiff._RIORDAN_TABLE._u_row[-1] += 1  # U(11, 11)
+        zetadiff._RIORDAN_TABLE._v_row[0] += 1  # U(11, 11)
         with pytest.raises(ValueError, match=r"diagonal entry 11 must be 1/2\^12"):
             combination_matrix(20)
     finally:
@@ -397,7 +401,9 @@ def test_default_scan_reports_a_doctored_table_entry_from_its_row_on(order):
 
 
 @pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("cells", [[], [(1, 0), (17, 5), (40, 38), (40, 39), (64, 0), (64, 63)]])
+@pytest.mark.parametrize(
+    "cells", [[], [(1, 0), (17, 5), (40, 38), (40, 39), (64, 0), (64, 63)], [(33, 0), (50, 2), (64, 2)]]
+)
 def test_default_scan_matches_a_full_scan_of_the_matrix(order, cells):
     try:
         _doctor_shared_table(64, cells)
@@ -479,9 +485,9 @@ def test_riordan_table_grows_consistently_under_threads():
 
 def test_fraction_keeps_the_two_slots_the_table_writes_and_reads():
     assert Fraction.__slots__ == ("_numerator", "_denominator"), (
-        "fractions.Fraction no longer keeps _numerator and _denominator: zetadiff._dyadic, "
-        "the table's readers and numcore._over_lcm must fall back to the public "
-        "constructor and the numerator and denominator properties"
+        "fractions.Fraction no longer keeps _numerator and _denominator: "
+        "zetadiff._RiordanTable._grow, the table's readers and numcore._over_lcm must fall "
+        "back to the public constructor and the numerator and denominator properties"
     )
 
 
@@ -505,6 +511,14 @@ def test_each_table_entry_to_200_is_the_fraction_of_the_public_constructor():
     assert index == len(entries)
     assert str(entries[_packed_index(8, 2)]) == "-55"  # reduces to an integer
     assert any(e.numerator < 0 for e in entries)
+
+
+def test_table_entries_share_one_denominator_per_power_of_two():
+    combination_matrix.cache_clear()
+    entries = combination_matrix(120).matrix.entries
+    powers = zetadiff._RIORDAN_TABLE._powers
+    assert powers == [1 << p for p in range(122)]
+    assert all(e._denominator is powers[e._denominator.bit_length() - 1] for e in entries if e)
 
 
 def test_riordan_miss_wraps_the_table_entries():
