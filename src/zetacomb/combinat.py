@@ -45,13 +45,15 @@ def _require_exact(point) -> Fraction:
     return Fraction(point)
 
 
+def _entry(n: int, k: int) -> tuple[int, int]:
+    """A triangle's (n, k): n checked as a size, k read through ``operator.index``."""
+    return _require_nonnegative(n, "n"), k if type(k) is int else index(k)
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), with 0 outside 0 <= k <= n. Requires n >= 0."""
-    n = _require_nonnegative(n, "n")
-    k = k if type(k) is int else index(k)
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
+    n, k = _entry(n, k)
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 class _TangentTable:
@@ -165,11 +167,8 @@ def stirling1(n: int, k: int) -> int:
     >>> stirling1(3, 2)
     -3
     """
-    n = _require_nonnegative(n, "n")
-    k = k if type(k) is int else index(k)
-    if k < 0 or k > n:
-        return 0
-    return _stirling_row("first", n)[k]
+    n, k = _entry(n, k)
+    return _stirling_row("first", n)[k] if 0 <= k <= n else 0
 
 
 def stirling2(n: int, k: int) -> int:
@@ -178,9 +177,6 @@ def stirling2(n: int, k: int) -> int:
     >>> stirling2(4, 2)
     7
     """
-    n = _require_nonnegative(n, "n")
-    k = k if type(k) is int else index(k)
-    if k < 0 or k > n:
-        return 0
-    return _stirling_row("second", n)[k]
+    n, k = _entry(n, k)
+    return _stirling_row("second", n)[k] if 0 <= k <= n else 0
 

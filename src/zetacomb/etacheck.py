@@ -10,10 +10,9 @@ raised, never returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from . import _EXPORTS
-from .combinat import _require_nonnegative, bernoulli_number, stirling2
+from .combinat import _require_nonnegative, _stirling_row, bernoulli_number
 from .zetadiff import _weighted_row_sum, combination_matrix
 
 __all__ = _EXPORTS["etacheck"]
@@ -51,9 +50,13 @@ def eta_via_coeff_row(m: int) -> Fraction:
 
 
 def eta_via_stirling2(m: int) -> Fraction:
-    """eta(-m) = sum_{j=0}^{m} (-1)^j / 2^{j+1} * S(m+1, j+1) * j!."""
+    """eta(-m) = sum_{j=0}^{m} (-1)^j / 2^{j+1} * S(m+1, j+1) * j!, over one Stirling-2 row."""
     m = _require_nonnegative(m, "m")
-    total = sum((-1) ** j * stirling2(m + 1, j + 1) * factorial(j) << (m - j) for j in range(m + 1))
+    total, j_factorial = 0, 1
+    for j, s in enumerate(_stirling_row("second", m + 1)[1:]):
+        if j:
+            j_factorial *= j
+        total += (-s if j % 2 else s) * j_factorial << (m - j)
     return Fraction(total, 1 << (m + 1))
 
 

@@ -46,7 +46,7 @@ from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitu
 
 __all__ = _EXPORTS["zetadiff"]
 
-#: Default sample points: integers, a dyadic, and a non-dyadic rational.
+#: The fixed points of ``verify_combination``: integers, a dyadic, a non-dyadic rational.
 DEFAULT_SAMPLES: tuple[Fraction, ...] = (
     Fraction(0),
     Fraction(1, 2),
@@ -387,20 +387,19 @@ class VerificationReport(namedtuple("VerificationReport", "m samples passed viol
     __slots__ = ()
 
 
-def verify_combination(m: int, samples: tuple[Fraction, ...] = DEFAULT_SAMPLES) -> VerificationReport:
+def verify_combination(m: int) -> VerificationReport:
     """Check the combination identity of ``combination_matrix(m)`` row by row
-    at the given sample points.
+    at the fixed points ``DEFAULT_SAMPLES``; ``verify_polynomial_forms``
+    proves it at every x.
 
     F and G are evaluated directly (Bernoulli closed form, terminating
     hypergeometric sum), independently of how the matrix was built. Pass
     means every residual is exactly zero. Each residual is an integer dot
     product, a ``Fraction`` only when nonzero; violations come row by row,
-    samples in the order given.
+    points in order.
     """
     m = _require_nonnegative(m, "m")
-    samples = tuple(map(_require_exact, samples))  # an iterator is read once
-    if not samples:
-        raise ValueError("samples must be nonempty")
+    samples = DEFAULT_SAMPLES
     report = combination_matrix(m)
     rows, scale = _scaled_rows(report.matrix)
     g_at = []

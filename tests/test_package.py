@@ -146,12 +146,6 @@ def test_a_negative_size_is_a_value_error(name, args, size):
         getattr(zetacomb, name)(*args)
 
 
-@pytest.mark.parametrize("samples", [[], [0.5]], ids=["no-samples", "float-sample"])
-def test_verify_combination_refuses_a_negative_m_before_it_reads_the_samples(samples):
-    with pytest.raises(ValueError, match="^m must be >= 0$"):
-        zetacomb.verify_combination(-1, samples)
-
-
 @pytest.mark.parametrize("name, args, size", NEGATIVE_SIZE_CALLS, ids=[c[0] for c in NEGATIVE_SIZE_CALLS])
 def test_a_float_size_is_a_type_error_after_the_int_has_run(name, args, size):
     function = getattr(zetacomb, name)
@@ -174,7 +168,6 @@ POINT_CALLS = {
     "zeta_diff": lambda x: zetacomb.zeta_diff(3, x),
     "hyper_poly": lambda x: zetacomb.hyper_poly(3, x),
     "bernoulli_poly": lambda x: zetacomb.bernoulli_poly(3, x),
-    "verify_combination": lambda x: zetacomb.verify_combination(3, [x]),
 }
 
 

@@ -728,19 +728,27 @@ def _plant(monkeypatch, tables=None, matrix=None):
 
 
 def test_verify_combination_default_window():
-    report = verify_combination(9)
+    for m in (0, 1, 9):
+        report = verify_combination(m)
+        assert report.passed
+        assert report.violations == ()
+        assert report.samples == DEFAULT_SAMPLES
+    with pytest.raises(TypeError):
+        verify_combination(3, DEFAULT_SAMPLES)
+
+
+def test_verify_combination_m0_custom_sample(monkeypatch):
+    monkeypatch.setattr(zetadiff, "DEFAULT_SAMPLES", (Fraction(17),))
+    report = verify_combination(0)
     assert report.passed
-    assert report.violations == ()
-    assert report.samples == DEFAULT_SAMPLES
+    assert report.samples == (Fraction(17),)
 
 
-def test_verify_combination_m0_custom_sample():
-    report = verify_combination(0, samples=[Fraction(17)])
+def test_verify_combination_m1(monkeypatch):
+    monkeypatch.setattr(zetadiff, "DEFAULT_SAMPLES", (Fraction(0),))
+    report = verify_combination(1)
     assert report.passed
-
-
-def test_verify_combination_m1():
-    assert verify_combination(1, samples=[Fraction(0)]).passed
+    assert report.samples == (Fraction(0),)
 
 
 def test_verify_combination_detects_tampering(monkeypatch):
@@ -749,14 +757,13 @@ def test_verify_combination_detects_tampering(monkeypatch):
     rows[1][0] += 1
     rows[3][0] += Fraction(1, 3)
     bad = LowerTriMatrix.from_rows(rows)
-    samples = (Fraction(7, 3), Fraction(0), Fraction(-1, 2))
     _plant(monkeypatch, matrix=bad)
-    report = verify_combination(3, samples=samples)
+    report = verify_combination(3)
     assert not report.passed
     # G(0, x) = 1, so adding d in column 0 of row i leaves the residual -d at
-    # every sample; violations come row by row, samples in the order given
+    # every point; violations come row by row, points in order
     assert report.violations == tuple(
-        CombinationViolation(i, x, -d) for i, d in ((1, 1), (3, Fraction(1, 3))) for x in samples
+        CombinationViolation(i, x, -d) for i, d in ((1, 1), (3, Fraction(1, 3))) for x in DEFAULT_SAMPLES
     )
 
 
@@ -784,7 +791,9 @@ def test_verify_combination_five_samples_miss_a_fault_that_eight_points_find(mon
     _plant(monkeypatch, matrix=doctored)
     assert verify_combination(m).passed
     eight = tuple(Fraction(p, 3) for p in range(-3, 5))
-    report = verify_combination(m, samples=eight)
+    monkeypatch.setattr(zetadiff, "DEFAULT_SAMPLES", eight)
+    report = verify_combination(m)
+    assert report.samples == eight
     assert not report.passed
     p_at = lambda x: math.prod(x - s for s in DEFAULT_SAMPLES)  # noqa: E731
     assert report.violations == tuple(
@@ -801,13 +810,6 @@ def test_verify_fails_a_matrix_that_five_samples_miss(monkeypatch, capsys):
         "combination identity: PASS (m = 6, samples: 0, 1/2, 1, 2, 7/3)\npolynomial forms: FAIL\n",
         "polynomial forms check failed at m=6\n",
     )
-
-
-def test_verify_combination_rejects_no_samples():
-    # an empty iterator is refused too, not read as a vacuous pass
-    for empty in ((), [], iter([]), (x for x in [])):
-        with pytest.raises(ValueError, match="^samples must be nonempty$"):
-            verify_combination(3, samples=empty)
 
 
 def test_verify_report_json_shape(capsys):
