@@ -50,14 +50,15 @@ def eta_via_coeff_row(m: int) -> Fraction:
 
 
 def eta_via_stirling2(m: int) -> Fraction:
-    """eta(-m) = sum_{j=0}^{m} (-1)^j / 2^{j+1} * S(m+1, j+1) * j!, over one Stirling-2 row."""
+    """eta(-m) = sum_{j=0}^{m} (-1)^j / 2^{j+1} * S(m+1, j+1) * j!, over one Stirling-2 row.
+
+    Summed by Horner from j = m down, multiplying only by j + 1.
+    """
     m = _require_nonnegative(m, "m")
-    total, j_factorial = 0, 1
-    for j, s in enumerate(_stirling_row("second", m + 1)[1:]):
-        if j:
-            j_factorial *= j
-        total += (-s if j % 2 else s) * j_factorial << (m - j)
-    return Fraction(total, 1 << (m + 1))
+    row, acc = _stirling_row("second", m + 1), 0
+    for j in range(m, -1, -1):
+        acc = (row[j + 1] << (m - j)) - (j + 1) * acc
+    return Fraction(acc, 1 << (m + 1))
 
 
 def eta_cross_check(max_m: int) -> list[Fraction]:

@@ -213,16 +213,13 @@ class CoeffReport(_Value):
 
 
 def _weighted_row_sum(row: tuple[Fraction, ...]) -> Fraction:
-    # sum_j a_j j! over the lcm of the denominators, with a running j!;
-    # half of a row of (a_{i,j}) is zero and adds nothing
+    # sum_j a_j j! with a_j = c_j / d over the lcm d of the denominators,
+    # nested by Horner as c_0 + 1 (c_1 + 2 (c_2 + ...)): each step multiplies by the small j
     nums, scale = _over_lcm(row)
-    total, j_factorial = 0, 1
-    for j, c in enumerate(nums):
-        if j:
-            j_factorial *= j
-        if c:
-            total += c * j_factorial
-    return Fraction(total, scale)
+    acc = 0
+    for j in range(len(nums) - 1, 0, -1):
+        acc = (acc + nums[j]) * j
+    return Fraction(acc + nums[0], scale)
 
 
 _ZERO = Fraction(0)

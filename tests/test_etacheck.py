@@ -110,7 +110,15 @@ def test_eta_via_coeff_row_repeat_returns_the_kept_value():
     assert eta_via_coeff_row(11) == first
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 7, 30, 64])
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 30, 64, 200])
+def test_eta_via_stirling2_matches_the_fraction_sum(m):
+    # the route's own formula, summed term by term over the oracle's Stirling-2 row
+    s2 = oracles.stirling2_rows(m + 1)[m + 1]
+    terms = (Fraction((-1) ** j * s2[j + 1] * math.factorial(j), 2 ** (j + 1)) for j in range(m + 1))
+    assert eta_via_stirling2(m) == sum(terms, Fraction(0))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 30, 64, 200])
 def test_weighted_row_sum_matches_the_fraction_sum(m):
     row = combination_matrix(m).matrix.row(m)
     plain = sum((a * math.factorial(j) for j, a in enumerate(row)), Fraction(0))
