@@ -8,7 +8,7 @@ slots: on Python 3.10-3.13 its public properties are Python calls.
 
 A :class:`Poly` carries a basis tag because the same function is expanded
 here both in powers of x and in powers of (x+1); ``rebase`` converts
-between the two without changing the function.
+between the two by ``_newton_to_powers``, the package's one change of basis.
 
 ``_Value`` is the small immutable-value base that ``Poly``,
 ``trimat.LowerTriMatrix`` and ``zetadiff.CoeffReport`` share in place of
@@ -39,6 +39,17 @@ def _over_lcm(values) -> tuple[list[int], int]:
     of ``Fraction``s only (a subclass too), since their slots are read."""
     scale = lcm(*(v._denominator for v in values))
     return [v._numerator * (scale // v._denominator) for v in values], scale
+
+
+def _newton_to_powers(rows: list[list[int]], nodes) -> None:
+    """Rewrite integer rows read in the Newton basis prod_{t<k} (x - nodes[t])
+    in powers of x, in place, by Horner from the top: q <- c_k + (x - nodes[k]) q.
+    Nodes of -1 read powers of x+1; nodes 0, 1, 2, ... falling factorials."""
+    for c in rows:
+        for k in range(len(c) - 2, -1, -1):
+            node = nodes[k]
+            for j in range(k, len(c) - 1):
+                c[j] -= node * c[j + 1]
 
 
 class _Value:
@@ -133,18 +144,14 @@ class Poly(_Value):
     def rebase(self, target: Basis) -> Poly:
         """Same function, expressed in the other basis.
 
-        Writing p(x) = sum c_j x^j as sum d_j (x+1)^j amounts to a Taylor
-        shift of the coefficient vector by -1 (and by +1 the other way).
-        It runs on the integer coefficients of d*p (``_over_lcm``) and
-        builds one ``Fraction`` per coefficient at the end.
+        Writing p(x) = sum c_j x^j as sum d_j (x+1)^j is a Taylor shift of
+        the coefficients by -1 (by +1 the other way): the Newton form in x+1
+        at nodes 1 (-1 back), run by ``_newton_to_powers`` on the integers of
+        d*p (``_over_lcm``), with one ``Fraction`` per coefficient at the end.
         """
         target = Basis(target)
         if target is self.basis:
             return self
-        shift = -1 if target is Basis.SHIFTED else 1
         out, scale = _over_lcm(self.coeffs)
-        n = len(out)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                out[j] += shift * out[j + 1]
+        _newton_to_powers([out], [1 if target is Basis.SHIFTED else -1] * len(out))
         return Poly((Fraction(c, scale) for c in out), target)

@@ -124,9 +124,6 @@ class LowerTriMatrix(_Value):
     def rows(self) -> list[tuple[Fraction, ...]]:
         return [self.row(i) for i in range(self.dim)]
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
 
 def _scaled_rows(m: LowerTriMatrix) -> tuple[list[list[int]], int]:
     """Integer rows of d*M and the scale d, the lcm of M's denominators."""

@@ -39,9 +39,9 @@ from threading import Lock
 
 from . import _EXPORTS
 from .combinat import (
-    _TANGENT_TABLE, _require_exact, _require_nonnegative, _stirling_row, bernoulli_number, binomial, stirling1,
+    _TANGENT_TABLE, _require_exact, _require_nonnegative, _stirling_row, bernoulli_number, binomial,
 )
-from .numcore import Basis, _over_lcm, _Value
+from .numcore import Basis, _newton_to_powers, _over_lcm, _Value
 from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 
 __all__ = _EXPORTS["zetadiff"]
@@ -145,10 +145,10 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
         row_{n+1}[j] = 2 row_n[j-1] + c row_n[j] + n^2 row_{n-1}[j],
 
     O(m^2) integer additions for the table. The diagonal is 2^i in both
-    bases, so these matrices are always invertible. The paper's Stirling
-    form, entry(i, j) = sum_k 2^k (i-k)! C(i,k)^2 s(k+h, j+h) with h = 0
-    resp. 1, proves the table (``verify_polynomial_forms``, h = 0) and is
-    the test oracle (``tests/oracles.py``).
+    bases, so these matrices are always invertible. The falling-factorial
+    form G(i, x) = sum_k 2^k (i-k)! C(i,k)^2 (x)_k proves the monomial table
+    (``verify_polynomial_forms``); the paper's Stirling form, entry(i, j) =
+    sum_k 2^k (i-k)! C(i,k)^2 s(k+h, j+h), h = 0 resp. 1, is the test oracle.
     """
     m = _require_nonnegative(m, "m")
     c = 1 if Basis(basis) is Basis.MONOMIAL else -1
@@ -419,29 +419,35 @@ def verify_polynomial_forms(m: int) -> bool:
     """Prove the four coefficient tables and A, the matrix of
     ``combination_matrix(m)``, by exact matrix identities at no point.
 
-    With P(i, j) = C(i, j), a row in powers of x+1 times P is that row in
-    powers of x. The Hurwitz equation zeta(s, a) = zeta(s, a+1) + a^{-s}
-    (DLMF 25.11(i)) gives F(i, x) + F(i, x+1) = (x+1)^i, and p -> p(t-1) + p(t)
-    is invertible, so F_shift + F_mono = I and F_shift P = F_mono fix F. The
-    terminating 2F1 sum, term by term, is G_mono = D S with D(i, k) =
-    2^k (i-k)! C(i, k)^2 and S the signed ``stirling1``, and G_shift P = G_mono
-    fixes G_shift. Then A G_mono = F_mono proves F(i, x) = sum_j a_{i,j} G(j, x)
-    at every x. No identity reads the Bernoulli numbers or the G recurrence
-    that build the tables; a table at m is the leading block of the table at
-    any larger m, so a pass at m covers every smaller m.
+    Each -> rewrites a table's integer rows over its lcm of denominators in
+    powers of x by ``numcore._newton_to_powers``, an integer change of basis
+    with an integer inverse, which keeps that lcm: a row in powers of x+1 is
+    its Newton form at nodes -1, and the terminating 2F1 sum G(i, x) =
+    sum_k D(i, k) (x)_k, D(i, k) = 2^k (i-k)! C(i, k)^2, is one at nodes 0, 1, ...
+    The Hurwitz equation zeta(s, a) = zeta(s, a+1) + a^{-s} (DLMF 25.11(i))
+    gives F(i, x) + F(i, x+1) = (x+1)^i; p -> p(t-1) + p(t) is invertible, so
+    F_shift + F_mono = I and F_shift -> F_mono fix F, D -> G_mono fixes G,
+    G_shift -> G_mono fixes G_shift, and A G_mono = F_mono proves F(i, x) =
+    sum_j a_{i,j} G(j, x) at every x. No identity reads the Bernoulli numbers
+    or the G recurrence that build the tables; a table at m is the leading
+    block of the table at any larger m, so a pass at m covers every smaller m.
     """
     m = _require_nonnegative(m, "m")
     f_mono, g_mono, f_shift, g_shift = (
         build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)
     )
-    pascal = LowerTriMatrix.from_func(m + 1, binomial)
-    d = LowerTriMatrix.from_func(m + 1, lambda i, k: 2**k * factorial(i - k) * binomial(i, k) ** 2)
+    # the product first, so that its peak memory and the integer tables' do not add up
+    product_ok = mat_mul(combination_matrix(m).matrix, g_mono) == f_mono
+    d = [[2**k * factorial(i - k) * binomial(i, k) ** 2 for k in range(i + 1)] for i in range(m + 1)]
+    f, g, f_powers, g_powers = map(_scaled_rows, (f_shift, g_shift, f_mono, g_mono))
+    for rows, nodes in ((f[0], [-1] * m), (d, range(m)), (g[0], [-1] * m)):
+        _newton_to_powers(rows, nodes)
     return (
         tuple(map(add, f_shift.entries, f_mono.entries)) == LowerTriMatrix.identity(m + 1).entries
-        and mat_mul(f_shift, pascal) == f_mono
-        and mat_mul(d, LowerTriMatrix.from_func(m + 1, stirling1)) == g_mono
-        and mat_mul(g_shift, pascal) == g_mono
-        and mat_mul(combination_matrix(m).matrix, g_mono) == f_mono
+        and f == f_powers
+        and (d, 1) == g_powers
+        and g == g_powers
+        and product_ok
     )
 
 

@@ -280,8 +280,9 @@ def invert_series_neumann(m):
 
 def taylor_shift(coeffs, a) -> tuple[Fraction, ...]:
     """Coefficients of p(t + a) from those of p(t), by repeated ``Fraction``
-    Horner steps: the plain form of ``Poly.rebase`` and of the Pascal
-    products of ``verify_polynomial_forms``.
+    Horner steps: the plain form of ``numcore._newton_to_powers`` with every
+    node -a, which ``Poly.rebase`` and the shifted-table identities of
+    ``verify_polynomial_forms`` run.
     """
     out = [Fraction(c) for c in coeffs]
     n = len(out)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import non_dyadic
-from zetacomb.numcore import Basis, Poly, _over_lcm
+from zetacomb.numcore import Basis, Poly, _newton_to_powers, _over_lcm
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
 
@@ -90,6 +90,25 @@ def test_rebase_matches_taylor_shift_oracle(coeffs, basis):
     target, shift = (Basis.SHIFTED, -1) if basis is Basis.MONOMIAL else (Basis.MONOMIAL, 1)
     expected = Poly(oracles.taylor_shift(coeffs, shift), target)
     assert Poly(tuple(coeffs), basis).rebase(target) == expected
+
+
+@settings(max_examples=80)
+@given(st.lists(st.lists(st.integers(-(10**12), 10**12), max_size=13), max_size=3))
+@example([])
+@example([[], [7], [0, 0, 5]])
+def test_newton_to_powers_matches_the_fraction_oracles(rows):
+    # falling factorials at nodes 0, 1, 2, ...; powers of x+1 at nodes -1
+    size = max(map(len, rows), default=0)
+    falling, shifted = [list(row) for row in rows], [list(row) for row in rows]
+    _newton_to_powers(falling, range(size))
+    _newton_to_powers(shifted, [-1] * size)
+    for row, by_falling, by_shift in zip(rows, falling, shifted):
+        expected = [0] * len(row)
+        for k, c in enumerate(row):
+            for j, f in enumerate(oracles.falling_factorial_coeffs(k)):
+                expected[j] += c * f
+        assert by_falling == expected
+        assert tuple(by_shift) == oracles.taylor_shift(row, 1)
 
 
 @given(st.lists(st.one_of(rationals, non_dyadic, st.just(Fraction(0))), max_size=20))

@@ -867,7 +867,7 @@ def _form_tables(m):
 
 def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f(monkeypatch):
     # F + 1 in both bases: each shifted row still rebases onto its monomial
-    # row (F_shift P = F_mono holds), yet F_shift + F_mono = I does not, and with
+    # row (F_shift -> F_mono holds), yet F_shift + F_mono = I does not, and with
     # the true A neither does A G_mono = F_mono
     m = 9
     mats = list(_form_tables(m))
@@ -894,7 +894,7 @@ def test_verify_polynomial_forms_rejects_tables_that_rebase_but_miss_f(monkeypat
 )
 def test_verify_polynomial_forms_rejects_a_wrong_shifted_f_row(monkeypatch, m, row):
     # the fault sits in the shifted F table, which the product A G_mono = F_mono
-    # does not read: F_shift + F_mono = I and F_shift P = F_mono both catch it
+    # does not read: F_shift + F_mono = I and F_shift -> F_mono both catch it
     mats = list(_form_tables(m))
     rows = [list(r) for r in mats[2].rows()]
     assert rows[m] != row
@@ -906,9 +906,10 @@ def test_verify_polynomial_forms_rejects_a_wrong_shifted_f_row(monkeypatch, m, r
 
 @pytest.mark.parametrize("build", [zeta_diff_coeffs, hyper_poly_coeffs])
 def test_shifted_rows_rebase_onto_monomial_rows(build):
-    # the forms check's F_shift P = F_mono and G_shift P = G_mono, checked
-    # through oracles.taylor_shift, Fraction Horner steps independent of the
-    # Pascal product: a row p(t) in powers of t = x+1 is p(x+1) in powers of x
+    # the forms check's F_shift -> F_mono and G_shift -> G_mono, checked
+    # through oracles.taylor_shift, Fraction Horner steps independent of
+    # numcore._newton_to_powers: a row p(t) in powers of t = x+1 is p(x+1) in
+    # powers of x
     m = 30
     shifted, monomial = build(m, Basis.SHIFTED), build(m, Basis.MONOMIAL)
     for i in range(m + 1):
