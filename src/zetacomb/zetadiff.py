@@ -42,7 +42,7 @@ from .combinat import (
     _TANGENT_TABLE, _require_exact, _require_nonnegative, _stirling_row, bernoulli_number, binomial,
 )
 from .numcore import Basis, _newton_to_powers, _over_lcm, _Value
-from .trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
+from .trimat import LowerTriMatrix, _scaled_product, _scaled_rows, invert_series, invert_substitution, mat_mul
 
 __all__ = _EXPORTS["zetadiff"]
 
@@ -419,36 +419,35 @@ def verify_polynomial_forms(m: int) -> bool:
     """Prove the four coefficient tables and A, the matrix of
     ``combination_matrix(m)``, by exact matrix identities at no point.
 
-    Each -> rewrites a table's integer rows over its lcm of denominators in
-    powers of x by ``numcore._newton_to_powers``, an integer change of basis
-    with an integer inverse, which keeps that lcm: a row in powers of x+1 is
-    its Newton form at nodes -1, and the terminating 2F1 sum G(i, x) =
-    sum_k D(i, k) (x)_k, D(i, k) = 2^k (i-k)! C(i, k)^2, is one at nodes 0, 1, ...
-    The Hurwitz equation zeta(s, a) = zeta(s, a+1) + a^{-s} (DLMF 25.11(i))
-    gives F(i, x) + F(i, x+1) = (x+1)^i; p -> p(t-1) + p(t) is invertible, so
-    F_shift + F_mono = I and F_shift -> F_mono fix F, D -> G_mono fixes G,
-    G_shift -> G_mono fixes G_shift, and A G_mono = F_mono proves F(i, x) =
-    sum_j a_{i,j} G(j, x) at every x. No identity reads the Bernoulli numbers
-    or the G recurrence that build the tables; a table at m is the leading
+    Each table and A is read once as integer rows over its lcm of denominators, in
+    lowest terms, so equal pairs are equal matrices. Each -> rewrites rows in
+    powers of x by ``numcore._newton_to_powers``, an integer change of basis with
+    an integer inverse, which keeps that lcm: a row in powers of x+1 is its Newton
+    form at nodes -1, and the terminating 2F1 sum G(i, x) = sum_k D(i, k) (x)_k,
+    D(i, k) = 2^k (i-k)! C(i, k)^2 and D(i, k+1) = D(i, k) 2(i-k)/(k+1)^2, is one
+    at nodes 0, 1, 2, ... The Hurwitz equation zeta(s, a) = zeta(s, a+1) + a^{-s}
+    (DLMF 25.11(i)) gives F(i, x) + F(i, x+1) = (x+1)^i; p -> p(t-1) + p(t) is
+    invertible, so F_shift + F_mono = I and F_shift -> F_mono fix F, D -> G_mono
+    fixes G, G_shift -> G_mono fixes G_shift, and A G_mono = F_mono proves
+    F(i, x) = sum_j a_{i,j} G(j, x) at every x. No identity reads the Bernoulli
+    numbers or the G recurrence that build the tables; a table at m is the leading
     block of the table at any larger m, so a pass at m covers every smaller m.
     """
     m = _require_nonnegative(m, "m")
     f_mono, g_mono, f_shift, g_shift = (
-        build(m, basis) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)
+        _scaled_rows(build(m, basis)) for basis in Basis for build in (zeta_diff_coeffs, hyper_poly_coeffs)
     )
-    # the product first, so that its peak memory and the integer tables' do not add up
-    product_ok = mat_mul(combination_matrix(m).matrix, g_mono) == f_mono
-    d = [[2**k * factorial(i - k) * binomial(i, k) ** 2 for k in range(i + 1)] for i in range(m + 1)]
-    f, g, f_powers, g_powers = map(_scaled_rows, (f_shift, g_shift, f_mono, g_mono))
-    for rows, nodes in ((f[0], [-1] * m), (d, range(m)), (g[0], [-1] * m)):
+    product_ok = _scaled_product(_scaled_rows(combination_matrix(m).matrix), g_mono) == f_mono
+    d = [[factorial(i)] for i in range(m + 1)]
+    for i, row in enumerate(d):
+        for k in range(i):
+            row.append(row[k] * 2 * (i - k) // (k + 1) ** 2)
+    sum_ok = f_shift[1] == f_mono[1] and all(
+        [*map(add, s, t)] == [0] * i + [f_mono[1]] for i, (s, t) in enumerate(zip(f_shift[0], f_mono[0]))
+    )
+    for rows, nodes in ((f_shift[0], [-1] * m), (d, range(m)), (g_shift[0], [-1] * m)):
         _newton_to_powers(rows, nodes)
-    return (
-        tuple(map(add, f_shift.entries, f_mono.entries)) == LowerTriMatrix.identity(m + 1).entries
-        and f == f_powers
-        and (d, 1) == g_powers
-        and g == g_powers
-        and product_ok
-    )
+    return sum_ok and f_shift == f_mono and (d, 1) == g_mono and g_shift == g_mono and product_ok
 
 
 class ExpectedSign(enum.Enum):

@@ -20,7 +20,7 @@ from zetacomb import cli, zetadiff
 from zetacomb.combinat import stirling2
 from zetacomb.etacheck import RouteDisagreementError, eta_cross_check, eta_via_coeff_row
 from zetacomb.numcore import Basis
-from zetacomb.trimat import LowerTriMatrix, invert_series, invert_substitution, mat_mul
+from zetacomb.trimat import LowerTriMatrix, _scaled_rows, invert_series, invert_substitution, mat_mul
 from zetacomb.zetadiff import (
     DEFAULT_SAMPLES,
     CoeffReport,
@@ -966,22 +966,53 @@ def _g_mono_plus_e(m, f_mono, g_mono, f_shift, g_shift):
     return (f_mono, g_mono, f_shift, mat_mul(g_mono, pascal_inv)), mat_mul(f_mono, invert_substitution(g_mono))
 
 
+def _g_shift_plus_e(m, f_mono, g_mono, f_shift, g_shift):
+    return (f_mono, g_mono, f_shift, _plus(g_shift, [(5, 2)], 1)), combination_matrix(m).matrix
+
+
 def _a_plus_e(m, *tables):
     return tables, _plus(combination_matrix(m).matrix, [(7, 3)], Fraction(1, 2**8))
 
 
-@pytest.mark.parametrize(
-    ("plant", "broken"),
-    [(_f_plus_one, "F"), (_f_mono_plus_e, "F shift"), (_g_mono_plus_e, "G"), (_a_plus_e, "A")],
-    ids=["f-plus-one", "f-mono-plus-e", "g-mono-plus-e", "a-plus-e"],
-)
-def test_verify_polynomial_forms_rejects_a_fault_that_breaks_one_identity(monkeypatch, plant, broken):
+def _one_identity_faults():
+    # each fault at two sizes; the m = 9 cases keep the bare fault name as their id
+    faults = [
+        (_f_plus_one, "F", "f-plus-one"),
+        (_f_mono_plus_e, "F shift", "f-mono-plus-e"),
+        (_g_mono_plus_e, "G", "g-mono-plus-e"),
+        (_g_shift_plus_e, "G shift", "g-shift-plus-e"),
+        (_a_plus_e, "A", "a-plus-e"),
+    ]
+    for plant, broken, name in faults:
+        for m in (9, 14):
+            yield pytest.param(m, plant, broken, id=name if m == 9 else f"{name}-at-{m}")
+
+
+@pytest.mark.parametrize(("m", "plant", "broken"), _one_identity_faults())
+def test_verify_polynomial_forms_rejects_a_fault_that_breaks_one_identity(monkeypatch, m, plant, broken):
     # each fault keeps every identity of the check but one, so none of the
     # five can be dropped without some test here passing a wrong table
-    m = 9
     tables, a = plant(m, *_form_tables(m))
     assert _broken_identities(tables, a) == {broken}
     _plant(monkeypatch, tables=tables, matrix=a)
+    assert not verify_polynomial_forms(m)
+
+
+@pytest.mark.parametrize(
+    ("position", "broken"),
+    [(0, {"F", "F shift", "A"}), (1, {"G", "G shift", "A"}), (2, {"F", "F shift"}), (3, {"G shift"})],
+    ids=["f-mono-over-3", "g-mono-over-3", "f-shift-over-3", "g-shift-over-3"],
+)
+def test_verify_polynomial_forms_rejects_a_fault_that_moves_only_a_scale(monkeypatch, position, broken):
+    # T/3 has exactly the integer rows of T, over three times its scale, so a
+    # check that compared the rows and dropped the scales would pass it
+    m = 9
+    mats = list(_form_tables(m))
+    rows, scale = _scaled_rows(mats[position])
+    mats[position] = LowerTriMatrix(m + 1, (e / 3 for e in mats[position].entries))
+    assert _scaled_rows(mats[position]) == (rows, 3 * scale)
+    assert _broken_identities(mats, combination_matrix(m).matrix) == broken
+    _plant(monkeypatch, tables=mats)
     assert not verify_polynomial_forms(m)
 
 
