@@ -16,10 +16,15 @@ that one is built), writes it, and maps failures to exit codes. JSON
 comes from ``_document``, a matrix grid from ``_cells``, and a record CSV
 from ``_records_csv`` over the records' documents, so its header is the
 JSON keys.
+
+A plain argv (a command, then each of its flags at most once as ``--flag
+value``, every value valid) is read by ``_plain_args`` from ``_COMMANDS``
+and ``_SHARED_FLAGS``, without argparse. Any other argv (help, a usage
+error, or a valid one such as ``coeffs --m=3``) goes to argparse, which is
+imported only then, so it alone prints help, usage lines and errors.
 """
 from __future__ import annotations
 
-import argparse
 import enum
 import errno
 import gc
@@ -28,6 +33,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .etacheck import RouteDisagreementError, eta_cross_check
 from .numcore import Basis
@@ -115,7 +121,7 @@ def _records_csv(fields: tuple[str, ...], records: Iterable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_coeffs(args: argparse.Namespace) -> _Result:
+def cmd_coeffs(args: SimpleNamespace) -> _Result:
     report = combination_matrix(args.m)
     if args.check_all_routes:
         routes = paper_matrices(args.m)
@@ -130,7 +136,7 @@ def cmd_coeffs(args: argparse.Namespace) -> _Result:
     )
 
 
-def cmd_verify(args: argparse.Namespace) -> _Result:
+def cmd_verify(args: SimpleNamespace) -> _Result:
     report = verify_combination(args.m)
     forms_ok = verify_polynomial_forms(args.m)
     failure = None
@@ -153,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> _Result:
     )
 
 
-def cmd_eta(args: argparse.Namespace) -> _Result:
+def cmd_eta(args: SimpleNamespace) -> _Result:
     etas = eta_cross_check(args.max_m)  # raises unless the three routes agree on every m
     rows = [{"m": m, "eta": eta} for m, eta in enumerate(etas)]
     return _Result(
@@ -163,7 +169,7 @@ def cmd_eta(args: argparse.Namespace) -> _Result:
     )
 
 
-def cmd_conjecture(args: argparse.Namespace) -> _Result:
+def cmd_conjecture(args: SimpleNamespace) -> _Result:
     finding = scan_sign_pattern(args.max_m)
     header = (
         f"sign pattern scan to m = {finding.max_m}:"
@@ -178,7 +184,7 @@ def cmd_conjecture(args: argparse.Namespace) -> _Result:
     )
 
 
-def cmd_matrices(args: argparse.Namespace) -> _Result:
+def cmd_matrices(args: SimpleNamespace) -> _Result:
     a, b = zeta_diff_coeffs(args.m, Basis.MONOMIAL), hyper_poly_coeffs(args.m, Basis.MONOMIAL)
     b_inv, b_sh = invert_substitution(b), hyper_poly_coeffs(args.m, Basis.SHIFTED)
     suite = {
@@ -231,8 +237,8 @@ _M = ("--m", {"type": int, "required": True})
 _MAX = ("--max", {"type": int, "required": True, "dest": "max_m"})
 
 # command -> (its help line, the function that computes its result, its own
-# flags as (flag, argparse keywords) pairs), in usage order; build_parser adds
-# --format and --cap (default DEFAULT_M_CAP) after the command's own flags
+# flags as (flag, argparse keywords) pairs), in usage order; every command
+# takes the _SHARED_FLAGS after its own
 _COMMANDS = {
     "coeffs": ("combination matrix for a given m", cmd_coeffs, (
         _M,
@@ -243,16 +249,21 @@ _COMMANDS = {
     "conjecture": ("scan the below-diagonal sign pattern", cmd_conjecture, (_MAX,)),
     "matrices": ("all coefficient matrices and inverses", cmd_matrices, (_M,)),
 }
+_SHARED_FLAGS = (
+    ("--format", {"choices": ("pretty", "json", "csv"), "default": "pretty"}),
+    ("--cap", {"type": int, "default": DEFAULT_M_CAP}),
+)
 
 
-class _Parser(argparse.ArgumentParser):
-    def print_usage(self, file=None):  # a usage error passes sys.stderr, None if fd 2 is closed
-        if file is not None:  # else argparse would print the usage line to stdout
-            super().print_usage(file)
+def build_parser():
+    """The one argparse parser of every argv, with a subparser per command of ``_COMMANDS``."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def print_usage(self, file=None):  # a usage error passes sys.stderr, None if fd 2 is closed
+            if file is not None:  # else argparse would print the usage line to stdout
+                super().print_usage(file)
 
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of every argv, with a subparser per command of ``_COMMANDS``."""
     parser = _Parser(
         prog="zetacomb",
         description="Exact matrices linking Hurwitz zeta differences to "
@@ -261,24 +272,69 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, compute, flags) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
-        for flag, keywords in flags:
+        for flag, keywords in (*flags, *_SHARED_FLAGS):
             p.add_argument(flag, **keywords)
-        p.add_argument("--format", choices=("pretty", "json", "csv"), default="pretty")
-        p.add_argument("--cap", type=int, default=DEFAULT_M_CAP)
         p.set_defaults(run=compute)
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Check the size flags against 0 and --cap; exit 2 on error."""
+def _validate(args: SimpleNamespace) -> str | None:
+    """The usage error of the first size rule ``args`` breaks, or None:
+    each size flag and --cap are >= 0, and each size is <= --cap."""
     for name, flag in (("m", "m"), ("max_m", "max")):
         value = getattr(args, name, None)
         if value is None:
             continue
         if value < 0:
-            parser.error(f"--{flag} must be >= 0")
+            return f"--{flag} must be >= 0"
+        if args.cap < 0:
+            return "--cap must be >= 0"
         if value > args.cap:
-            parser.error(f"m = {value} exceeds the cap {args.cap} (raise with --cap)")
+            return f"m = {value} exceeds the cap {args.cap} (raise with --cap)"
+    return None
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse and ``_validate`` give a plain ``argv``; None for any other.
+
+    Plain is a command of ``_COMMANDS``, then each of its own and the shared
+    flags at most once, a switch alone and any other flag as ``--flag value``:
+    no value starts with "-", each passes its flag's type and choices, every
+    required flag is given and no size rule is broken. So ``--m=5``, ``--form``,
+    a repeated flag, ``--``, ``-h`` and every error are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, compute, own = _COMMANDS[argv[0]]
+    flags = dict((*own, *_SHARED_FLAGS))
+    given = {}
+    words = iter(argv[1:])
+    for word in words:  # a value missing at the end reads as "-", so it defers too
+        if word not in flags or word in given:
+            return None
+        given[word] = True if flags[word].get("action") == "store_true" else next(words, "-")
+    values = {}
+    for flag, keywords in flags.items():
+        text = given.get(flag)
+        if text is None:
+            if keywords.get("required"):
+                return None
+            switch = keywords.get("action") == "store_true"
+            value = keywords.get("default", False if switch else None)
+        elif text is True:
+            value = True
+        elif text.startswith("-"):
+            return None
+        else:
+            try:
+                value = keywords.get("type", str)(text)
+            except ValueError:  # not an int, or past the int/str digit limit
+                return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[keywords.get("dest", flag[2:].replace("-", "_"))] = value
+    args = SimpleNamespace(command=argv[0], run=compute, **values)
+    return None if _validate(args) else args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -287,9 +343,13 @@ def main(argv: list[str] | None = None) -> int:
     Freezes nothing, so library callers and tests may call it in a
     long-lived process; ``run`` is the program entry.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = build_parser()
+        args = SimpleNamespace(**vars(parser.parse_args(argv)))
+        error = _validate(args)
+        if error is not None:
+            parser.error(error)
     # Results are exact integers of any size (coeffs entries pass 4,300 digits
     # at a --cap well above 1,000), so the int/str digit limit of Python >= 3.10.7
     # is lifted while the command runs; it still holds while the flags are parsed.

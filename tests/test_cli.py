@@ -3,10 +3,10 @@
 Subprocess tests prove that the program entry (``cli.run``, behind
 ``python -m zetacomb`` and ``python -m zetacomb.cli``) gives main's output
 and exit codes and exits 3 on a crash, that a stdout that cannot be
-written exits 2, and that a closed stdout or stderr neither crashes the
-CLI nor mixes diagnostics into stdout; everything else captures
-stdout/stderr with capsys. In-process tests also
-hold main to freezing nothing.
+written exits 2, that a closed stdout or stderr neither crashes the CLI
+nor mixes diagnostics into stdout, and that a plain argv runs without
+importing argparse; everything else captures stdout/stderr with capsys.
+In-process tests also hold main to freezing nothing.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _tables_m9 as tables
@@ -675,3 +675,146 @@ def test_exit_code_contract_on_generated_argv(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
         assert out.getvalue() == "", argv
+
+
+# --- the plain reader: a well-formed argv skips argparse ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--m", "0", "--cap", "-1"],
+        ["eta", "--max", "0", "--cap", "-5", "--format", "csv"],
+        ["verify", "--m", "0", "--cap", " -1"],  # a space, not "-", starts it; int() reads -1
+    ],
+)
+def test_a_negative_cap_names_itself(argv, capsys):
+    assert cli._plain_args(argv) is None
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "zetacomb: error: --cap must be >= 0"
+
+
+def argparse_namespace(argv):
+    """vars() of what build_parser and _validate make of ``argv``; fails if they refuse it."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv!r}")
+    assert cli._validate(parsed) is None, argv
+    return vars(parsed)
+
+
+# one argv per request shape of perfbench/workloads.py
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["coeffs", "--m", "40", "--format", fmt] for fmt in ("pretty", "json", "csv")),
+        ["verify", "--m", "16"],
+        ["eta", "--max", "30"],
+        ["conjecture", "--max", "64"],
+        ["coeffs", "--check-all-routes", "--m", "12"],
+    ],
+    ids=["coeffs-pretty", "coeffs-json", "coeffs-csv", "verify", "eta", "conjecture", "all-routes"],
+)
+def test_every_benchmark_request_takes_the_plain_path(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == argparse_namespace(argv)
+
+
+# values near the plain shape: sizes spelled oddly (int() reads all of these), negative,
+# past the default cap, not ints, empty, and 5,000 digits (past int()'s digit limit);
+# "-0_0" is an int whose leading "-" makes argparse read it as a flag, not a value
+_NEAR_VALUES = [
+    "0", "64", "65", "-1", "-0_0", "+3", " 7", "1_0", "٣", "", "x", "1/2", "1" * 5000,
+    "pretty", "json", "csv", "xml",
+]
+# words no plain argv holds: "=", an abbreviation, "--", help, another command's flag,
+# a stray value
+_ODD_WORDS = [["--m=3"], ["--form", "csv"], ["--"], ["-h"], ["--help"], ["--max", "3"],
+              ["--m", "3"], ["--check-all-routes"], ["7"]]
+
+
+@st.composite
+def _near_plain_argv(draw):
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = [flag for flag, _ in (*cli._COMMANDS[command][2], *cli._SHARED_FLAGS)]
+    groups = []
+    for flag in flags:
+        # half of the values are plain ones, so that the reader reads a good share of argv
+        plain = ("pretty", "json", "csv") if flag == "--format" else ("0", "12", "64")
+        for _ in range(draw(st.sampled_from([1, 0, 1, 1, 2]))):  # once, left out or repeated
+            if flag == "--check-all-routes":
+                groups.append([flag])
+            else:
+                groups.append([flag, draw(st.sampled_from(plain) | st.sampled_from(_NEAR_VALUES))])
+    if draw(st.integers(0, 4)) == 0:
+        groups.append(draw(st.sampled_from(_ODD_WORDS)))
+    return [command, *(word for group in draw(st.permutations(groups)) for word in group)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_near_plain_argv())
+@example(["coeffs", "--m", "x", "--m", "3"])  # argparse refuses the first value of a repeated flag
+@example(["eta", "--max", "-0_0"])
+@example(["coeffs", "--check-all-routes", "7", "--m", "3"])  # a switch takes no value
+def test_what_the_plain_reader_reads_argparse_reads_the_same(argv):
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == argparse_namespace(argv)
+
+
+# runs the program entry as `python -m zetacomb` does, then writes on stderr
+# whether argparse was imported
+_ARGPARSE_PROBE = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('zetacomb', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    print('argparse' in sys.modules, file=sys.stderr)\n"
+)
+
+
+def run_probe(argv):
+    env = {**os.environ, "COLUMNS": "80"}  # argparse wraps help to the terminal width
+    return subprocess.run(
+        [sys.executable, "-c", _ARGPARSE_PROBE, *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--m", "3", "--check-all-routes", "--format", "json"],
+        ["verify", "--m", "2", "--format", "csv"],
+        ["eta", "--max", "3"],
+        ["conjecture", "--max", "3", "--cap", "3"],
+        ["matrices", "--m", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_plain_request_does_not_import_argparse(argv, capsys):
+    proc = run_probe(argv)
+    code, out, err = run(argv, capsys)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "False\n")
+
+
+def test_help_errors_and_other_argv_still_go_through_argparse(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli.build_parser()
+    _, csv_m3, _ = run(["coeffs", "--m", "3", "--format", "csv"], capsys)
+    for argv, code, out, err in [
+        (["--help"], 0, parser.format_help(), ""),
+        (["coeffs", "--m", "-1"], 2, "", parser.format_usage() + "zetacomb: error: --m must be >= 0\n"),
+        (["coeffs", "--m=3", "--format", "csv"], 0, csv_m3, ""),
+    ]:
+        proc = run_probe(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "True\n")
+    proc = run_probe(["coeffs", "--help"])
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+    assert proc.stdout.startswith("usage: zetacomb coeffs [-h] --m M [--check-all-routes]")
