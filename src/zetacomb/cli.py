@@ -233,16 +233,17 @@ def _write(text: str) -> None:
 
 
 # the size flags several commands share, each as (flag, argparse keywords)
-_M = ("--m", {"type": int, "required": True})
+_M = ("--m", {"type": int, "required": True, "dest": "m"})
 _MAX = ("--max", {"type": int, "required": True, "dest": "max_m"})
 
 # command -> (its help line, the function that computes its result, its own
 # flags as (flag, argparse keywords) pairs), in usage order; every command
-# takes the _SHARED_FLAGS after its own
+# takes the _SHARED_FLAGS after its own. Each command has exactly one required
+# flag, its size, which states its dest; every other flag states its default.
 _COMMANDS = {
     "coeffs": ("combination matrix for a given m", cmd_coeffs, (
         _M,
-        ("--check-all-routes", {"action": "store_true"}),
+        ("--check-all-routes", {"action": "store_true", "default": False}),
     )),
     "verify": ("check the combination identity at sample points", cmd_verify, (_M,)),
     "eta": ("eta(-m) by three routes, cross-checked", cmd_eta, (_MAX,)),
@@ -279,18 +280,17 @@ def build_parser():
 
 
 def _validate(args: SimpleNamespace) -> str | None:
-    """The usage error of the first size rule ``args`` breaks, or None:
-    each size flag and --cap are >= 0, and each size is <= --cap."""
-    for name, flag in (("m", "m"), ("max_m", "max")):
-        value = getattr(args, name, None)
-        if value is None:
-            continue
-        if value < 0:
-            return f"--{flag} must be >= 0"
-        if args.cap < 0:
-            return "--cap must be >= 0"
-        if value > args.cap:
-            return f"m = {value} exceeds the cap {args.cap} (raise with --cap)"
+    """The usage error of the first size rule ``args`` breaks, or None: the
+    size, the command's one required flag in ``_COMMANDS``, and --cap are
+    >= 0, and the size is <= --cap."""
+    flag, keywords = next(pair for pair in _COMMANDS[args.command][2] if pair[1].get("required"))
+    size = getattr(args, keywords["dest"])
+    if size < 0:
+        return f"{flag} must be >= 0"
+    if args.cap < 0:
+        return "--cap must be >= 0"
+    if size > args.cap:
+        return f"m = {size} exceeds the cap {args.cap} (raise with --cap)"
     return None
 
 
@@ -316,11 +316,10 @@ def _plain_args(argv: list[str]) -> SimpleNamespace | None:
     values = {}
     for flag, keywords in flags.items():
         text = given.get(flag)
-        if text is None:
+        if text is None:  # a required flag defers to argparse; any other takes its default
             if keywords.get("required"):
                 return None
-            switch = keywords.get("action") == "store_true"
-            value = keywords.get("default", False if switch else None)
+            value = keywords["default"]
         elif text is True:
             value = True
         elif text.startswith("-"):

@@ -68,11 +68,9 @@ class LowerTriMatrix(_Value):
         dim = index(dim)
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        packed = tuple(entries)
-        # one C-level pass; a table of exact Fractions is kept as it is, and
-        # so is each Fraction (a subclass too) among entries of other types
-        if not {Fraction}.issuperset(map(type, packed)):
-            packed = tuple(e if isinstance(e, Fraction) else _exact_entry(e) for e in packed)
+        # one reader for every entry: a Fraction (a subclass too) is kept as
+        # the same object, and any other entry is read by _exact_entry
+        packed = tuple(e if isinstance(e, Fraction) else _exact_entry(e) for e in entries)
         if len(packed) != dim * (dim + 1) // 2:
             raise ValueError(f"need {dim * (dim + 1) // 2} packed entries, got {len(packed)}")
         object.__setattr__(self, "dim", dim)
@@ -96,11 +94,11 @@ class LowerTriMatrix(_Value):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} must have {i + 1} entries, got {len(row)}")
             packed.extend(row)
-        return cls(len(rows), tuple(packed))
+        return cls(len(rows), packed)
 
     @classmethod
     def from_func(cls, dim: int, fn: Callable[[int, int], Fraction]) -> LowerTriMatrix:
-        return cls(dim, tuple(fn(i, j) for i in range(dim) for j in range(i + 1)))
+        return cls(dim, (fn(i, j) for i in range(dim) for j in range(i + 1)))
 
     @classmethod
     def identity(cls, dim: int) -> LowerTriMatrix:

@@ -210,6 +210,36 @@ def test_usage_errors_exit_2(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+# each command's size flag, written out here rather than read off cli._COMMANDS
+SIZE_FLAGS = {"coeffs": "--m", "verify": "--m", "matrices": "--m", "eta": "--max", "conjecture": "--max"}
+
+
+@pytest.mark.parametrize("spelling", ["plain", "equals"])
+@pytest.mark.parametrize(
+    "size, cap, error",
+    [
+        ("-1", None, "{flag} must be >= 0"),
+        ("0", "-1", "--cap must be >= 0"),
+        ("65", None, "m = 65 exceeds the cap 64 (raise with --cap)"),
+    ],
+    ids=["negative-size", "negative-cap", "over-the-default-cap"],
+)
+@pytest.mark.parametrize("command", SIZE_FLAGS)
+def test_each_size_rule_names_itself_for_every_command(command, size, cap, error, spelling, capsys):
+    # "--m 65" is read by the plain reader first, "--m=65" only by argparse
+    given = {SIZE_FLAGS[command]: size, **({"--cap": cap} if cap else {})}
+    if spelling == "plain":
+        argv = [command, *(word for pair in given.items() for word in pair)]
+    else:
+        argv = [command, *(f"{flag}={value}" for flag, value in given.items())]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "zetacomb: error: " + error.format(flag=SIZE_FLAGS[command])
+
+
 def test_cap_can_be_raised(capsys):
     code, _, _ = run(["coeffs", "--m", "70", "--cap", "70", "--format", "csv"], capsys)
     assert code == 0
@@ -652,11 +682,12 @@ def _argv(draw):
         cap = draw(st.none() | st.integers(-1, small))
         if cap is not None:
             groups.append(["--cap", str(cap)])
-        # small, negative, over the cap in force, or not an int; sometimes missing
+        # small, negative, at most 10 over the cap in force (so that a broken cap check
+        # computes at m <= 74, not near 10**6), or not an int; sometimes missing
         over = cli.DEFAULT_M_CAP if cap is None else cap
         value = draw(
             st.integers(-3, small if cap is None else cap)
-            | st.integers(over + 1, over + 10**6)
+            | st.integers(over + 1, over + 10)
             | st.sampled_from(["x", "1/2", "", None])
         )
         groups.append(None if value is None else [flag, str(value)])
