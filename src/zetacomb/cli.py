@@ -31,7 +31,7 @@ import gc
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from fractions import Fraction
 from types import SimpleNamespace
 

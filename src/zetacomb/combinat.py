@@ -7,7 +7,7 @@ Conventions used throughout:
 * Stirling numbers of the first kind are the *signed* ones: the
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
 * n and k are read through ``operator.index``; a negative n is a ``ValueError``.
-* A point z is read exactly by ``Fraction``; a binary ``float`` is a ``TypeError``.
+* A point z is read exactly by ``Fraction``; a ``float`` is a ``TypeError`` (``numcore._require_exact``).
 * All tables are built by integer recurrence; the Bernoulli and Stirling
   ones grow as they are asked for, under a lock, so threads may share
   them. An independent slow oracle for each (series division, polynomial
@@ -16,11 +16,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import index
 from threading import Lock
 
 from . import _EXPORTS
+from .numcore import _over_lcm, _require_exact
 
 __all__ = _EXPORTS["combinat"]
 
@@ -34,15 +35,6 @@ def _require_nonnegative(value: int, name: str) -> int:
     if value < 0:
         raise ValueError(f"{name} must be >= 0")
     return value
-
-
-def _require_exact(point) -> Fraction:
-    """A point x or z as a ``Fraction``: an ``int``, ``Fraction``, ``Decimal`` or
-    string as ``Fraction`` reads it. A ``float`` is a ``TypeError``, because its
-    exact binary value is not the decimal it prints (0.1 is not 1/10)."""
-    if isinstance(point, float):
-        raise TypeError(f"a point must be exact, not float: {point!r}")
-    return Fraction(point)
 
 
 def _entry(n: int, k: int) -> tuple[int, int]:
@@ -92,10 +84,8 @@ class _TangentTable:
     def row(self, n: int) -> tuple[tuple[int, ...], int]:
         if n not in self._rows:
             self.number(n)
-            bern = self._numbers[: n + 1]
-            scale = lcm(*(b.denominator for b in bern))
-            row = tuple(comb(n, k) * b.numerator * (scale // b.denominator) for k, b in enumerate(bern))
-            self._rows[n] = (row, scale)
+            nums, scale = _over_lcm(self._numbers[: n + 1])
+            self._rows[n] = (tuple(comb(n, k) * c for k, c in enumerate(nums)), scale)
         return self._rows[n]
 
 
@@ -123,7 +113,7 @@ def bernoulli_poly(n: int, z) -> Fraction:
     per step. One ``Fraction`` is built at the end.
     """
     n = _require_nonnegative(n, "n")
-    zq = _require_exact(z)
+    zq = _require_exact(z, "a point")
     p, q = zq.numerator, zq.denominator
     row, scale = _TANGENT_TABLE.row(n)
     acc = 0

@@ -4,7 +4,9 @@ Every quantity in this package is a ``fractions.Fraction``: arithmetic is
 exact and canonical (reduced form, positive denominator, unique zero), so
 matrix entries can be compared structurally against reference tables. Hot
 paths build and read one through its ``_numerator`` and ``_denominator``
-slots: on Python 3.10-3.13 its public properties are Python calls.
+slots: on Python 3.10-3.13 its public properties are Python calls. The one
+float rule is ``_require_exact``: a point, coefficient or entry is read by
+``Fraction``, and a binary ``float`` is a ``TypeError``.
 
 A :class:`Poly` carries a basis tag because the same function is expanded
 here both in powers of x and in powers of (x+1); ``rebase`` converts
@@ -31,6 +33,16 @@ class Basis(enum.Enum):
 
     MONOMIAL = "monomial"        # powers of x
     SHIFTED = "shifted"          # powers of (x + 1)
+
+
+def _require_exact(value, what: str) -> Fraction:
+    """``value`` as a ``Fraction``: an ``int``, ``Fraction``, ``Decimal`` or string
+    as ``Fraction`` reads it. A ``float`` is a ``TypeError`` naming ``what``, article
+    included ("a point"), because its exact binary value is not the decimal it
+    prints (0.1 is not 1/10)."""
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be exact, not float: {value!r}")
+    return Fraction(value)
 
 
 def _over_lcm(values) -> tuple[list[int], int]:
@@ -99,7 +111,7 @@ class Poly(_Value):
     basis: Basis
 
     def __init__(self, coeffs, basis: Basis = Basis.MONOMIAL) -> None:
-        cs = tuple(map(Fraction, coeffs))
+        cs = tuple(_require_exact(c, "a coefficient") for c in coeffs)
         end = len(cs)
         while end > 0 and cs[end - 1] == 0:
             end -= 1
@@ -127,7 +139,7 @@ class Poly(_Value):
         >>> Poly((1, 2), Basis.SHIFTED).eval(0)
         Fraction(3, 1)
         """
-        t = Fraction(x)
+        t = _require_exact(x, "a point")
         if self.basis is Basis.SHIFTED:
             t = t + 1
         if not self.coeffs:

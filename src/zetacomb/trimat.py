@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import index, mul
 
 from . import _EXPORTS
-from .numcore import _over_lcm, _Value
+from .numcore import _over_lcm, _require_exact, _Value
 
 __all__ = _EXPORTS["trimat"]
 
@@ -43,21 +43,13 @@ class SingularDiagonalError(ValueError):
         super().__init__(f"zero diagonal entry at index {index}")
 
 
-def _exact_entry(entry) -> Fraction:
-    """An entry that is not a ``Fraction``, read by ``Fraction``; a ``float`` is
-    a ``TypeError``, because 0.1 would be kept as its binary value."""
-    if isinstance(entry, float):
-        raise TypeError(f"an entry must be exact, not float: {entry!r}")
-    return Fraction(entry)
-
-
 class LowerTriMatrix(_Value):
     """Immutable lower-triangular rational matrix, packed row-major.
 
     ``entries`` has length dim*(dim+1)//2; ``entries[i*(i+1)//2 + j]`` is
     the (i, j) entry for j <= i. Entries above the diagonal are zero by
     construction and not stored. Each entry is read exactly by ``Fraction``,
-    and a ``float`` entry is a ``TypeError``.
+    and a ``float`` entry is a ``TypeError`` (``numcore._require_exact``).
     """
 
     _fields = ("dim", "entries")
@@ -69,8 +61,8 @@ class LowerTriMatrix(_Value):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         # one reader for every entry: a Fraction (a subclass too) is kept as
-        # the same object, and any other entry is read by _exact_entry
-        packed = tuple(e if isinstance(e, Fraction) else _exact_entry(e) for e in entries)
+        # the same object, and any other entry is read by _require_exact
+        packed = tuple(e if isinstance(e, Fraction) else _require_exact(e, "an entry") for e in entries)
         if len(packed) != dim * (dim + 1) // 2:
             raise ValueError(f"need {dim * (dim + 1) // 2} packed entries, got {len(packed)}")
         object.__setattr__(self, "dim", dim)

@@ -38,10 +38,8 @@ from operator import add, mul
 from threading import Lock
 
 from . import _EXPORTS
-from .combinat import (
-    _TANGENT_TABLE, _require_exact, _require_nonnegative, _stirling_row, bernoulli_number, binomial,
-)
-from .numcore import Basis, _newton_to_powers, _over_lcm, _Value
+from .combinat import _TANGENT_TABLE, _require_nonnegative, _stirling_row, bernoulli_number, binomial
+from .numcore import Basis, _newton_to_powers, _over_lcm, _require_exact, _Value
 from .trimat import LowerTriMatrix, _scaled_product, _scaled_rows, invert_series, invert_substitution, mat_mul
 
 __all__ = _EXPORTS["zetadiff"]
@@ -67,7 +65,7 @@ def zeta_diff(m: int, x) -> Fraction:
     half-arguments stay positive.
     """
     m = _require_nonnegative(m, "m")
-    xq = _require_exact(x)
+    xq = _require_exact(x, "a point")
     p, q = xq.numerator, xq.denominator
     a, b, big_q = p + q, p + 2 * q, 2 * q
     row, scale = _TANGENT_TABLE.row(m + 1)
@@ -95,7 +93,7 @@ def hyper_poly(m: int, x) -> Fraction:
     sum off there. One ``Fraction`` is built at the end.
     """
     m = _require_nonnegative(m, "m")
-    xq = _require_exact(x)
+    xq = _require_exact(x, "a point")
     p, q = xq.numerator, xq.denominator
     num = den = 1
     for k in range(m - 1, -1, -1):

@@ -76,6 +76,12 @@ CLAIMS = {
     "eta_via_zeta": (etacheck.eta_via_zeta, RIORDAN + STIRLING, "combinat._TangentTable.number"),
     "eta_via_stirling2": (etacheck.eta_via_stirling2, RIORDAN + BERNOULLI, "combinat._stirling_row"),
     "eta_via_coeff_row": (etacheck.eta_via_coeff_row, BERNOULLI + STIRLING, "zetadiff._RiordanTable.packed"),
+    # the sample check compares point values with the matrix, never with the tables' rows
+    "verify_combination": (
+        zetadiff.verify_combination,
+        ("zetadiff.zeta_diff_coeffs", "zetadiff.hyper_poly_coeffs"),
+        "zetadiff.hyper_poly",
+    ),
 }
 
 

@@ -39,6 +39,12 @@ def test_trailing_zeros_trimmed():
     assert Poly((1, 2, 0, 0)).degree == 1
 
 
+@pytest.mark.parametrize("coeffs", [(0.1,), (Fraction(1, 3), 0.1)], ids=["alone", "beside a Fraction"])
+def test_a_float_coefficient_is_a_type_error(coeffs):
+    with pytest.raises(TypeError, match="^a coefficient must be exact, not float: 0.1$"):
+        Poly(coeffs)
+
+
 def test_rebase_x():
     p = Poly((0, 1)).rebase(Basis.SHIFTED)
     assert p == Poly((-1, 1), Basis.SHIFTED)

@@ -14,7 +14,8 @@ read exactly by ``Fraction``, and a binary ``float`` point is a
 ``TypeError``. A basis is read by its enum, so its
 string value works too. README's Library example runs as a doctest, and each
 command of its command-line session prints what the session shows. The
-docstring examples of every module of the imported package run as doctests.
+docstring examples of every module of the imported package run as doctests,
+and no module imports a name that none of its statements reads.
 """
 from __future__ import annotations
 
@@ -79,6 +80,27 @@ def public_names_defined_in(module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
     return {name for name in names if not name.startswith("_")}
+
+
+def unused_imports(module) -> list[str]:
+    """The names the module's imports bind that none of its statements reads;
+    ``from __future__`` imports bind nothing that is read."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            bound.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+# the package itself and each module in it, as imported: src/ or the installed copy
+MODULES = ["zetacomb", *(f"zetacomb.{info.name}" for info in pkgutil.iter_modules(zetacomb.__path__))]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_a_name_it_never_reads(name):
+    assert unused_imports(importlib.import_module(name)) == []
 
 
 @pytest.mark.parametrize("home", HOMES)
@@ -168,6 +190,7 @@ POINT_CALLS = {
     "zeta_diff": lambda x: zetacomb.zeta_diff(3, x),
     "hyper_poly": lambda x: zetacomb.hyper_poly(3, x),
     "bernoulli_poly": lambda x: zetacomb.bernoulli_poly(3, x),
+    "Poly.eval": lambda x: zetacomb.Poly((1, 2)).eval(x),
 }
 
 
@@ -256,7 +279,8 @@ def test_a_home_resolves_after_a_bare_import():
 
 
 def test_a_name_loads_its_home_only():
-    assert loaded_after("from zetacomb import bernoulli_number") == ["zetacomb.combinat"]
+    # combinat reads its points and scales its Bernoulli rows through numcore
+    assert loaded_after("from zetacomb import bernoulli_number") == ["zetacomb.combinat", "zetacomb.numcore"]
 
 
 def test_cli_import_loads_every_home():
