@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 mathematical-check failure, 2 usage error,
 3 a crash (an exception that escaped ``main``; its traceback goes to stderr).
 Results go to stdout; diagnostics go to stderr.
 
-``run`` is the program entry: ``python -m zetacomb``, the ``zetacomb``
-script and ``python -m zetacomb.cli`` all call it. ``main(argv)`` runs one
-request and returns its exit code; it is what tests and library callers use.
+``run`` is the program entry of ``python -m zetacomb``, the ``zetacomb``
+script and ``python -m zetacomb.cli``; it ends the process by ``os._exit``.
+``main(argv)`` runs one request and returns its exit code; tests, library
+callers and long-lived processes call it.
 
 This is the one module that formats output; the library returns values.
 Each ``cmd_*`` computes its result once and returns a ``_Result`` holding
@@ -25,9 +26,9 @@ imported only then, so it alone prints help, usage lines and errors.
 """
 from __future__ import annotations
 
+import atexit
 import enum
 import errno
-import gc
 import os
 import sys
 from collections import namedtuple
@@ -224,8 +225,8 @@ def _write(text: str) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # the interpreter flushes stdout again at exit; send what is
-        # left to devnull so the error line stays the only diagnostic
+        # stdout is flushed again at exit (by run, or by the interpreter);
+        # send what is left to devnull so the error line stays the only diagnostic
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -374,29 +375,34 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run():
-    """The program entry: run ``main`` on ``sys.argv`` and exit with its code.
+    """The program entry: run ``main`` on ``sys.argv`` and end the process with its code.
 
     An exception that escapes ``main`` prints its traceback to stderr
     (dropped if stderr is closed) and exits 3. On every path, argparse's
-    SystemExit included, ``gc.freeze()`` runs first, so the interpreter's
-    shutdown skips its full collections over objects the OS reclaims anyway.
-    That is safe: zetacomb has no ``__del__`` and no weakref callbacks, and
-    ``main`` has written and flushed all output before it returns.
-    Atexit handlers and the final flush of the std streams still run
-    (``_write`` relies on the latter). ``main`` freezes nothing, because
-    frozen objects are never collected and its callers may live on.
+    SystemExit included, the atexit handlers run, stdout and stderr are
+    flushed (a stdout that cannot take the rest exits 2, as in ``main``) and
+    ``os._exit`` skips the interpreter's teardown; a long-lived process calls ``main``.
     """
     try:
         code = main()
+    except SystemExit as exc:  # argparse: help exits 0, a usage error 2
+        code = exc.code
     except Exception:
         if sys.stderr is not None:
             import traceback
 
             traceback.print_exc()
         code = EXIT_CRASH
-    finally:
-        gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            _note(f"zetacomb: error: cannot write stdout: {exc.strerror}")
+            code = EXIT_USAGE
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,16 @@
 
 Subprocess tests prove that the program entry (``cli.run``, behind
 ``python -m zetacomb`` and ``python -m zetacomb.cli``) gives main's output
-and exit codes and exits 3 on a crash, that a stdout that cannot be
-written exits 2, that a closed stdout or stderr neither crashes the CLI
-nor mixes diagnostics into stdout, and that a plain argv runs without
-importing argparse; everything else captures stdout/stderr with capsys.
-In-process tests also hold main to freezing nothing.
+and exit codes on every exit path and exits 3 on a crash, that it runs the
+atexit handlers before it ends the process, that a stdout that cannot be
+written exits 2 (help included), that a closed stdout or stderr neither
+crashes the CLI nor mixes diagnostics into stdout, and that a plain argv
+runs without importing argparse; everything else captures stdout/stderr
+with capsys. The entry's children run without PYTHONUNBUFFERED, so their
+stdout is block-buffered, as it is for a user's pipe or file: what main does
+not flush itself (argparse's help, an atexit handler's output) reaches the
+sink only through the entry's final flush. In-process tests also hold main
+to freezing nothing.
 """
 from __future__ import annotations
 
@@ -275,17 +280,54 @@ def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
     assert not (tmp_path / "D").exists()
 
 
+# the environment of a child whose stdout is block-buffered (see the module docstring)
+BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["coeffs", "--m", "64"], ["coeffs", "--m", "0", "--format", "csv"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--m", "64"],
+        ["coeffs", "--m", "0", "--format", "csv"],
+        ["--help"],
+        ["coeffs", "--help"],
+    ],
+)
 def test_full_stdout_exits_2(argv):
-    # a large write fails at once, a small one only when stdout is flushed
+    # a large write fails at once, a small one only when stdout is flushed; help is
+    # written by argparse, so only the entry's final flush can find that it failed
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "zetacomb", *argv], stdout=full, stderr=subprocess.PIPE, text=True
+            [sys.executable, "-m", "zetacomb", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=BUFFERED,
         )
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("zetacomb: error: cannot write stdout: ")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_usage_error_to_a_full_stdout_reports_only_itself(unbuffered, monkeypatch, capsys):
+    # nothing is written to stdout, so the final flush writes nothing either:
+    # /dev/full refuses even an empty write, which an unbuffered stdout would pass on
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
+    argv = ["coeffs", "--m", "-1"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetacomb", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**BUFFERED, "COLUMNS": "80", **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
+        )
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert (proc.returncode, proc.stderr) == (2, capsys.readouterr().err)
 
 
 def run_with_closed_fd(fd, argv):
@@ -349,7 +391,9 @@ def run_entry(argv):
     """Run the CLI through ``python -m zetacomb`` and ``python -m zetacomb.cli``,
     both ``cli.run``; the two must print the same, and the first is returned."""
     first, second = (
-        subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True)
+        subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=BUFFERED
+        )
         for module in ("zetacomb", "zetacomb.cli")
     )
     assert (second.returncode, second.stdout, second.stderr) == (
@@ -395,11 +439,92 @@ def test_a_crash_exits_3_with_its_traceback():
         "cli.run()\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", planted, "coeffs", "--m", "2"], capture_output=True, text=True
+        [sys.executable, "-c", planted, "coeffs", "--m", "2"],
+        capture_output=True,
+        text=True,
+        env=BUFFERED,
     )
     assert (proc.returncode, proc.stdout) == (cli.EXIT_CRASH, "")
     assert proc.stderr.startswith("Traceback (most recent call last):\n")
     assert proc.stderr.endswith("ZeroDivisionError: planted\n")
+
+
+# the program entry, with the forms check planted to fail as in test_main_freezes_nothing
+_FAILING_FORMS_ENTRY = (
+    "from zetacomb import cli\n"
+    "cli.verify_polynomial_forms = lambda m: False\n"
+    "cli.run()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["coeffs", "--m=3", "--format", "csv"], 0),
+        (["verify", "--m", "2"], 1),
+        (["--help"], 0),
+        (["coeffs", "--help"], 0),
+        (["coeffs", "--m", "-1"], 2),
+        (["bogus"], 2),
+    ],
+    ids=[
+        "argparse-success", "failed-check", "help", "command-help", "usage-error", "unknown-command"
+    ],
+)
+def test_the_entry_gives_mains_bytes_on_every_exit_path(argv, code, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_FORMS_ENTRY, *argv],
+        capture_output=True,
+        text=True,
+        env={**BUFFERED, "COLUMNS": "80"},
+    )
+    try:
+        expected = run(argv, capsys)
+    except SystemExit as exc:
+        expected = (exc.code, *capsys.readouterr())
+    assert expected[0] == code
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+def test_a_large_output_through_the_entry_is_mains(sink, tmp_path, capsys):
+    # about 1.6 MB, written through a block-buffered pipe or regular file
+    argv = ["coeffs", "--m", "200", "--cap", "200", "--format", "json"]
+    if sink == "pipe":
+        proc = run_entry(argv)
+        got = (proc.returncode, proc.stdout, proc.stderr)
+    else:
+        path = tmp_path / "out.json"
+        with path.open("w") as out:
+            proc = subprocess.run(
+                [sys.executable, "-m", "zetacomb", *argv],
+                stdout=out,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=BUFFERED,
+            )
+        got = (proc.returncode, path.read_text(), proc.stderr)
+    assert got == run(argv, capsys)
+
+
+def test_the_entry_runs_the_atexit_handlers():
+    # the entry ends the process by os._exit, which alone would skip the handlers;
+    # stderr is line-buffered, so a line with no newline needs the final flush too
+    planted = (
+        "import atexit, sys\n"
+        "atexit.register(sys.stderr.write, 'handler ran')\n"
+        "from zetacomb import cli\n"
+        "cli.run()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", planted, "coeffs", "--m", "0", "--format", "csv"],
+        capture_output=True,
+        text=True,
+        env=BUFFERED,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/2\n", "handler ran")
 
 
 @pytest.mark.parametrize(
@@ -801,13 +926,12 @@ def test_what_the_plain_reader_reads_argparse_reads_the_same(argv):
 
 
 # runs the program entry as `python -m zetacomb` does, then writes on stderr
-# whether argparse was imported
+# whether argparse was imported; the entry ends the process by os._exit, so the
+# line is written by an atexit handler, which the entry runs first
 _ARGPARSE_PROBE = (
-    "import runpy, sys\n"
-    "try:\n"
-    "    runpy.run_module('zetacomb', run_name='__main__', alter_sys=True)\n"
-    "finally:\n"
-    "    print('argparse' in sys.modules, file=sys.stderr)\n"
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print('argparse' in sys.modules, file=sys.stderr))\n"
+    "runpy.run_module('zetacomb', run_name='__main__', alter_sys=True)\n"
 )
 
 

@@ -110,7 +110,6 @@ SHARED = {
 READERS = {
     **{route: run for route, (run, _, _) in CLAIMS.items()},
     "verify_polynomial_forms": zetadiff.verify_polynomial_forms,
-    "verify_combination": zetadiff.verify_combination,
 }
 
 
