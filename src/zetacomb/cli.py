@@ -1,8 +1,8 @@
 """Command-line surface. All configuration is by flags; output is deterministic.
 
-Exit codes: 0 success, 1 mathematical-check failure, 2 usage error,
-3 a crash (an exception that escaped ``main``; its traceback goes to stderr).
-Results go to stdout; diagnostics go to stderr.
+Exit codes: 0 success, 1 mathematical-check failure, 2 usage error, 3 a crash
+(an exception that escaped ``main``; its traceback goes to stderr). Results go to
+stdout; diagnostics go to stderr, dropped when it is closed or cannot be written.
 
 ``run`` is the program entry of ``python -m zetacomb``, the ``zetacomb``
 script and ``python -m zetacomb.cli``; it ends the process by ``os._exit``.
@@ -212,10 +212,14 @@ def _json_text(value) -> str:
     return json.dumps(_document(value), indent=2) + "\n"
 
 
-def _note(line: str) -> None:
-    """Print a diagnostic line to stderr; drop it if fd 2 was closed at start-up."""
-    if sys.stderr is not None:  # else print would write it to stdout
-        print(line, file=sys.stderr)
+def _note(*lines: str) -> None:
+    """Write each line to stderr and flush it (no line: only flush); drop them, as argparse
+    does its own, if stderr is None (fd 2 closed at start-up) or raises OSError."""
+    try:
+        sys.stderr.writelines(f"{line}\n" for line in lines)
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
 
 
 def _write(text: str) -> None:
@@ -377,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
 def run():
     """The program entry: run ``main`` on ``sys.argv`` and end the process with its code.
 
-    An exception that escapes ``main`` prints its traceback to stderr
-    (dropped if stderr is closed) and exits 3. On every path, argparse's
+    An exception that escapes ``main`` prints its traceback to stderr (dropped
+    if stderr is closed or cannot be written) and exits 3. On every path, argparse's
     SystemExit included, the atexit handlers run, stdout and stderr are
     flushed (a stdout that cannot take the rest exits 2, as in ``main``) and
     ``os._exit`` skips the interpreter's teardown; a long-lived process calls ``main``.
@@ -388,10 +392,9 @@ def run():
     except SystemExit as exc:  # argparse: help exits 0, a usage error 2
         code = exc.code
     except Exception:
-        if sys.stderr is not None:
-            import traceback
+        import traceback
 
-            traceback.print_exc()
+        _note(traceback.format_exc().rstrip("\n"))
         code = EXIT_CRASH
     atexit._run_exitfuncs()
     if sys.stdout is not None:
@@ -400,8 +403,7 @@ def run():
         except OSError as exc:
             _note(f"zetacomb: error: cannot write stdout: {exc.strerror}")
             code = EXIT_USAGE
-    if sys.stderr is not None:
-        sys.stderr.flush()
+    _note()  # whatever argparse or an exit handler left in stderr's buffer
     os._exit(code)
 
 

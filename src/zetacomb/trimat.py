@@ -140,10 +140,13 @@ def mat_mul(a: LowerTriMatrix, b: LowerTriMatrix) -> LowerTriMatrix:
     return LowerTriMatrix(a.dim, (Fraction(v, scale) for row in rows for v in row))
 
 
-def _require_invertible(m: LowerTriMatrix) -> None:
-    for i in range(m.dim):
-        if m.get(i, i) == 0:
-            raise SingularDiagonalError(i)
+def _invertible_rows(m: LowerTriMatrix) -> tuple[list[list[int]], int, list[int]]:
+    """``_scaled_rows(m)`` and their diagonal; SingularDiagonalError at its first zero."""
+    rows, scale = _scaled_rows(m)
+    diag = [row[-1] for row in rows]
+    if 0 in diag:
+        raise SingularDiagonalError(diag.index(0))
+    return rows, scale, diag
 
 
 def invert_substitution(m: LowerTriMatrix) -> LowerTriMatrix:
@@ -154,9 +157,8 @@ def invert_substitution(m: LowerTriMatrix) -> LowerTriMatrix:
     product s, pivot p), and only f = p/gcd(s, p), the part of p that does
     not divide s, joins D, so D follows the column's own denominators.
     """
-    _require_invertible(m)
     n = m.dim
-    rows, scale = _scaled_rows(m)
+    rows, scale, _ = _invertible_rows(m)
     out: list[list[Fraction]] = [[] for _ in range(n)]
     for j in range(n):
         col, den = [], 1
@@ -184,10 +186,8 @@ def invert_series(m: LowerTriMatrix) -> LowerTriMatrix:
     s) standing for R/s; N and I - N start over one scale, the lcm of the
     diagonal.
     """
-    _require_invertible(m)
     n = m.dim
-    rows, scale = _scaled_rows(m)
-    diag = [row[-1] for row in rows]
+    rows, scale, diag = _invertible_rows(m)
     p = lcm(*diag)
     strict = [[v * (p // d) for v in row[:-1]] for row, d in zip(rows, diag)]
     power = ([[*row, 0] for row in strict], p)

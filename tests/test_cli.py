@@ -5,7 +5,8 @@ Subprocess tests prove that the program entry (``cli.run``, behind
 and exit codes on every exit path and exits 3 on a crash, that it runs the
 atexit handlers before it ends the process, that a stdout that cannot be
 written exits 2 (help included), that a closed stdout or stderr neither
-crashes the CLI nor mixes diagnostics into stdout, and that a plain argv
+crashes the CLI nor mixes diagnostics into stdout, that a stderr that cannot
+be written never changes the exit code, and that a plain argv
 runs without importing argparse; everything else captures stdout/stderr
 with capsys. The entry's children run without PYTHONUNBUFFERED, so their
 stdout is block-buffered, as it is for a user's pipe or file: what main does
@@ -387,6 +388,16 @@ def test_closed_stderr_keeps_the_exit_1_line_off_stdout(monkeypatch, capsys):
     )
 
 
+def test_a_diagnostic_reaches_a_block_buffered_stderr_at_once(monkeypatch, tmp_path):
+    # a long-lived caller may point stderr at a file, which is block-buffered
+    monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
+    path = tmp_path / "err.txt"
+    with path.open("w") as err:
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(["verify", "--m", "2"]) == 1
+        assert path.read_text() == "polynomial forms check failed at m=2\n"
+
+
 def run_entry(argv):
     """Run the CLI through ``python -m zetacomb`` and ``python -m zetacomb.cli``,
     both ``cli.run``; the two must print the same, and the first is returned."""
@@ -525,6 +536,63 @@ def test_the_entry_runs_the_atexit_handlers():
         env=BUFFERED,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/2\n", "handler ran")
+
+
+# the program entry, with combination_matrix planted to raise
+_CRASHING_ENTRY = (
+    "from zetacomb import cli\n"
+    "cli.combination_matrix = lambda m: 1 // 0\n"
+    "cli.run()\n"
+)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code, crash",
+    [
+        (["coeffs", "--m", "-1"], 2, False),
+        (["bogus"], 2, False),
+        (["coeffs", "--m", "70"], 2, False),
+        (["coeffs", "--m", "3"], 0, False),
+        (["coeffs", "--m", "3", "--check-all-routes"], 0, False),
+        (["verify", "--m", "3"], 1, False),
+        (["coeffs", "--m", "3"], 3, True),
+    ],
+    ids=["negative-m", "unknown-command", "over-the-cap", "success", "routes-agree",
+         "failed-check", "crash"],
+)
+def test_a_full_stderr_never_changes_the_exit_code(argv, code, crash, unbuffered, monkeypatch, capsys):
+    # every diagnostic is dropped (a usage line, a note, a check's line, a traceback):
+    # line-buffered, the entry's final flush finds the failure; unbuffered, each write does
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-c", _CRASHING_ENTRY if crash else _FAILING_FORMS_ENTRY, *argv],
+            stdout=subprocess.PIPE,
+            stderr=full,
+            text=True,
+            env={**BUFFERED, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
+        )
+    monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
+    if crash:
+        monkeypatch.setattr(cli, "combination_matrix", lambda m: 1 // 0)
+    with contextlib.suppress(SystemExit, ZeroDivisionError):
+        main(argv)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_full_stdout_and_stderr_exit_2(unbuffered):
+    # the stdout error line cannot be written either, and dropping it keeps the code
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zetacomb", "coeffs", "--m", "3"],
+            stdout=full,
+            stderr=full,
+            env={**BUFFERED, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
+        )
+    assert proc.returncode == 2
 
 
 @pytest.mark.parametrize(
