@@ -22,7 +22,8 @@ A plain argv (a command, then each of its flags at most once as ``--flag
 value``, every value valid) is read by ``_plain_args`` from ``_COMMANDS``
 and ``_SHARED_FLAGS``, without argparse. Any other argv (help, a usage
 error, or a valid one such as ``coeffs --m=3``) goes to argparse, which is
-imported only then, so it alone prints help, usage lines and errors.
+imported only then, so it alone prints help, usage lines and errors; it
+formats help and usage at 78 columns, whatever the terminal or COLUMNS.
 """
 from __future__ import annotations
 
@@ -262,7 +263,8 @@ _SHARED_FLAGS = (
 
 
 def build_parser():
-    """The one argparse parser of every argv, with a subparser per command of ``_COMMANDS``."""
+    """The one argparse parser of every argv, with a subparser per command of ``_COMMANDS``;
+    each formats help and usage at 78 columns (what COLUMNS=80 gives), whatever the terminal."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -272,12 +274,13 @@ def build_parser():
 
     parser = _Parser(
         prog="zetacomb",
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
         description="Exact matrices linking Hurwitz zeta differences to "
         "terminating hypergeometric polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, compute, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+        p = sub.add_parser(command, help=help_line, formatter_class=parser.formatter_class)
         for flag, keywords in (*flags, *_SHARED_FLAGS):
             p.add_argument(flag, **keywords)
         p.set_defaults(run=compute)

@@ -33,12 +33,12 @@ import enum
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from math import comb, factorial
 from operator import add, mul
 from threading import Lock
 
 from . import _EXPORTS
-from .combinat import _TANGENT_TABLE, _require_nonnegative, _stirling_row, bernoulli_number, binomial
+from .combinat import _TANGENT_TABLE, _require_nonnegative, _stirling_row, bernoulli_number
 from .numcore import Basis, _newton_to_powers, _over_lcm, _require_exact, _Value
 from .trimat import LowerTriMatrix, _scaled_product, _scaled_rows, invert_series, invert_substitution, mat_mul
 
@@ -125,7 +125,7 @@ def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     halves = [-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)]
     if basis is Basis.MONOMIAL:
         halves = [-h if n % 2 else h for n, h in enumerate(halves)]
-    return LowerTriMatrix.from_func(m + 1, lambda i, j: binomial(i, j) * halves[i - j])
+    return LowerTriMatrix(m + 1, (comb(i, j) * halves[i - j] for i in range(m + 1) for j in range(i + 1)))
 
 
 def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:

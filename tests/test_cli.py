@@ -8,11 +8,9 @@ written exits 2 (help included), that a closed stdout or stderr neither
 crashes the CLI nor mixes diagnostics into stdout, that a stderr that cannot
 be written never changes the exit code, and that a plain argv
 runs without importing argparse; everything else captures stdout/stderr
-with capsys. The entry's children run without PYTHONUNBUFFERED, so their
-stdout is block-buffered, as it is for a user's pipe or file: what main does
-not flush itself (argparse's help, an atexit handler's output) reaches the
-sink only through the entry's final flush. In-process tests also hold main
-to freezing nothing.
+with capsys. Every child is started by ``child.run``, whose docstring gives
+its environment and its block-buffered default. In-process tests also hold
+main to freezing nothing.
 """
 from __future__ import annotations
 
@@ -33,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _tables_m9 as tables
+import child
 from zetacomb import cli, zetadiff
 from zetacomb.cli import main
 from zetacomb.etacheck import RouteDisagreementError
@@ -281,10 +280,6 @@ def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
     assert not (tmp_path / "D").exists()
 
 
-# the environment of a child whose stdout is block-buffered (see the module docstring)
-BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
-
-
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
@@ -299,13 +294,7 @@ def test_full_stdout_exits_2(argv):
     # a large write fails at once, a small one only when stdout is flushed; help is
     # written by argparse, so only the entry's final flush can find that it failed
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "zetacomb", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=BUFFERED,
-        )
+        proc = child.run("-m", "zetacomb", *argv, stdout=full)
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("zetacomb: error: cannot write stdout: ")
@@ -313,19 +302,12 @@ def test_full_stdout_exits_2(argv):
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_a_usage_error_to_a_full_stdout_reports_only_itself(unbuffered, monkeypatch, capsys):
+def test_a_usage_error_to_a_full_stdout_reports_only_itself(unbuffered, capsys):
     # nothing is written to stdout, so the final flush writes nothing either:
     # /dev/full refuses even an empty write, which an unbuffered stdout would pass on
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
     argv = ["coeffs", "--m", "-1"]
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "zetacomb", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={**BUFFERED, "COLUMNS": "80", **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
-        )
+        proc = child.run("-m", "zetacomb", *argv, stdout=full, unbuffered=unbuffered)
     with pytest.raises(SystemExit):
         main(argv)
     assert (proc.returncode, proc.stderr) == (2, capsys.readouterr().err)
@@ -334,12 +316,11 @@ def test_a_usage_error_to_a_full_stdout_reports_only_itself(unbuffered, monkeypa
 def run_with_closed_fd(fd, argv):
     """Run the CLI in a child that starts with ``fd`` closed, so that its
     ``sys.stdout`` (fd 1) or ``sys.stderr`` (fd 2) is None."""
-    return subprocess.run(
-        [sys.executable, "-m", "zetacomb", *argv],
+    return child.run(
+        "-m", "zetacomb", *argv,
         stdout=subprocess.DEVNULL if fd == 1 else subprocess.PIPE,
         stderr=subprocess.DEVNULL if fd == 2 else subprocess.PIPE,
         preexec_fn=lambda: os.close(fd),
-        text=True,
     )
 
 
@@ -401,12 +382,7 @@ def test_a_diagnostic_reaches_a_block_buffered_stderr_at_once(monkeypatch, tmp_p
 def run_entry(argv):
     """Run the CLI through ``python -m zetacomb`` and ``python -m zetacomb.cli``,
     both ``cli.run``; the two must print the same, and the first is returned."""
-    first, second = (
-        subprocess.run(
-            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=BUFFERED
-        )
-        for module in ("zetacomb", "zetacomb.cli")
-    )
+    first, second = (child.run("-m", module, *argv) for module in ("zetacomb", "zetacomb.cli"))
     assert (second.returncode, second.stdout, second.stderr) == (
         first.returncode, first.stdout, first.stderr
     )
@@ -449,12 +425,7 @@ def test_a_crash_exits_3_with_its_traceback():
         "cli.combination_matrix = boom\n"
         "cli.run()\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", planted, "coeffs", "--m", "2"],
-        capture_output=True,
-        text=True,
-        env=BUFFERED,
-    )
+    proc = child.run("-c", planted, "coeffs", "--m", "2")
     assert (proc.returncode, proc.stdout) == (cli.EXIT_CRASH, "")
     assert proc.stderr.startswith("Traceback (most recent call last):\n")
     assert proc.stderr.endswith("ZeroDivisionError: planted\n")
@@ -483,14 +454,8 @@ _FAILING_FORMS_ENTRY = (
     ],
 )
 def test_the_entry_gives_mains_bytes_on_every_exit_path(argv, code, monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAILING_FORMS_ENTRY, *argv],
-        capture_output=True,
-        text=True,
-        env={**BUFFERED, "COLUMNS": "80"},
-    )
+    proc = child.run("-c", _FAILING_FORMS_ENTRY, *argv)
     try:
         expected = run(argv, capsys)
     except SystemExit as exc:
@@ -509,13 +474,7 @@ def test_a_large_output_through_the_entry_is_mains(sink, tmp_path, capsys):
     else:
         path = tmp_path / "out.json"
         with path.open("w") as out:
-            proc = subprocess.run(
-                [sys.executable, "-m", "zetacomb", *argv],
-                stdout=out,
-                stderr=subprocess.PIPE,
-                text=True,
-                env=BUFFERED,
-            )
+            proc = child.run("-m", "zetacomb", *argv, stdout=out)
         got = (proc.returncode, path.read_text(), proc.stderr)
     assert got == run(argv, capsys)
 
@@ -529,12 +488,7 @@ def test_the_entry_runs_the_atexit_handlers():
         "from zetacomb import cli\n"
         "cli.run()\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", planted, "coeffs", "--m", "0", "--format", "csv"],
-        capture_output=True,
-        text=True,
-        env=BUFFERED,
-    )
+    proc = child.run("-c", planted, "coeffs", "--m", "0", "--format", "csv")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/2\n", "handler ran")
 
 
@@ -566,13 +520,8 @@ def test_a_full_stderr_never_changes_the_exit_code(argv, code, crash, unbuffered
     # every diagnostic is dropped (a usage line, a note, a check's line, a traceback):
     # line-buffered, the entry's final flush finds the failure; unbuffered, each write does
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-c", _CRASHING_ENTRY if crash else _FAILING_FORMS_ENTRY, *argv],
-            stdout=subprocess.PIPE,
-            stderr=full,
-            text=True,
-            env={**BUFFERED, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
-        )
+        entry = _CRASHING_ENTRY if crash else _FAILING_FORMS_ENTRY
+        proc = child.run("-c", entry, *argv, stderr=full, unbuffered=unbuffered)
     monkeypatch.setattr(cli, "verify_polynomial_forms", lambda m: False)
     if crash:
         monkeypatch.setattr(cli, "combination_matrix", lambda m: 1 // 0)
@@ -586,11 +535,8 @@ def test_a_full_stderr_never_changes_the_exit_code(argv, code, crash, unbuffered
 def test_a_full_stdout_and_stderr_exit_2(unbuffered):
     # the stdout error line cannot be written either, and dropping it keeps the code
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "zetacomb", "coeffs", "--m", "3"],
-            stdout=full,
-            stderr=full,
-            env={**BUFFERED, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {})},
+        proc = child.run(
+            "-m", "zetacomb", "coeffs", "--m", "3", stdout=full, stderr=full, unbuffered=unbuffered
         )
     assert proc.returncode == 2
 
@@ -662,6 +608,23 @@ def test_each_command_help_exits_0_and_names_the_program_and_the_command(command
     out, err = capsys.readouterr()
     assert (info.value.code, err) == (0, "")
     assert out.startswith(f"usage: zetacomb {command} ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["coeffs", "--help"], ["coeffs", "--m", "-1"], ["bogus"]],
+    ids=["help", "command-help", "usage-error", "unknown-command"],
+)
+def test_help_and_usage_do_not_read_the_terminal_width(argv, monkeypatch, capsys):
+    # argparse would wrap both to COLUMNS, else to the terminal's width
+    got = []
+    for columns in ("20", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        got.append((info.value.code, *capsys.readouterr()))
+    proc = child.run("-m", "zetacomb", *argv, env={"COLUMNS": "20"})
+    assert got[0] == got[1] == (proc.returncode, proc.stdout, proc.stderr)
 
 
 @pytest.mark.parametrize(
@@ -1004,10 +967,7 @@ _ARGPARSE_PROBE = (
 
 
 def run_probe(argv):
-    env = {**os.environ, "COLUMNS": "80"}  # argparse wraps help to the terminal width
-    return subprocess.run(
-        [sys.executable, "-c", _ARGPARSE_PROBE, *argv], capture_output=True, text=True, env=env
-    )
+    return child.run("-c", _ARGPARSE_PROBE, *argv)
 
 
 @pytest.mark.parametrize(
@@ -1027,8 +987,7 @@ def test_a_plain_request_does_not_import_argparse(argv, capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "False\n")
 
 
-def test_help_errors_and_other_argv_still_go_through_argparse(monkeypatch, capsys):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_help_errors_and_other_argv_still_go_through_argparse(capsys):
     parser = cli.build_parser()
     _, csv_m3, _ = run(["coeffs", "--m", "3", "--format", "csv"], capsys)
     for argv, code, out, err in [

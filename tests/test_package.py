@@ -25,14 +25,13 @@ import importlib
 import json
 import pkgutil
 import shlex
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import child
 import zetacomb
 from zetacomb import cli
 
@@ -52,7 +51,7 @@ EXPORTS = """
 def loaded_after(code: str) -> list[str]:
     """The zetacomb.* modules a fresh interpreter holds after running ``code``."""
     probe = f"{code}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('zetacomb.')))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = child.run("-c", probe)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 

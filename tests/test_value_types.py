@@ -13,12 +13,11 @@ from __future__ import annotations
 import copy
 import os
 import pickle
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
+import child
 import zetacomb
 from zetacomb.cli import _Result
 from zetacomb.numcore import Basis, Poly
@@ -161,6 +160,5 @@ def test_clean_cli_import_loads_no_dataclasses_inspect_typing_pathlib_or_bisect(
         "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib', 'bisect'} & set(sys.modules)))"
     )
     home = os.path.dirname(os.path.dirname(zetacomb.__file__))  # the directory holding the package
-    env = {**os.environ, "PYTHONPATH": home}
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    proc = child.run("-S", "-c", code, env={"PYTHONPATH": home})
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
