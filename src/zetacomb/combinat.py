@@ -8,10 +8,10 @@ Conventions used throughout:
   coefficients of the falling factorial, <z>_n = sum_k s(n,k) z^k.
 * n and k are read through ``operator.index``; a negative n is a ``ValueError``.
 * A point z is read exactly by ``Fraction``; a ``float`` is a ``TypeError`` (``numcore._require_exact``).
-* All tables are built by integer recurrence; the Bernoulli and Stirling
-  ones grow as they are asked for, under a lock, so threads may share
-  them. An independent slow oracle for each (series division, polynomial
-  expansion, partition enumeration) lives in the test suite, never here.
+* All tables are built by integer recurrence; the Bernoulli and Stirling ones grow as
+  they are asked for, under a lock, so threads may share them. Only ``_bernoulli_at``
+  reads a Bernoulli row. An independent slow oracle for each (series division,
+  polynomial expansion, partition enumeration) lives in the test suite, never here.
 """
 from __future__ import annotations
 
@@ -102,26 +102,28 @@ def bernoulli_number(n: int) -> Fraction:
     return _TANGENT_TABLE.number(n)
 
 
-def bernoulli_poly(n: int, z) -> Fraction:
-    """B_n(z) = sum_k C(n,k) B_k z^{n-k}, evaluated exactly at rational z.
+def _bernoulli_at(n: int, p: int, q: int) -> tuple[int, int]:
+    """(a, D) with B_n(p/q) = a / D and D = d q^n for q > 0, on integers:
+    with the table's row c_k = d C(n,k) B_k,
 
-    Runs on integers: with z = p/q and the table's row c_k = d C(n,k) B_k,
-
-        d q^n B_n(z) = sum_k c_k p^{n-k} q^k,
+        d q^n B_n(p/q) = sum_k c_k p^{n-k} q^k,
 
     which a homogeneous Horner pass over k sums with two integer products
-    per step. One ``Fraction`` is built at the end.
-    """
-    n = _require_nonnegative(n, "n")
-    zq = _require_exact(z, "a point")
-    p, q = zq.numerator, zq.denominator
+    per step. ``bernoulli_poly`` and ``zetadiff.zeta_diff`` both run it."""
     row, scale = _TANGENT_TABLE.row(n)
-    acc = 0
-    q_power = 1
+    acc, q_power = 0, 1
     for c in row:
         acc = acc * p + c * q_power
         q_power *= q
-    return Fraction(acc, scale * q**n)
+    return acc, scale * q**n
+
+
+def bernoulli_poly(n: int, z) -> Fraction:
+    """B_n(z) = sum_k C(n,k) B_k z^{n-k}, evaluated exactly at rational z,
+    by one integer pass (``_bernoulli_at``) and one ``Fraction`` at the end."""
+    n = _require_nonnegative(n, "n")
+    zq = _require_exact(z, "a point")
+    return Fraction(*_bernoulli_at(n, zq.numerator, zq.denominator))
 
 
 # kind -> {n: row n}, seeded with row 0; rows are added as they are asked for,

@@ -38,7 +38,7 @@ from operator import add, mul
 from threading import Lock
 
 from . import _EXPORTS
-from .combinat import _TANGENT_TABLE, _require_nonnegative, _stirling_row, bernoulli_number
+from .combinat import _bernoulli_at, _require_nonnegative, _stirling_row, bernoulli_number
 from .numcore import Basis, _newton_to_powers, _over_lcm, _require_exact, _Value
 from .trimat import LowerTriMatrix, _scaled_product, _scaled_rows, invert_series, invert_substitution, mat_mul
 
@@ -57,9 +57,10 @@ DEFAULT_SAMPLES: tuple[Fraction, ...] = (
 def zeta_diff(m: int, x) -> Fraction:
     """F(m, x), exactly, by the closed Bernoulli form.
 
-    With n = m+1, x = p/q and Q = 2q, F = 2^m (B_n((p+2q)/Q) - B_n((p+q)/Q))/n:
-    one integer Horner pass over the row d C(n, k) B_k, with d the lcm of the
-    denominators of B_0..B_n, sums both terms. The form is polynomial in x,
+    With zeta(-m, a) = -B_{m+1}(a)/(m+1) (DLMF 25.11.14), n = m+1 and
+    x = p/q, F = 2^m (B_n((p+2q)/2q) - B_n((p+q)/2q))/n: two integer passes
+    of ``combinat._bernoulli_at``, each over the same row d C(n, k) B_k, so
+    both values share the denominator d (2q)^n. The form is polynomial in x,
     so any rational x is accepted (a ``float`` is a ``TypeError``); agreement
     with the Hurwitz-zeta definition is claimed only for x > -1, where both
     half-arguments stay positive.
@@ -67,15 +68,9 @@ def zeta_diff(m: int, x) -> Fraction:
     m = _require_nonnegative(m, "m")
     xq = _require_exact(x, "a point")
     p, q = xq.numerator, xq.denominator
-    a, b, big_q = p + q, p + 2 * q, 2 * q
-    row, scale = _TANGENT_TABLE.row(m + 1)
-    acc_a, acc_b, q_power = 0, 0, 1
-    for c in row:
-        term = c * q_power
-        acc_a = acc_a * a + term
-        acc_b = acc_b * b + term
-        q_power *= big_q
-    return Fraction(2**m * (acc_b - acc_a), (m + 1) * scale * big_q ** (m + 1))
+    upper, den = _bernoulli_at(m + 1, p + 2 * q, 2 * q)
+    lower, _ = _bernoulli_at(m + 1, p + q, 2 * q)
+    return Fraction(2**m * (upper - lower), (m + 1) * den)
 
 
 def hyper_poly(m: int, x) -> Fraction:
@@ -160,7 +155,7 @@ def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
             for t_term, r, p in zip([0, *row], [*row, 0], [*prev, 0, 0])
         ], row
         packed += row
-    return LowerTriMatrix(m + 1, tuple(packed))
+    return LowerTriMatrix(m + 1, packed)
 
 
 class CoeffReport(_Value):
@@ -394,22 +389,21 @@ def verify_combination(m: int) -> VerificationReport:
     points in order.
     """
     m = _require_nonnegative(m, "m")
-    samples = DEFAULT_SAMPLES
     report = combination_matrix(m)
     rows, scale = _scaled_rows(report.matrix)
     g_at = []
-    for x in samples:
+    for x in DEFAULT_SAMPLES:
         g, den = _over_lcm([hyper_poly(j, x) for j in range(m + 1)])
         g_at.append((g, scale * den))
     violations = []
     for i, row in enumerate(rows):
-        for x, (g, den) in zip(samples, g_at):
+        for x, (g, den) in zip(DEFAULT_SAMPLES, g_at):
             f = zeta_diff(i, x)
             residual = f.numerator * den - f.denominator * sum(map(mul, row, g))
             if residual:
                 violations.append(CombinationViolation(i, x, Fraction(residual, f.denominator * den)))
     return VerificationReport(
-        m=m, samples=samples, passed=not violations, violations=tuple(violations)
+        m=m, samples=DEFAULT_SAMPLES, passed=not violations, violations=tuple(violations)
     )
 
 

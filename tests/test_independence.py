@@ -2,10 +2,12 @@
 
 Each route runs once under ``sys.setprofile`` with every cache cleared first:
 ``combination_matrix``'s (and with it the Riordan table), and fresh Bernoulli
-and Stirling tables, since a cached Bernoulli row skips ``number``. The
-qualified names of the zetacomb functions it enters must miss every table its
-docstring says it never reads, and must hit one it does read, so that a hook
-that saw nothing cannot pass.
+and Stirling tables, since a cached Bernoulli row skips ``number``. Each of
+those two tables is one binding in ``combinat``, the only module that reads
+it, so one patch replaces it for every route. The qualified names of the
+zetacomb functions a route enters must miss every table its docstring says it
+never reads, and must hit one it does read, so that a hook that saw nothing
+cannot pass.
 """
 from __future__ import annotations
 
@@ -47,9 +49,7 @@ def entered(route, *args) -> set[str]:
 
     zetadiff.combination_matrix.cache_clear()
     with pytest.MonkeyPatch.context() as patch:
-        tangent = combinat._TangentTable()
-        patch.setattr(combinat, "_TANGENT_TABLE", tangent)
-        patch.setattr(zetadiff, "_TANGENT_TABLE", tangent)
+        patch.setattr(combinat, "_TANGENT_TABLE", combinat._TangentTable())
         patch.setattr(combinat, "_STIRLING_ROWS", {"first": {0: (1,)}, "second": {0: (1,)}})
         sys.setprofile(hook)
         try:

@@ -57,6 +57,22 @@ def test_zeta_diff_point_values():
     assert zeta_diff(3, 0) == Fraction(-1, 8)
 
 
+dyadic = st.builds(Fraction, st.integers(-(10**4), 10**4), st.integers(0, 12).map(lambda k: 1 << k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40), st.one_of(dyadic, non_dyadic, st.integers(-20, -1).map(Fraction)))
+@example(40, Fraction(-7, 3))
+@example(2, Fraction(0))
+def test_zeta_diff_is_its_bernoulli_definition(m, x):
+    # zeta(-m, a) = -B_{m+1}(a)/(m+1) (DLMF 25.11.14), with B_{m+1} summed from
+    # the series oracle's numbers, never from the tangent table zeta_diff reads
+    def bernoulli(z):
+        return oracles.bernoulli_poly_power_sum(m + 1, z)
+
+    assert zeta_diff(m, x) == 2**m * (bernoulli((x + 2) / 2) - bernoulli((x + 1) / 2)) / (m + 1)
+
+
 def test_hyper_poly_m0_is_one():
     for x in SAMPLES:
         assert hyper_poly(0, x) == 1
