@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # each home's ``__all__`` is its entry here
 _EXPORTS = {
     "numcore": ("Basis", "Poly"),
-    "combinat": ("binomial", "bernoulli_number", "bernoulli_poly", "stirling1", "stirling2"),
+    "combinat": ("bernoulli_number", "bernoulli_poly", "stirling1", "stirling2"),
     "trimat": (
         "LowerTriMatrix",
         "DimensionMismatchError",

@@ -1,8 +1,9 @@
 """Command-line surface. All configuration is by flags; output is deterministic.
 
 Exit codes: 0 success, 1 mathematical-check failure, 2 usage error, 3 a crash
-(an exception that escaped ``main``; its traceback goes to stderr). Results go to
-stdout; diagnostics go to stderr, dropped when it is closed or cannot be written.
+(an exception that escaped ``main``; its traceback goes to stderr). Results and
+help reach stdout only through ``_write``, and a stdout it cannot write exits 2;
+diagnostics go to stderr, dropped when it is closed or cannot be written.
 
 ``run`` is the program entry of ``python -m zetacomb``, the ``zetacomb``
 script and ``python -m zetacomb.cli``; it ends the process by ``os._exit``.
@@ -21,9 +22,9 @@ JSON keys.
 A plain argv (a command, then each of its flags at most once as ``--flag
 value``, every value valid) is read by ``_plain_args`` from ``_COMMANDS``
 and ``_SHARED_FLAGS``, without argparse. Any other argv (help, a usage
-error, or a valid one such as ``coeffs --m=3``) goes to argparse, which is
-imported only then, so it alone prints help, usage lines and errors; it
-formats help and usage at 78 columns, whatever the terminal or COLUMNS.
+error, or a valid one such as ``coeffs --m=3``) goes to argparse, imported
+only then: it alone formats help and prints usage lines and errors, at 78
+columns whatever the terminal or COLUMNS.
 """
 from __future__ import annotations
 
@@ -230,8 +231,8 @@ def _write(text: str) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # stdout is flushed again at exit (by run, or by the interpreter);
-        # send what is left to devnull so the error line stays the only diagnostic
+        # the one place a stdout failure is named; the interpreter flushes stdout again at
+        # exit, so devnull takes what is left and the error line stays the only diagnostic
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -271,6 +272,13 @@ def build_parser():
         def print_usage(self, file=None):  # a usage error passes sys.stderr, None if fd 2 is closed
             if file is not None:  # else argparse would print the usage line to stdout
                 super().print_usage(file)
+
+        def print_help(self, file=None):  # -h and --help: written as a result is, or exit 2
+            try:
+                _write(self.format_help())
+            except _UnwritableOutputError as exc:
+                _note(f"zetacomb: error: {exc}")
+                self.exit(EXIT_USAGE)
 
     parser = _Parser(
         prog="zetacomb",
@@ -386,9 +394,8 @@ def run():
 
     An exception that escapes ``main`` prints its traceback to stderr (dropped
     if stderr is closed or cannot be written) and exits 3. On every path, argparse's
-    SystemExit included, the atexit handlers run, stdout and stderr are
-    flushed (a stdout that cannot take the rest exits 2, as in ``main``) and
-    ``os._exit`` skips the interpreter's teardown; a long-lived process calls ``main``.
+    SystemExit included, the atexit handlers run, stdout and stderr are flushed,
+    dropping what either cannot take, and ``os._exit`` skips the interpreter's teardown.
     """
     try:
         code = main()
@@ -400,12 +407,10 @@ def run():
         _note(traceback.format_exc().rstrip("\n"))
         code = EXIT_CRASH
     atexit._run_exitfuncs()
-    if sys.stdout is not None:
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            _note(f"zetacomb: error: cannot write stdout: {exc.strerror}")
-            code = EXIT_USAGE
+    try:
+        sys.stdout.flush()  # whatever an exit handler left in stdout's buffer
+    except (AttributeError, OSError):
+        pass
     _note()  # whatever argparse or an exit handler left in stderr's buffer
     os._exit(code)
 

@@ -1,4 +1,4 @@
-"""Number-theoretic sequences: binomials, Bernoulli and Stirling numbers.
+"""Number-theoretic sequences: Bernoulli and Stirling numbers.
 
 Conventions used throughout:
 
@@ -40,12 +40,6 @@ def _require_nonnegative(value: int, name: str) -> int:
 def _entry(n: int, k: int) -> tuple[int, int]:
     """A triangle's (n, k): n checked as a size, k read through ``operator.index``."""
     return _require_nonnegative(n, "n"), k if type(k) is int else index(k)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with 0 outside 0 <= k <= n. Requires n >= 0."""
-    n, k = _entry(n, k)
-    return comb(n, k) if 0 <= k <= n else 0
 
 
 class _TangentTable:

@@ -20,7 +20,7 @@ one ``Fraction`` is built per output entry.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index, mul
@@ -89,12 +89,8 @@ class LowerTriMatrix(_Value):
         return cls(len(rows), packed)
 
     @classmethod
-    def from_func(cls, dim: int, fn: Callable[[int, int], Fraction]) -> LowerTriMatrix:
-        return cls(dim, (fn(i, j) for i in range(dim) for j in range(i + 1)))
-
-    @classmethod
     def identity(cls, dim: int) -> LowerTriMatrix:
-        return cls.from_func(dim, lambda i, j: Fraction(1 if i == j else 0))
+        return cls(dim, (Fraction(1 if i == j else 0) for i in range(dim) for j in range(i + 1)))
 
     def get(self, i: int, j: int) -> Fraction:
         """Entry (i, j) of the full square matrix (zero above the diagonal)."""

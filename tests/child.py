@@ -2,9 +2,9 @@
 
 A child runs ``sys.executable`` in text mode with the test process's
 environment less PYTHONUNBUFFERED, so its stdout is block-buffered, as it is
-for a user's pipe or file: what the CLI does not flush itself (argparse's
-help, an atexit handler's output) reaches the sink only through the program
-entry's final flush. A test that wants the unbuffered case asks for it.
+for a user's pipe or file: what the CLI does not flush itself (an atexit
+handler's output) reaches the sink only through the program entry's final
+flush. A test that wants the unbuffered case asks for it.
 """
 from __future__ import annotations
 

@@ -3,11 +3,11 @@
 Each one reaches its value by a route genuinely different from the
 library implementation: series division instead of the binomial
 recurrence, polynomial expansion instead of the Stirling recurrence,
-explicit partition enumeration instead of the triangle, Pascal's rule
-instead of math.comb, the paper's Stirling double sum for the G table
-instead of its three-term recurrence, tanh as the quotient of the sinh and
-cosh series instead of the derivative recurrence of its powers, the
-combination matrix as a Stirling-Lah product instead of the U table. The
+explicit partition enumeration instead of the triangle, the paper's
+Stirling double sum for the G table instead of its three-term recurrence,
+tanh as the quotient of the sinh and cosh series instead of the derivative
+recurrence of its powers, the combination matrix as a Stirling-Lah product
+instead of the U table. The
 ``Fraction`` evaluators at the end (rising factorials for G, powers for
 B_n(z), Horner for a polynomial, the power-by-power Neumann sum for an
 inverse, the Taylor shift for a change of basis and the candidate-by-
@@ -61,16 +61,6 @@ def tanh_power_series(n_max: int) -> list[list[int]]:
         assert all(v.denominator == 1 for v in values)
         rows.append([v.numerator for v in values])
     return rows
-
-
-def binomial_pascal(n: int, k: int) -> int:
-    """C(n, k) by building Pascal's triangle row by row."""
-    if k < 0 or k > n:
-        return 0
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
 
 
 def falling_factorial_coeffs(n: int) -> list[int]:

@@ -9,11 +9,11 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import _tables_m9 as tables
 from zetacomb import cli
-from zetacomb.combinat import bernoulli_number, binomial, stirling1, stirling2
+from zetacomb.combinat import bernoulli_number, stirling1, stirling2
 from zetacomb.etacheck import eta_cross_check, eta_via_coeff_row, eta_via_stirling2
 from zetacomb.numcore import Basis
 from zetacomb.trimat import (
@@ -161,7 +161,7 @@ def test_criterion_5_inversion_property_suite(acceptance):
 def test_criterion_6_combinatorics_suite(acceptance):
     failures = []
     for n in range(1, 21):
-        if sum(binomial(n + 1, k) * bernoulli_number(k) for k in range(n + 1)) != 0:
+        if sum(comb(n + 1, k) * bernoulli_number(k) for k in range(n + 1)) != 0:
             failures.append(f"Bernoulli recurrence fails at n={n}")
     for n in range(3, 22, 2):
         if bernoulli_number(n) != 0:

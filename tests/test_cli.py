@@ -4,10 +4,10 @@ Subprocess tests prove that the program entry (``cli.run``, behind
 ``python -m zetacomb`` and ``python -m zetacomb.cli``) gives main's output
 and exit codes on every exit path and exits 3 on a crash, that it runs the
 atexit handlers before it ends the process, that a stdout that cannot be
-written exits 2 (help included), that a closed stdout or stderr neither
-crashes the CLI nor mixes diagnostics into stdout, that a stderr that cannot
-be written never changes the exit code, and that a plain argv
-runs without importing argparse; everything else captures stdout/stderr
+written exits 2 (help included, buffered or not), that a closed stdout or
+stderr neither crashes the CLI nor mixes diagnostics into stdout, that a
+stderr that cannot be written never changes the exit code, and that a plain
+argv runs without importing argparse; everything else captures stdout/stderr
 with capsys. Every child is started by ``child.run``, whose docstring gives
 its environment and its block-buffered default. In-process tests also hold
 main to freezing nothing.
@@ -280,6 +280,10 @@ def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
     assert not (tmp_path / "D").exists()
 
 
+# the reasons that end the one stdout error line: /dev/full, and fd 1 closed at start-up
+FULL, CLOSED = os.strerror(errno.ENOSPC), os.strerror(errno.EBADF)
+
+
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",
@@ -291,20 +295,18 @@ def test_deleted_flags_are_usage_errors(argv, tmp_path, capsys):
     ],
 )
 def test_full_stdout_exits_2(argv):
-    # a large write fails at once, a small one only when stdout is flushed; help is
-    # written by argparse, so only the entry's final flush can find that it failed
-    with open("/dev/full", "w") as full:
-        proc = child.run("-m", "zetacomb", *argv, stdout=full)
-    assert proc.returncode == 2
-    assert proc.stderr.count("\n") == 1
-    assert proc.stderr.startswith("zetacomb: error: cannot write stdout: ")
+    # help is written by _write as a result is, and _write flushes each write, so a
+    # block-buffered stdout fails there as an unbuffered one does
+    for unbuffered in (False, True):
+        with open("/dev/full", "w") as full:
+            proc = child.run("-m", "zetacomb", *argv, stdout=full, unbuffered=unbuffered)
+        assert (proc.returncode, proc.stderr) == (2, f"zetacomb: error: cannot write stdout: {FULL}\n")
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_a_usage_error_to_a_full_stdout_reports_only_itself(unbuffered, capsys):
-    # nothing is written to stdout, so the final flush writes nothing either:
-    # /dev/full refuses even an empty write, which an unbuffered stdout would pass on
+    # nothing is written to stdout, and the entry's final flush drops what it cannot write
     argv = ["coeffs", "--m", "-1"]
     with open("/dev/full", "w") as full:
         proc = child.run("-m", "zetacomb", *argv, stdout=full, unbuffered=unbuffered)
@@ -326,9 +328,19 @@ def run_with_closed_fd(fd, argv):
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor with preexec_fn")
 def test_closed_stdout_exits_2():
-    proc = run_with_closed_fd(1, ["coeffs", "--m", "1", "--format", "csv"])
-    assert proc.returncode == 2
-    assert proc.stderr == f"zetacomb: error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+    # argparse would print the help on stderr and exit 0
+    for argv in (["coeffs", "--m", "1", "--format", "csv"], ["--help"], ["coeffs", "--help"]):
+        proc = run_with_closed_fd(1, argv)
+        assert (proc.returncode, proc.stderr) == (2, f"zetacomb: error: cannot write stdout: {CLOSED}\n")
+
+
+def test_help_to_a_closed_stdout_is_a_usage_error(monkeypatch, capsys):
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", None)
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", f"zetacomb: error: cannot write stdout: {CLOSED}\n")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor with preexec_fn")
@@ -481,15 +493,34 @@ def test_a_large_output_through_the_entry_is_mains(sink, tmp_path, capsys):
 
 def test_the_entry_runs_the_atexit_handlers():
     # the entry ends the process by os._exit, which alone would skip the handlers;
-    # stderr is line-buffered, so a line with no newline needs the final flush too
+    # stdout is block-buffered and stderr line-buffered, so what a handler writes
+    # to either needs the final flushes too
     planted = (
         "import atexit, sys\n"
+        "atexit.register(sys.stdout.write, 'handler ran')\n"
         "atexit.register(sys.stderr.write, 'handler ran')\n"
         "from zetacomb import cli\n"
         "cli.run()\n"
     )
     proc = child.run("-c", planted, "coeffs", "--m", "0", "--format", "csv")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/2\n", "handler ran")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/2\nhandler ran", "handler ran")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_the_entry_drops_what_an_exit_handler_leaves_for_a_full_stdout():
+    # the result went out through _write; the final flush drops the handler's text,
+    # as _note drops what stderr cannot take, and the result's exit code stands
+    planted = (
+        "import atexit, os, sys\n"
+        "def handler():\n"
+        "    os.dup2(os.open('/dev/full', os.O_WRONLY), 1)\n"
+        "    sys.stdout.write('handler ran')\n"
+        "atexit.register(handler)\n"
+        "from zetacomb import cli\n"
+        "cli.run()\n"
+    )
+    proc = child.run("-c", planted, "coeffs", "--m", "0", "--format", "csv")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1/2\n", "")
 
 
 # the program entry, with combination_matrix planted to raise

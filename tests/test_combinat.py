@@ -3,7 +3,7 @@ from __future__ import annotations
 import sys
 import threading
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +16,6 @@ from zetacomb.combinat import (
     _TangentTable,
     bernoulli_number,
     bernoulli_poly,
-    binomial,
     stirling1,
     stirling2,
 )
@@ -45,24 +44,6 @@ def _race(work):
     assert not any(t.is_alive() for t in pool)
     if errors:
         raise errors[0]
-
-
-def test_binomial_values():
-    assert binomial(4, 2) == 6
-    assert binomial(10, 5) == 252
-    assert binomial(5, 7) == 0
-    assert binomial(5, -1) == 0
-
-
-def test_binomial_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_matches_pascal():
-    for n in range(13):
-        for k in range(-1, n + 2):
-            assert binomial(n, k) == oracles.binomial_pascal(n, k)
 
 
 def test_bernoulli_small():
@@ -113,7 +94,7 @@ def test_bernoulli_odd_vanishing():
 def test_bernoulli_defining_recurrence():
     # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1
     for n in range(1, 21):
-        total = sum(binomial(n + 1, k) * bernoulli_number(k) for k in range(n + 1))
+        total = sum(comb(n + 1, k) * bernoulli_number(k) for k in range(n + 1))
         assert total == 0
 
 

@@ -8,14 +8,14 @@ interpreters, because this process has long since imported everything.
 ``__all__`` is its entry, and the entry lists every public name the home
 defines. Every public function that takes a size reads it by one rule: it
 is made an ``int`` (``True`` is 1, ``2.0`` a ``TypeError``) and a negative
-one is refused before any other argument is read; the k of ``binomial``,
-``stirling1`` and ``stirling2`` is made an ``int`` the same way. A point is
-read exactly by ``Fraction``, and a binary ``float`` point is a
-``TypeError``. A basis is read by its enum, so its
-string value works too. README's Library example runs as a doctest, and each
-command of its command-line session prints what the session shows. The
-docstring examples of every module of the imported package run as doctests,
-and no module imports a name that none of its statements reads.
+one is refused before any other argument is read; the k of ``stirling1``
+and ``stirling2`` is made an ``int`` the same way. A point is read exactly
+by ``Fraction``, and a binary ``float`` point is a ``TypeError``. A basis
+is read by its enum, so its string value works too. README's Library
+example runs as a doctest, and each command of its command-line session
+prints what the session shows. The docstring examples of every module of
+the imported package run as doctests, and no module imports a name that
+none of its statements reads.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 HOMES = ("numcore", "combinat", "trimat", "zetadiff", "etacheck")
 EXPORTS = """
     Basis Poly
-    binomial bernoulli_number bernoulli_poly stirling1 stirling2
+    bernoulli_number bernoulli_poly stirling1 stirling2
     LowerTriMatrix DimensionMismatchError SingularDiagonalError mat_mul invert_substitution invert_series
     CoeffReport SignPatternFinding SignViolation ExpectedSign CombinationViolation VerificationReport
     DEFAULT_SAMPLES zeta_diff hyper_poly zeta_diff_coeffs hyper_poly_coeffs combination_matrix paper_matrices
@@ -139,7 +139,6 @@ def test_unknown_name_is_an_attribute_error():
 # every public function that takes a size (m, max_m or n), called at -1, and the
 # size it must name: the paper's identity holds for m in N_0
 NEGATIVE_SIZE_CALLS = [
-    ("binomial", (-1, 0), "n"),
     ("bernoulli_number", (-1,), "n"),
     ("bernoulli_poly", (-1, 0), "n"),
     ("stirling1", (-1, 0), "n"),
@@ -175,7 +174,7 @@ def test_a_float_size_is_a_type_error_after_the_int_has_run(name, args, size):
         function(2.0, *args[1:])
 
 
-@pytest.mark.parametrize("name", ["binomial", "stirling1", "stirling2"])
+@pytest.mark.parametrize("name", ["stirling1", "stirling2"])
 def test_a_float_k_is_a_type_error_and_true_is_1(name):
     function = getattr(zetacomb, name)
     assert function(3, True) == function(3, 1)

@@ -39,7 +39,8 @@ def tri_matrices(dims=st.integers(1, 10), diag=nonzero):
 
 
 def diagonal(values):
-    return LowerTriMatrix.from_func(len(values), lambda i, j: Fraction(values[i] if i == j else 0))
+    n = len(values)
+    return LowerTriMatrix(n, (Fraction(values[i] if i == j else 0) for i in range(n) for j in range(i + 1)))
 
 
 def strict_parts(dims=st.integers(1, 10)):
@@ -154,11 +155,6 @@ def test_row_out_of_range(i):
         m.row(i)
 
 
-def test_from_func():
-    m = LowerTriMatrix.from_func(3, lambda i, j: Fraction(i + j))
-    assert m.rows() == [(Fraction(0),), (Fraction(1), Fraction(2)), (Fraction(2), Fraction(3), Fraction(4))]
-
-
 def test_diagonal_entries():
     b = tables.matrix(tables.B10)
     assert [row[-1] for row in b.rows()] == [Fraction(2) ** i for i in range(10)]
@@ -214,7 +210,7 @@ def test_strict_lower_is_nilpotent(strict):
 @given(strict_parts(dims=st.integers(1, 8)))
 def test_neumann_inverts_unitriangular(strict):
     n = strict.dim
-    m = LowerTriMatrix.from_func(n, lambda i, j: strict.get(i, j) + (i == j))
+    m = LowerTriMatrix(n, (strict.get(i, j) + (i == j) for i in range(n) for j in range(i + 1)))
     total = LowerTriMatrix.from_rows(oracles.invert_series_neumann(m))
     assert mat_mul(m, total) == LowerTriMatrix.identity(n)
 
@@ -303,7 +299,7 @@ def test_inverses_agree_on_g_at_m64(basis):
 def test_series_matches_substitution_at_doubling_edges(dim):
     # positive strict entries keep every power of N up to N^(dim-1)
     # nonzero, so the doubling loop runs to its 2^r >= dim bound
-    m = LowerTriMatrix.from_func(dim, lambda i, j: Fraction(i + j + 1, 2 * j + 3))
+    m = LowerTriMatrix(dim, (Fraction(i + j + 1, 2 * j + 3) for i in range(dim) for j in range(i + 1)))
     assert invert_series(m) == invert_substitution(m)
 
 

@@ -297,8 +297,10 @@ def _tanh_powers():
 def _riordan_closed_form(m):
     # built independently of the table: a_ij = V(i+1, j+1) / ((j+1)! 2^(i+1))
     v = _tanh_powers()
-    return LowerTriMatrix.from_func(
-        m + 1, lambda i, j: Fraction(v[i + 1][j + 1], math.factorial(j + 1) * 2 ** (i + 1))
+    return LowerTriMatrix(
+        m + 1,
+        (Fraction(v[i + 1][j + 1], math.factorial(j + 1) * 2 ** (i + 1))
+         for i in range(m + 1) for j in range(i + 1)),
     )
 
 
@@ -644,8 +646,10 @@ def test_g_inverse_matches_tanh_closed_form(m):
     # G^-1 = [2/(e^s+1), tanh(s/2)] in powers of x, and 2/(e^s+1) = 1 - tanh(s/2),
     # so G^-1[i][j] = (V(i, j) - V(i, j+1)) / (j! 2^i); V(i, i+1) = 0
     v = [row + [0] for row in _tanh_powers()[: m + 1]]
-    closed = LowerTriMatrix.from_func(
-        m + 1, lambda i, j: Fraction(v[i][j] - v[i][j + 1], math.factorial(j) * 2**i)
+    closed = LowerTriMatrix(
+        m + 1,
+        (Fraction(v[i][j] - v[i][j + 1], math.factorial(j) * 2**i)
+         for i in range(m + 1) for j in range(i + 1)),
     )
     g = hyper_poly_coeffs(m, Basis.MONOMIAL)
     assert invert_substitution(g) == closed
@@ -978,7 +982,9 @@ def _f_mono_plus_e(m, f_mono, g_mono, f_shift, g_shift):
 
 def _g_mono_plus_e(m, f_mono, g_mono, f_shift, g_shift):
     g_mono = _plus(g_mono, [(5, 2)], 1)
-    pascal_inv = LowerTriMatrix.from_func(m + 1, lambda i, j: (-1) ** (i - j) * math.comb(i, j))
+    pascal_inv = LowerTriMatrix(
+        m + 1, ((-1) ** (i - j) * math.comb(i, j) for i in range(m + 1) for j in range(i + 1))
+    )
     return (f_mono, g_mono, f_shift, mat_mul(g_mono, pascal_inv)), mat_mul(f_mono, invert_substitution(g_mono))
 
 
