@@ -366,11 +366,10 @@ def main(argv: list[str] | None = None) -> int:
         if error is not None:
             parser.error(error)
     # Results are exact integers of any size (coeffs entries pass 4,300 digits
-    # at a --cap well above 1,000), so the int/str digit limit of Python >= 3.10.7
-    # is lifted while the command runs; it still holds while the flags are parsed.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    # at a --cap well above 1,000), so Python's int/str digit limit is lifted
+    # while the command runs; it still holds while the flags are parsed.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         result = args.run(args)
         view = getattr(result, args.format)()
@@ -385,8 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         _note(f"zetacomb: error: {exc}")
         return EXIT_USAGE
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def run():

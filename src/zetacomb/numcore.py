@@ -4,7 +4,7 @@ Every quantity in this package is a ``fractions.Fraction``: arithmetic is
 exact and canonical (reduced form, positive denominator, unique zero), so
 matrix entries can be compared structurally against reference tables. Hot
 paths build and read one through its ``_numerator`` and ``_denominator``
-slots: on Python 3.10-3.13 its public properties are Python calls. The one
+slots: on Python 3.11-3.13 its public properties are Python calls. The one
 float rule is ``_require_exact``: a point, coefficient or entry is read by
 ``Fraction``, and a binary ``float`` is a ``TypeError``.
 

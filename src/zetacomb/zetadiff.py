@@ -116,11 +116,11 @@ def zeta_diff_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:
     """
     m = _require_nonnegative(m, "m")
     basis = Basis(basis)
-    # E_n(0)/2 for 0 <= n <= m
-    halves = [-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)]
+    # E_n(0)/2 = e[n]/scale for 0 <= n <= m, over the lcm of their denominators
+    e, scale = _over_lcm([-(2 ** (n + 1) - 1) * bernoulli_number(n + 1) / (n + 1) for n in range(m + 1)])
     if basis is Basis.MONOMIAL:
-        halves = [-h if n % 2 else h for n, h in enumerate(halves)]
-    return LowerTriMatrix(m + 1, (comb(i, j) * halves[i - j] for i in range(m + 1) for j in range(i + 1)))
+        e = [-v if n % 2 else v for n, v in enumerate(e)]
+    return LowerTriMatrix(m + 1, (Fraction(comb(i, j) * e[i - j], scale) for i in range(m + 1) for j in range(i + 1)))
 
 
 def hyper_poly_coeffs(m: int, basis: Basis = Basis.MONOMIAL) -> LowerTriMatrix:

@@ -808,16 +808,17 @@ def test_conjecture_violations_render(fmt, expected, monkeypatch, capsys):
     assert (code, out, err) == (1, expected, "sign violation: (2, 0) = 1/4, expected negative\n")
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("limit", [640, 0])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_exact_integers_beyond_the_str_digit_limit(fmt, capsys):
-    # coeffs at m = 380 has 648-digit entries, past the lowest limit Python allows, 640
+def test_exact_integers_beyond_the_str_digit_limit(fmt, limit, capsys):
+    # coeffs at m = 380 has 648-digit entries, past the lowest limit Python allows, 640;
+    # a limit switched off (0) stays off
     original = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
+    sys.set_int_max_str_digits(limit)
     try:
         code, out, err = run(["coeffs", "--m", "380", "--cap", "380", "--format", fmt], capsys)
         assert (code, err) == (0, "")
-        assert sys.get_int_max_str_digits() == 640  # restored
+        assert sys.get_int_max_str_digits() == limit  # restored
         if fmt == "csv":
             rows = [line.split(",")[: i + 1] for i, line in enumerate(out.splitlines())]
         else:

@@ -15,7 +15,8 @@ is read by its enum, so its string value works too. README's Library
 example runs as a doctest, and each command of its command-line session
 prints what the session shows. The docstring examples of every module of
 the imported package run as doctests, and no module imports a name that
-none of its statements reads.
+none of its statements reads. ``pyproject.toml`` asks for Python 3.11 or
+later and installs the ``zetacomb`` script as ``zetacomb.cli:run``.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import importlib
 import json
 import pkgutil
 import shlex
+import tomllib
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +37,8 @@ import child
 import zetacomb
 from zetacomb import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 HOMES = ("numcore", "combinat", "trimat", "zetadiff", "etacheck")
 EXPORTS = """
     Basis Poly
@@ -287,6 +290,12 @@ def test_cli_import_loads_every_home():
         f"import zetacomb.cli no longer loads {sorted(missing)}: perfbench/tracing.install "
         "imports zetacomb.cli and then reads sys.modules for every home module"
     )
+
+
+def test_pyproject_pins_the_python_floor_and_the_script_entry():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["requires-python"] == ">=3.11"
+    assert project["scripts"]["zetacomb"] == "zetacomb.cli:run"  # what CI's installed-script steps run
 
 
 def test_readme_library_example_holds():
